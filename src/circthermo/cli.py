@@ -762,8 +762,6 @@ def main(argv=None) -> int:
     parser.add_argument("config", help="path to the JSON run configuration")
     parser.add_argument("--out", help="override output.dir")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (results never depend on it)")
     args = parser.parse_args(argv)
 
     started = time.monotonic()
@@ -792,7 +790,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     elapsed = time.monotonic() - started
-    print(f"{args.command}: ok ({elapsed:.2f}s, threads={args.threads}) -> "
+    print(f"{args.command}: ok ({elapsed:.2f}s) -> "
           f"{os.path.join(config.output_dir, 'report.json')}", file=sys.stderr)
     return EXIT_OK
 

@@ -8,15 +8,18 @@ Two discretizations are provided on a uniform circle grid: collocation
 (evaluate at nodes through exact preimages and an interpolation stencil,
 fast on smooth data) and a weighted Ulam scheme (cell-transfer Galerkin
 projection, positivity preserving) used as an independent cross-check.
+The local stencils (linear collocation and Ulam) are stored in CSR form in
+float64; Fourier collocation and extended precision are stored dense.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigError, ResourceLimitError
 from .maps import BranchMap, Potential, wrap
@@ -101,7 +104,8 @@ class GridFunction:
         return cls(grid, np.asarray(fn(grid.nodes), dtype=dtype), interpolation)
 
     def __call__(self, x):
-        x = wrap(np.asarray(x, dtype=self.values.dtype))
+        real = self.values.real.dtype
+        x = wrap(np.asarray(x, dtype=real))
         n = self.grid.n_cells
         if self.interpolation == "linear":
             pos = x * n
@@ -109,7 +113,7 @@ class GridFunction:
             frac = pos - np.floor(pos)
             return self.values[idx] * (1.0 - frac) + self.values[(idx + 1) % n] * frac
         flat = np.atleast_1d(x).ravel()
-        out = trig_interp_matrix(flat, n, dtype=self.values.dtype) @ self.values
+        out = trig_interp_matrix(flat, n, dtype=real) @ self.values
         return out.reshape(x.shape) if x.shape else out[0]
 
     def derivative(self):
@@ -132,8 +136,12 @@ class GridFunction:
 
 @dataclass
 class DiscretizedOperator:
-    """Dense matrix approximation of the transfer operator on a grid."""
-    matrix: np.ndarray
+    """Transfer matrix M on a grid, stored as CSR or as a dense array.
+
+    `apply` (v -> M v) and `apply_left` (w -> w M) work on either form;
+    `matrix` is always the dense array, built on first use from CSR.
+    """
+    storage: Union[np.ndarray, sparse.csr_matrix]
     grid: Grid
     scheme: str
     interpolation: Optional[str]
@@ -141,16 +149,37 @@ class DiscretizedOperator:
     potential: Potential
     dropped_entries: int = 0
     preimage_table: Optional[np.ndarray] = None  # (d, N) node preimages (collocation)
+    _dense: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _left: Optional[sparse.csr_matrix] = field(default=None, init=False, repr=False)
+
+    @property
+    def dtype(self):
+        return self.storage.dtype
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if not sparse.issparse(self.storage):
+            return self.storage
+        if self._dense is None:
+            self._dense = self.storage.toarray()
+        return self._dense
 
     def apply(self, values):
-        return self.matrix @ np.asarray(values)
+        return self.storage @ np.asarray(values)
+
+    def apply_left(self, weights):
+        if not sparse.issparse(self.storage):
+            return np.asarray(weights) @ self.storage
+        if self._left is None:
+            self._left = self.storage.T.tocsr()
+        return self._left @ np.asarray(weights)
 
     def grid_function(self, values):
         interp = self.interpolation or "linear"
         return GridFunction(self.grid, np.asarray(values), interp)
 
     def row_sums(self):
-        return self.matrix.sum(axis=1)
+        return np.asarray(self.storage.sum(axis=1)).ravel()
 
     def export_csv(self, path):
         """Dense text dump with a header naming scheme, N, and the map tag."""
@@ -209,7 +238,7 @@ def apply_transfer_tree(branch_map: BranchMap, pot: Potential, g, x, depth: int)
 def build_operator(branch_map: BranchMap, pot: Potential, grid: Grid,
                    scheme: str = "collocation", interpolation: str = "linear",
                    dtype=np.float64) -> DiscretizedOperator:
-    """Assemble the dense N x N transfer matrix for the requested scheme.
+    """Assemble the N x N transfer matrix for the requested scheme.
 
     Production grids come through Discretization (N >= 8); tiny grids are
     accepted here for hand-checkable assembly.
@@ -226,6 +255,15 @@ def discretize(branch_map, pot, disc: Discretization, dtype=np.float64):
                           disc.interpolation, dtype=dtype)
 
 
+def _from_triplets(rows, cols, vals, n, dtype):
+    """Sum a local stencil's (row, col, value) triplets into an N x N matrix.
+
+    Duplicates are summed.  CSR in float64; extended precision stays dense.
+    """
+    coo = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=dtype)
+    return coo.tocsr() if np.dtype(dtype) == np.float64 else coo.toarray()
+
+
 def _build_collocation(branch_map, pot, grid, interpolation, dtype):
     n = grid.n_cells
     d = branch_map.degree
@@ -240,14 +278,15 @@ def _build_collocation(branch_map, pot, grid, interpolation, dtype):
         ys = np.clip(ys - resid / np.asarray(branch_map.dlift(ys)), 0.0, 1.0)
     weights = np.exp(np.asarray(pot(ys), dtype=dtype))          # (d, N)
 
-    mat = np.zeros((n, n), dtype=dtype)
     if interpolation == "linear":
         pos = ys * n
         idx = np.floor(pos).astype(int) % n
         frac = pos - np.floor(pos)
-        rows = np.broadcast_to(np.arange(n), (d, n))
-        np.add.at(mat, (rows, idx), weights * (1.0 - frac))
-        np.add.at(mat, (rows, (idx + 1) % n), weights * frac)
+        mat = _from_triplets(np.tile(np.arange(n), 2 * d),
+                             np.concatenate([idx.ravel(), ((idx + 1) % n).ravel()]),
+                             np.concatenate([(weights * (1.0 - frac)).ravel(),
+                                             (weights * frac).ravel()]),
+                             n, dtype)
     elif interpolation == "fourier":
         cards = trig_interp_matrix(ys.ravel(), n, dtype=dtype).reshape(d, n, n)
         mat = np.einsum("kn,knm->nm", weights, cards)
@@ -267,7 +306,7 @@ def _build_ulam(branch_map, pot, grid):
     n = grid.n_cells
     d = branch_map.degree
     c0 = branch_map._lift0
-    mat = np.zeros((n, n))
+    rows, cols, vals = [], [], []
     dropped = 0
     x_left = grid.nodes
     x_right = np.append(x_left[1:], 1.0)
@@ -291,9 +330,12 @@ def _build_ulam(branch_map, pot, grid):
                     ystar = 0.5 * (lo + hi)
                     wgt = math.exp(float(pot(np.array([ystar]))[0]))
                     fp = float(branch_map.dlift(np.array([ystar]))[0])
-                    mat[i, j % n] += wgt * fp * width * n
+                    rows.append(i)
+                    cols.append(j % n)
+                    vals.append(wgt * fp * width * n)
                 elif width > 0.0:
                     dropped += 1
                 j += 1
+    mat = _from_triplets(rows, cols, vals, n, np.float64)
     return DiscretizedOperator(mat, grid, "ulam", None, branch_map, pot,
                                dropped_entries=dropped)

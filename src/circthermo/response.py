@@ -67,7 +67,15 @@ def _triple_at(branch_map, pot, disc, tol=1e-12, dtype=np.float64):
 
 
 def _nodes(triple):
-    return np.asarray(triple.op.grid.nodes, dtype=triple.op.matrix.dtype)
+    return np.asarray(triple.op.grid.nodes, dtype=triple.op.dtype)
+
+
+def _direction(direction, triple):
+    """H where the operator samples the potential: cell midpoints under Ulam."""
+    x = _nodes(triple)
+    if triple.op.scheme == "ulam":
+        x = x + 0.5 * triple.op.grid.cell_width
+    return _eval(direction, x)
 
 
 def _eval(fn, x):
@@ -84,8 +92,8 @@ def d_lambda_d_potential(branch_map: BranchMap, pot0: Potential, direction,
     """Derivative of the leading eigenvalue: lam * int h H d nu."""
     if triple is None:
         triple = _triple_at(branch_map, pot0, disc)
-    x = _nodes(triple)
-    return float(triple.lam * triple.integrate_nu(triple.h.values * _eval(direction, x)))
+    hvec = _direction(direction, triple)
+    return float(triple.lam * triple.integrate_nu(triple.h.values * hvec))
 
 
 def d_pressure_d_potential(branch_map: BranchMap, pot0: Potential, direction,
@@ -94,8 +102,7 @@ def d_pressure_d_potential(branch_map: BranchMap, pot0: Potential, direction,
     """Derivative of the pressure: int H d mu (= d lambda / lambda)."""
     if triple is None:
         triple = _triple_at(branch_map, pot0, disc)
-    x = _nodes(triple)
-    return float(triple.integrate_mu(_eval(direction, x)))
+    return float(triple.integrate_mu(_direction(direction, triple)))
 
 
 def _density_shape_term(triple, direction_values):
@@ -116,7 +123,7 @@ def d_density_d_potential(branch_map: BranchMap, pot0: Potential, direction,
     """Derivative of the normalized eigenfunction h in direction H."""
     if triple is None:
         triple = _triple_at(branch_map, pot0, disc)
-    hvec = _eval(direction, _nodes(triple))
+    hvec = _direction(direction, triple)
     shape = _density_shape_term(triple, hvec)
     scale = _normalization_scalar(triple, hvec)
     return triple.op.grid_function(shape + triple.h.values * scale)
@@ -128,9 +135,8 @@ def d_conformal_expectation(branch_map: BranchMap, pot0: Potential, g, direction
     """Derivative of phi -> int g d nu_phi in direction H."""
     if triple is None:
         triple = _triple_at(branch_map, pot0, disc)
-    x = _nodes(triple)
-    gv = _eval(g, x)
-    hvec = _eval(direction, x)
+    gv = _eval(g, _nodes(triple))
+    hvec = _direction(direction, triple)
     gmean = float(triple.integrate_nu(gv))
     u_g = resolvent_solve(triple, gv - gmean * triple.h.values)
     return float(triple.integrate_nu(u_g * hvec)
@@ -143,9 +149,8 @@ def d_equilibrium_expectation(branch_map: BranchMap, pot0: Potential, g, directi
     """Derivative of phi -> int g d mu_phi in direction H."""
     if triple is None:
         triple = _triple_at(branch_map, pot0, disc)
-    x = _nodes(triple)
-    gv = _eval(g, x)
-    hvec = _eval(direction, x)
+    gv = _eval(g, _nodes(triple))
+    hvec = _direction(direction, triple)
     gmu = float(triple.integrate_mu(gv))
     u_gh = resolvent_solve(triple, (gv - gmu) * triple.h.values)
     shape = _density_shape_term(triple, hvec)

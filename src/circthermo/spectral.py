@@ -8,10 +8,14 @@ then h so that its nu-integral is one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
+from scipy import sparse
+from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, SchemeQualityError, SolverError
 from .operator import DiscretizedOperator, GridFunction
@@ -32,6 +36,7 @@ class SpectralTriple:
     tau: Optional[float] = None
     tau_is_upper_bound: bool = False
     clipped_nu_mass: float = 0.0
+    resolvent_factor: Optional[Callable] = field(default=None, repr=False)
 
     @property
     def eigenvalue(self):
@@ -66,11 +71,11 @@ def leading_triple(op: DiscretizedOperator, tol: float = 1e-12,
     Convergence is declared when successive Rayleigh quotients differ by
     less than tol; failure to converge raises with the last residual.
     """
-    if tol < 1e-14 and op.matrix.dtype == np.float64:
+    if tol < 1e-14 and op.dtype == np.float64:
         raise ConfigError(f"tol={tol} below float64 attainable accuracy")
-    mat = op.matrix
-    n = mat.shape[0]
-    dtype = mat.dtype
+    apply, apply_left = op.apply, op.apply_left
+    n = op.grid.n_cells
+    dtype = op.dtype
     v = np.ones(n, dtype=dtype)
     w = np.full(n, 1.0 / n, dtype=dtype)
     resid_floor = 50.0 * n * float(np.finfo(dtype).eps)
@@ -79,8 +84,8 @@ def leading_triple(op: DiscretizedOperator, tol: float = 1e-12,
     lam = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        mv = mat @ v
-        wm = w @ mat
+        mv = apply(v)
+        wm = apply_left(w)
         lam = (w @ mv) / (w @ v)          # scalar in the working dtype
         # eigenvector residuals of the *previous* iterates come for free
         rr = float(np.max(np.abs(mv - lam * v)) / abs(lam))
@@ -96,7 +101,7 @@ def leading_triple(op: DiscretizedOperator, tol: float = 1e-12,
             break
         lam_prev = float(lam)
     else:
-        resid = float(np.max(np.abs(mat @ v - lam * v)) / abs(lam))
+        resid = float(np.max(np.abs(apply(v) - lam * v)) / abs(lam))
         raise SolverError(
             f"no eigenvalue convergence in {max_iter} iterations; "
             f"last residual {resid:.3e} (gapless or mis-assembled operator?)")
@@ -124,8 +129,8 @@ def leading_triple(op: DiscretizedOperator, tol: float = 1e-12,
             "refine the grid or switch scheme")
 
     h = op.grid_function(hv)
-    resid_right = float(np.max(np.abs(mat @ hv - lam * hv)) / abs(lam))
-    resid_left = float(np.sum(np.abs(nu @ mat - lam * nu)) / abs(lam))
+    resid_right = float(np.max(np.abs(apply(hv) - lam * hv)) / abs(lam))
+    resid_left = float(np.sum(np.abs(apply_left(nu) - lam * nu)) / abs(lam))
     return SpectralTriple(lam=lam, h=h, nu=nu, op=op, iterations=iterations,
                           residual_right=resid_right, residual_left=resid_left,
                           clipped_nu_mass=clipped)
@@ -136,28 +141,30 @@ def gap_estimate(op: DiscretizedOperator, triple: SpectralTriple,
     """Estimate tau = |lambda_2| / lambda_1 by deflated power iteration.
 
     The leading pair is removed by the rank-one deflation
-    B = M - lambda h nu^T; the modulus of the next eigenvalue is read off
-    the geometric growth rate of ||B^k v|| (robust to complex pairs).
+    B v = M v - lambda h (nu . v) / (h . nu), applied without forming B;
+    the modulus of the next eigenvalue is read off the geometric growth
+    rate of ||B^k v|| (robust to complex pairs).  Runs in float64.
     Stores the estimate on the triple and returns it.
     """
-    mat = np.asarray(op.matrix, dtype=float)
+    mat = op.storage if op.dtype == np.float64 else np.asarray(op.matrix, dtype=float)
     hv = np.asarray(triple.h.values, dtype=float)
     nu = np.asarray(triple.nu, dtype=float)
     lam = float(triple.lam)
-    deflated = mat - lam * np.outer(hv, nu / (hv @ nu))
+    nu_h = nu / (hv @ nu)
+    n = op.grid.n_cells
     rng = np.random.Generator(np.random.Philox(key=seed))
-    v = rng.standard_normal(mat.shape[0])
+    v = rng.standard_normal(n)
     v = v - (nu @ v) * hv
     norm = np.linalg.norm(v)
     if norm == 0:
-        v = rng.standard_normal(mat.shape[0])
+        v = rng.standard_normal(n)
         norm = np.linalg.norm(v)
     v /= norm
     logs = []
     floor = 1e-14 * abs(lam)
     collapsed = None
     for _ in range(n_iter):
-        v = deflated @ v
+        v = mat @ v - lam * (nu_h @ v) * hv
         v = v - (nu @ v) * hv        # keep roundoff out of the leading direction
         r = np.linalg.norm(v)
         if r < floor:
@@ -182,13 +189,35 @@ def gap_estimate(op: DiscretizedOperator, triple: SpectralTriple,
     return tau
 
 
+def _resolvent_factor(triple: SpectralTriple) -> Callable:
+    """Solver for the bordered resolvent system, factored on first use."""
+    if triple.resolvent_factor is None:
+        mat = triple.op.storage
+        n = triple.op.grid.n_cells
+        hv = triple.h.values[:, None]
+        nu = triple.nu[None, :]
+        if sparse.issparse(mat):
+            border = sparse.bmat([[sparse.identity(n, format="csr") - mat / triple.lam, hv],
+                                  [nu, None]], format="csc")
+            triple.resolvent_factor = splu(border).solve
+        else:
+            border = np.block([[mat / -triple.lam, hv], [nu, np.zeros((1, 1))]])
+            diag = np.arange(n)
+            border[diag, diag] += 1.0
+            triple.resolvent_factor = partial(lu_solve, lu_factor(border, overwrite_a=True))
+    return triple.resolvent_factor
+
+
 def resolvent_solve(triple: SpectralTriple, v, method: str = "auto",
                     tol: float = 1e-12):
     """Solve (I - Ltilde) u = v on the zero-mean subspace, with zero-mean u.
 
     `neumann` sums Ltilde^k v until the sup norm of the term drops below
-    tol * (1 - tau); `direct` solves the dense system with the leading
-    direction pinned.  Both return nodal values in the dtype of v.
+    tol * (1 - tau); `direct` solves the bordered system
+    [[I - M/lam, h], [nu^T, 0]] [u; c] = [v; 0], whose LU factors are
+    computed once per triple and kept on it.  For zero-mean v this has
+    c = 0 and the u of (I - M/lam + h nu^T) u = v.  Both return nodal
+    values in the dtype of v.
     """
     vin = v.values if isinstance(v, GridFunction) else np.asarray(v)
     mean = float(triple.integrate_nu(vin))
@@ -202,15 +231,15 @@ def resolvent_solve(triple: SpectralTriple, v, method: str = "auto",
             f"spectral gap estimate tau={tau:.6f} too close to 1; "
             "resolvent series not summable")
 
-    dtype = triple.op.matrix.dtype
+    dtype = triple.op.dtype
     rhs = triple.project_zero_mean(np.asarray(vin, dtype=dtype))
     if method == "auto":
         method = "direct" if dtype == np.float64 else "neumann"
     if method == "direct":
-        mat = triple.op.matrix
-        hv = triple.h.values
-        aug = np.eye(len(rhs)) - mat / triple.lam + np.outer(hv, triple.nu)
-        u = np.linalg.solve(aug, rhs)
+        if dtype != np.float64:
+            raise ConfigError(f"direct resolvent runs in float64, not {dtype}; "
+                              "use method='neumann'")
+        u = _resolvent_factor(triple)(np.append(rhs, 0.0))[:-1]
     elif method == "neumann":
         lam_t = np.asarray(triple.lam, dtype=dtype)
         term = rhs.copy()

@@ -455,7 +455,7 @@ def deviation_probability(branch_map: BranchMap, pot: Potential, psi,
     pv = np.asarray(psi(x), dtype=float)
     pmid = np.asarray(psi(mid), dtype=float)
     half_period = 1.05 * float(max(np.max(np.abs(pv)), np.max(np.abs(pmid))))
-    mat = np.asarray(triple.op.matrix, dtype=float) / float(triple.lam)
+    lam = float(triple.lam)
     hv = np.asarray(triple.h.values, dtype=float)
     nu = np.asarray(triple.nu, dtype=float)
     k = np.arange(-FOURIER_MODES, FOURIER_MODES + 1)
@@ -468,8 +468,7 @@ def deviation_probability(branch_map: BranchMap, pot: Potential, psi,
         omega = 2.0 * np.pi * k / period
         z = tilt + 1j * omega
         top = np.exp(z[-1] * pv)
-        interp = (triple.op.grid_function(top.real)(mid)
-                  + 1j * triple.op.grid_function(top.imag)(mid))
+        interp = triple.op.grid_function(top)(mid)
         exact = np.exp(z[-1] * pmid)
         err = float(np.max(np.abs(interp - exact)) / np.max(np.abs(exact)))
         if err > TWIST_RESOLUTION_TOL:
@@ -490,10 +489,10 @@ def deviation_probability(branch_map: BranchMap, pot: Potential, psi,
         log_scale = 0.0
         for _ in range(n):
             # real matrix on the interleaved (re, im) columns of the product
-            f = (mat @ (twist * f).view(float)).view(complex)
+            f = triple.op.apply((twist * f).view(float)).view(complex)
             scale = float(np.max(np.abs(f)))
             f /= scale
-            log_scale += math.log(scale)
+            log_scale += math.log(scale / lam)
         total = float(np.sum(g * (nu @ f)).real)
         if not total > 0.0:
             raise SolverError(

@@ -160,6 +160,17 @@ def test_gridfunction_node_exactness_and_seam():
         assert abs(gf(np.array([1.0 - 1e-12]))[0] - gf(np.array([0.0]))[0]) < 1e-9
 
 
+@pytest.mark.parametrize("interpolation", ["linear", "fourier"])
+def test_complex_gridfunction_evaluates_real_points(interpolation):
+    vals = np.exp(1j * np.arange(8))
+    gf = GridFunction(Grid(8), vals, interpolation)
+    x = np.array([0.1, 0.5, 0.93])
+    re = GridFunction(Grid(8), vals.real, interpolation)(x)
+    im = GridFunction(Grid(8), vals.imag, interpolation)(x)
+    assert np.max(np.abs(gf(x) - (re + 1j * im))) < 1e-14
+    assert np.max(np.abs(gf(gf.grid.nodes) - vals)) < 1e-12
+
+
 def test_trig_cardinal_rows_sum_to_one():
     pts = np.array([0.123, 0.5, 0.03125, 0.999])
     t = trig_interp_matrix(pts, 16)

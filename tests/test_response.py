@@ -188,6 +188,24 @@ def test_d_equilibrium_matches_fd():
     assert abs(ana - fd) < 1e-4
 
 
+def test_d_equilibrium_ulam_matches_fd_on_intermittent_map():
+    # the Ulam weights sit at cell midpoints, so H must be sampled there;
+    # sampling it at the left cell ends leaves a 2e-3 error at this N
+    mp = manneville_pomeau(0.5)
+    phi0 = log_derivative_weight(-1.0, mp)
+    g = trig_polynomial(cos_coeffs=[1.0])
+    H = trig_polynomial(cos_coeffs=[0.0, 0.5])
+    disc = Discretization(n=512, scheme="ulam")
+    ana = d_equilibrium_expectation(mp, phi0, g, H, disc)
+
+    def mu_g(e):
+        t = leading_triple(discretize(mp, phi0 + e * H, disc))
+        return float(np.asarray(g(t.op.grid.nodes)) @ t.mu_weights)
+
+    fd = central_difference(mu_g, 1e-4)
+    assert abs(ana - fd) / max(1.0, abs(fd)) <= 5e-4
+
+
 def test_fd_error_decays_at_second_order():
     # FD error against the analytic value shrinks ~100x from eps=1e-3 to 1e-4
     m = doubling()

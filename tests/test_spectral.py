@@ -1,10 +1,14 @@
 """Leading triples, gap estimates, and resolvent solves."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy import sparse
 
+import circthermo.spectral as spectral
 from circthermo import (ConfigError, Discretization, Grid, SchemeQualityError,
                         SolverError, build_operator, discretize,
                         doubling, gap_estimate, leading_triple, linear_map,
@@ -105,6 +109,16 @@ def test_resolvent_rejects_nonzero_mean():
         resolvent_solve(tr, np.ones(32) * 0.5)
 
 
+def test_direct_resolvent_refuses_extended_precision():
+    op = build_operator(doubling(), trig_polynomial(cos_coeffs=[0.1]), Grid(32),
+                        "collocation", "linear", dtype=np.longdouble)
+    tr = leading_triple(op)
+    v = tr.project_zero_mean(np.cos(2 * np.pi * op.grid.nodes))
+    with pytest.raises(ConfigError, match="float64"):
+        resolvent_solve(tr, v, method="direct")
+    assert resolvent_solve(tr, v).dtype == np.longdouble
+
+
 def test_resolvent_refuses_gapless():
     op = build_operator(doubling(), zero_potential(), Grid(32), "collocation", "linear")
     tr = leading_triple(op)
@@ -147,3 +161,79 @@ def test_no_convergence_raises_with_residual():
                         Grid(64), "collocation", "linear")
     with pytest.raises(SolverError, match="residual"):
         leading_triple(op, tol=1e-13, max_iter=2)
+
+
+@pytest.fixture(scope="module", params=["collocation", "ulam"])
+def mp_physical_triple(request):
+    mp = manneville_pomeau(0.5)
+    op = discretize(mp, log_derivative_weight(-1.0, mp),
+                    Discretization(n=512, scheme=request.param))
+    return leading_triple(op)
+
+
+def test_local_stencils_are_stored_sparse(mp_physical_triple):
+    assert sparse.issparse(mp_physical_triple.op.storage)
+    fourier = discretize(doubling(), zero_potential(),
+                         Discretization(n=64, interpolation="fourier"))
+    extended = discretize(doubling(), zero_potential(), Discretization(n=64),
+                          dtype=np.longdouble)
+    assert not sparse.issparse(fourier.storage)
+    assert not sparse.issparse(extended.storage)
+
+
+def test_sparse_triple_matches_dense_eig(mp_physical_triple):
+    tr = mp_physical_triple
+    vals, left, right = scipy.linalg.eig(tr.op.matrix, left=True)
+    lead = np.argmax(np.abs(vals))
+    nu = left[:, lead].real
+    nu = nu / nu.sum()
+    h = right[:, lead].real
+    h = h / (h @ nu)
+    assert abs(float(tr.lam) - vals[lead].real) <= 1e-10 * abs(vals[lead])
+    assert np.max(np.abs(tr.h.values - h)) <= 1e-10 * np.max(np.abs(h))
+    assert np.max(np.abs(tr.nu - nu)) <= 1e-10 * np.max(np.abs(nu))
+
+
+def test_sparse_gap_matches_dense_eigvals(mp_physical_triple):
+    tr = mp_physical_triple
+    moduli = np.sort(np.abs(np.linalg.eigvals(tr.op.matrix)))[::-1]
+    assert gap_estimate(tr.op, tr) == pytest.approx(moduli[1] / moduli[0], abs=1e-8)
+
+
+def test_sparse_resolvent_matches_dense_solve_and_factors_once(mp_physical_triple,
+                                                               monkeypatch):
+    tr = mp_physical_triple
+    tr.resolvent_factor = None
+    calls = []
+
+    def counting_splu(a):
+        calls.append(a.shape)
+        return sparse.linalg.splu(a)
+
+    monkeypatch.setattr(spectral, "splu", counting_splu)
+    n = tr.op.grid.n_cells
+    nodes = tr.op.grid.nodes
+    mat = tr.op.matrix
+    aug = np.eye(n) - mat / tr.lam + np.outer(tr.h.values, tr.nu)
+    for k in (1, 3):
+        rhs = tr.project_zero_mean(np.cos(2 * np.pi * k * nodes))
+        u = resolvent_solve(tr, rhs, method="direct")
+        ref = np.linalg.solve(aug, rhs)
+        assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert calls == [(n + 1, n + 1)]
+
+
+def test_sparse_path_allocates_no_dense_matrix():
+    n = 2048
+    tracemalloc.start()
+    try:
+        op = discretize(doubling(), trig_polynomial(cos_coeffs=[0.2]),
+                        Discretization(n=n))
+        tr = leading_triple(op)
+        gap_estimate(op, tr)
+        resolvent_solve(tr, tr.project_zero_mean(np.cos(2 * np.pi * op.grid.nodes)),
+                        method="direct")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n           # an eighth of one dense N x N float64 array
