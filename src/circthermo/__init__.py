@@ -14,15 +14,16 @@ from .maps import (
     BranchMap, HypothesisAux, HypothesisReport, ParamFamily, Potential,
     check_hypotheses, circle_distance, constant, constant_family, doubling,
     grid_potential, linear_map, log_derivative_weight, manneville_pomeau,
-    perturbed_doubling, perturbed_doubling_family, preimages,
-    translated_doubling, translated_doubling_family, trig_polynomial, wrap,
-    zero_potential,
+    perturbed_doubling, perturbed_doubling_family, translated_doubling,
+    translated_doubling_family, trig_polynomial, wrap, zero_potential,
 )
 from .operator import (
-    DiscretizedOperator, Discretization, Grid, GridFunction,
+    DiscretizedOperator, Discretization, Grid, GridFunction, OperatorSetup,
     apply_transfer_point, apply_transfer_tree, build_operator, discretize,
 )
-from .spectral import SpectralTriple, gap_estimate, leading_triple, resolvent_solve
+from .spectral import (
+    SpectralTriple, gap_estimate, leading_triple, resolvent_solve, triple_at,
+)
 from .thermo import (
     ThermoReport, equilibrium_state, pressure, pressure_oracle_periodic,
     pressure_oracle_tree,

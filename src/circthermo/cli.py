@@ -27,12 +27,12 @@ from . import maps, stats
 from .errors import (ConfigError, HypothesisError, ResourceLimitError,
                      SchemeQualityError, SmoothnessError, SolverError)
 from .maps import HypothesisAux, ParamFamily, check_hypotheses
-from .operator import Discretization, Grid, build_operator
+from .operator import Discretization, Grid, OperatorSetup
 from .response import (central_difference, d_conformal_expectation,
                        d_density_d_potential, d_equilibrium_expectation,
                        d_lambda_d_potential, d_maxentropy_expectation,
                        d_pressure_d_dynamics, d_pressure_d_potential)
-from .spectral import gap_estimate, leading_triple
+from .spectral import gap_estimate, triple_at
 from .thermo import equilibrium_state, pressure
 
 COMMANDS = ("check-hypotheses", "pressure", "spectrum", "equilibrium",
@@ -488,10 +488,9 @@ def _cmd_check_hypotheses(config, branch_map, pot, hyp):
 
 def _cmd_pressure(config, branch_map, pot, hyp):
     disc = config.discretization
-    triple = leading_triple(build_operator(branch_map, pot, Grid(disc.n),
-                                           disc.scheme, disc.interpolation),
-                            tol=config.tolerances["eig_tol"],
-                            max_iter=config.tolerances["max_iter"])
+    triple = triple_at(OperatorSetup.of(branch_map, disc), pot,
+                       tol=config.tolerances["eig_tol"],
+                       max_iter=config.tolerances["max_iter"])
     return {"pressure": pressure(branch_map, pot, disc, triple=triple),
             "lambda": float(triple.lam),
             "iterations": triple.iterations,
@@ -501,10 +500,10 @@ def _cmd_pressure(config, branch_map, pot, hyp):
 
 def _cmd_spectrum(config, branch_map, pot, hyp):
     disc = config.discretization
-    op = build_operator(branch_map, pot, Grid(disc.n), disc.scheme,
-                        disc.interpolation)
-    triple = leading_triple(op, tol=config.tolerances["eig_tol"],
-                            max_iter=config.tolerances["max_iter"])
+    triple = triple_at(OperatorSetup.of(branch_map, disc), pot,
+                       tol=config.tolerances["eig_tol"],
+                       max_iter=config.tolerances["max_iter"])
+    op = triple.op
     tau = gap_estimate(op, triple)
     nodes = op.grid.nodes
     write_csv(os.path.join(config.output_dir, "eigen.csv"),
@@ -545,32 +544,29 @@ def _cmd_response(config, branch_map, pot, hyp):
     eps = block["fd_step"]
     if kind.endswith("-potential"):
         direction = build_potential(block["direction"], branch_map)
-        triple = leading_triple(build_operator(branch_map, pot, Grid(disc.n),
-                                               disc.scheme, disc.interpolation),
-                                tol=config.tolerances["eig_tol"])
-
-        def lam_at(e):
-            return leading_triple(
-                build_operator(branch_map, pot + e * direction, Grid(disc.n),
-                               disc.scheme, disc.interpolation),
-                tol=config.tolerances["eig_tol"])
+        # one setup serves the base triple and its two FD twins at +-eps
+        setup = OperatorSetup.of(branch_map, disc)
+        tol = config.tolerances["eig_tol"]
+        triple = triple_at(setup, pot, tol=tol)
+        twins = {e: triple_at(setup, pot + e * direction, tol=tol)
+                 for e in (eps, -eps)}
 
         if kind == "lambda-potential":
             analytic = d_lambda_d_potential(branch_map, pot, direction, disc,
                                             triple=triple)
-            fd = central_difference(lambda e: float(lam_at(e).lam), eps)
+            fd = central_difference(lambda e: float(twins[e].lam), eps)
         elif kind == "pressure-potential":
             analytic = d_pressure_d_potential(branch_map, pot, direction, disc,
                                               triple=triple)
-            fd = central_difference(lambda e: math.log(lam_at(e).lam), eps)
+            fd = central_difference(lambda e: math.log(twins[e].lam), eps)
         elif kind == "density-potential":
             deriv = d_density_d_potential(branch_map, pot, direction, disc,
                                           triple=triple)
             write_csv(os.path.join(config.output_dir, "density_derivative.csv"),
                       ["x", "dh"], zip(Grid(disc.n).nodes, map(float, deriv.values)),
                       comment="density derivative in the given direction")
-            hp = lam_at(eps).h.values
-            hm = lam_at(-eps).h.values
+            hp = twins[eps].h.values
+            hm = twins[-eps].h.values
             fd_vec = (np.asarray(hp, float) - np.asarray(hm, float)) / (2 * eps)
             analytic = float(np.max(np.abs(deriv.values)))
             fd = float(np.max(np.abs(fd_vec)))
@@ -580,22 +576,16 @@ def _cmd_response(config, branch_map, pot, hyp):
                     "fd_step": eps}, []
         else:
             g = build_potential(block["observable"], branch_map)
-            if kind == "conformal-potential":
-                analytic = d_conformal_expectation(branch_map, pot, g, direction,
-                                                   disc, triple=triple)
+            conformal = kind == "conformal-potential"
+            derivative = (d_conformal_expectation if conformal
+                          else d_equilibrium_expectation)
+            analytic = derivative(branch_map, pot, g, direction, disc, triple=triple)
 
-                def observable_at(e):
-                    t = lam_at(e)
-                    return float(np.asarray(g(t.op.grid.nodes), float) @
-                                 np.asarray(t.nu, float))
-            else:
-                analytic = d_equilibrium_expectation(branch_map, pot, g, direction,
-                                                     disc, triple=triple)
-
-                def observable_at(e):
-                    t = lam_at(e)
-                    return float(np.asarray(g(t.op.grid.nodes), float) @
-                                 np.asarray(t.mu_weights, float))
+            def observable_at(e):
+                t = twins[e]
+                weights = t.nu if conformal else t.mu_weights
+                return float(np.asarray(g(t.op.grid.nodes), float) @
+                             np.asarray(weights, float))
             fd = central_difference(observable_at, eps)
         rel = abs(analytic - fd) / max(1.0, abs(fd))
         return {"derivative": kind, "analytic_value": float(analytic),

@@ -148,15 +148,6 @@ class BranchMap:
         targets = x + shift + j
         return self._invert_lift(targets)
 
-    def inverse_derivative(self, y):
-        """Derivative of the inverse branch through y, i.e. 1 / F'(y)."""
-        return 1.0 / np.asarray(self.dlift(np.asarray(y)))
-
-
-def preimages(branch_map: BranchMap, x):
-    """Functional alias for :meth:`BranchMap.preimages`."""
-    return branch_map.preimages(x)
-
 
 # ---------------------------------------------------------------------------
 # Builtin families
@@ -315,12 +306,6 @@ def constant_family(branch_map: BranchMap) -> ParamFamily:
     )
 
 
-BUILTIN_FAMILY_TAGS = (
-    "doubling", "linear-d", "manneville-pomeau(alpha)",
-    "perturbed-doubling(t)", "translated-doubling(s)",
-)
-
-
 # ---------------------------------------------------------------------------
 # Potentials
 # ---------------------------------------------------------------------------
@@ -364,8 +349,7 @@ class Potential:
                 _, c, bmap = term
                 out = out + c * np.log(bmap.dlift(wrap(x)))
             elif kind == "grid":
-                _, values, interpolation = term
-                out = out + _interp_circle(values, wrap(x), interpolation)
+                out = out + _grid_function(term)(x)
             else:
                 raise ConfigError(f"unknown potential term {kind!r}")
         return out
@@ -394,8 +378,10 @@ class Potential:
                 y = wrap(x)
                 out = out + c * bmap.second_derivative(y) / bmap.dlift(y)
             elif kind == "grid":
-                _, values, interpolation = term
-                out = out + _interp_circle_derivative(values, wrap(x), interpolation)
+                if term[2] != "fourier":
+                    raise SmoothnessError(
+                        "grid potential with linear interpolation has no derivative")
+                out = out + _grid_function(term).derivative()(x)
         return out
 
     def __add__(self, other):
@@ -457,33 +443,11 @@ class Potential:
         return "+".join(parts) if parts else "const(0)"
 
 
-def _interp_circle(values, x, interpolation):
-    values = np.asarray(values, dtype=float)
-    n = len(values)
-    if interpolation == "linear":
-        pos = x * n
-        idx = np.floor(pos).astype(int) % n
-        frac = pos - np.floor(pos)
-        return values[idx] * (1.0 - frac) + values[(idx + 1) % n] * frac
-    if interpolation == "fourier":
-        from .operator import trig_interp_matrix
-        flat = np.atleast_1d(x).ravel()
-        out = trig_interp_matrix(flat, n) @ values
-        return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
-    raise ConfigError(f"unknown interpolation {interpolation!r}")
-
-
-def _interp_circle_derivative(values, x, interpolation):
-    values = np.asarray(values, dtype=float)
-    n = len(values)
-    if interpolation == "fourier":
-        coeffs = np.fft.fft(values)
-        k = np.fft.fftfreq(n, d=1.0 / n)
-        if n % 2 == 0:
-            k[n // 2] = 0.0  # derivative of the Nyquist cosine mode at nodes
-        dvals = np.real(np.fft.ifft(coeffs * 2j * np.pi * k))
-        return _interp_circle(dvals, x, "fourier")
-    raise SmoothnessError("grid potential with linear interpolation has no derivative")
+def _grid_function(term):
+    """The GridFunction behind a ("grid", values, interpolation) term."""
+    from .operator import Grid, GridFunction
+    _, values, interpolation = term
+    return GridFunction(Grid(len(values)), values, interpolation)
 
 
 def constant(c: float, *, holder_exponent=1.0) -> Potential:

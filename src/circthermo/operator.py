@@ -8,6 +8,8 @@ Two discretizations are provided on a uniform circle grid: collocation
 (evaluate at nodes through exact preimages and an interpolation stencil,
 fast on smooth data) and a weighted Ulam scheme (cell-transfer Galerkin
 projection, positivity preserving) used as an independent cross-check.
+Both are assembled through an OperatorSetup, which computes the
+map-and-grid geometry once and reweights it for each potential.
 The local stencils (linear collocation and Ulam) are stored in CSR form in
 float64; Fourier collocation and extended precision are stored dense.
 """
@@ -95,16 +97,14 @@ class GridFunction:
         if values.shape != (grid.n_cells,):
             raise ConfigError(
                 f"values shape {values.shape} does not match grid of {grid.n_cells}")
+        if interpolation not in ("linear", "fourier"):
+            raise ConfigError(f"unknown interpolation {interpolation!r}")
         self.grid = grid
         self.values = values
         self.interpolation = interpolation
 
-    @classmethod
-    def from_callable(cls, grid, fn, interpolation="linear", dtype=float):
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=dtype), interpolation)
-
     def __call__(self, x):
-        real = self.values.real.dtype
+        real = np.result_type(self.values.real.dtype, np.float64)
         x = wrap(np.asarray(x, dtype=real))
         n = self.grid.n_cells
         if self.interpolation == "linear":
@@ -128,7 +128,8 @@ class GridFunction:
             dv = np.real(np.fft.ifft(coeffs * 2j * np.pi * k))
         else:
             dv = (np.roll(v, -1) - np.roll(v, 1)) * (n / 2.0)
-        return GridFunction(self.grid, np.asarray(dv, dtype=v.dtype), self.interpolation)
+        dtype = np.result_type(v.dtype, np.float64)   # integer values differentiate in float
+        return GridFunction(self.grid, np.asarray(dv, dtype=dtype), self.interpolation)
 
     def copy_with(self, values):
         return GridFunction(self.grid, values, self.interpolation)
@@ -235,19 +236,134 @@ def apply_transfer_tree(branch_map: BranchMap, pot: Potential, g, x, depth: int)
 # Discretizations
 # ---------------------------------------------------------------------------
 
+class OperatorSetup:
+    """The potential-independent part of one discretized transfer operator.
+
+    Built once per (map, grid, scheme, interpolation, dtype): the polished
+    preimage table y_j(x_i) and the stencil (idx/frac triplets for linear,
+    the (d, N, N) cardinal matrix for Fourier) under collocation; the arc
+    pieces, their midpoints y* and F'(y*) |arc| / |cell| under Ulam.
+    `operator(pot)` only evaluates e^{pot} at the stored points and
+    combines.  A caller that sweeps the potential holds one setup for the
+    sweep; nothing outlives the caller that holds it.
+    """
+
+    def __init__(self, branch_map: BranchMap, grid: Grid,
+                 scheme: str = "collocation", interpolation: str = "linear",
+                 dtype=np.float64):
+        self.branch_map, self.grid, self.scheme = branch_map, grid, scheme
+        self.dropped_entries = 0
+        self._cards = None
+        if scheme == "collocation":
+            if interpolation not in ("linear", "fourier"):
+                raise ConfigError(f"unknown interpolation {interpolation!r}")
+            self.interpolation, self.dtype = interpolation, np.dtype(dtype)
+            self._setup_collocation()
+        elif scheme == "ulam":
+            self.interpolation, self.dtype = None, np.dtype(np.float64)
+            self._setup_ulam()
+        else:
+            raise ConfigError(f"unknown scheme {scheme!r}")
+
+    @classmethod
+    def of(cls, branch_map: BranchMap, disc: Discretization, dtype=np.float64):
+        return cls(branch_map, Grid(disc.n), disc.scheme, disc.interpolation, dtype)
+
+    def _setup_collocation(self):
+        branch_map, dtype = self.branch_map, self.dtype
+        n = self.grid.n_cells
+        d = branch_map.degree
+        nodes = np.asarray(self.grid.nodes, dtype=dtype)
+        ys = np.asarray(branch_map.preimages(nodes), dtype=dtype)   # (d, N)
+        # polish preimages in the working dtype (Newton reaches its eps quickly)
+        f0 = np.asarray(branch_map.lift(np.zeros(1, dtype=dtype)))[0]
+        targets = nodes[None, :] + np.ceil(f0 - nodes)[None, :] + \
+            np.arange(d, dtype=dtype)[:, None]
+        for _ in range(3):
+            resid = np.asarray(branch_map.lift(ys)) - targets
+            ys = np.clip(ys - resid / np.asarray(branch_map.dlift(ys)), 0.0, 1.0)
+        ys.setflags(write=False)   # shared by every operator of this setup
+        self.points = ys
+        if self.interpolation == "fourier":
+            self._cards = trig_interp_matrix(ys.ravel(), n, dtype=dtype).reshape(d, n, n)
+            return
+        pos = ys * n
+        idx = np.floor(pos).astype(int) % n
+        frac = pos - np.floor(pos)
+        self._rows = np.tile(np.arange(n), 2 * d)
+        self._cols = np.concatenate([idx.ravel(), ((idx + 1) % n).ravel()])
+        self._factors = np.concatenate([(1.0 - frac).ravel(), frac.ravel()])
+
+    def _setup_ulam(self):
+        """Arc pieces of the weighted cell-transfer (Galerkin) projection.
+
+        Entry (i, j) integrates L applied to the indicator of cell j over
+        cell i, evaluated by midpoint rule on each preimage arc:
+        e^{phi(y*)} f'(y*) |arc| / |cell|.  All entries are nonnegative.
+        """
+        branch_map = self.branch_map
+        n = self.grid.n_cells
+        d = branch_map.degree
+        c0 = branch_map._lift0
+        rows, cols, mids, widths = [], [], [], []
+        x_left = self.grid.nodes
+        x_right = np.append(x_left[1:], 1.0)
+        m_base = np.ceil(c0 - x_right)
+        for r in range(d + 1):
+            m = m_base + r
+            u_lo = np.clip(x_left + m, c0, c0 + d)
+            u_hi = np.clip(x_right + m, c0, c0 + d)
+            keep = u_hi - u_lo > 0.0
+            if not np.any(keep):
+                continue
+            y_lo = branch_map._invert_lift(u_lo[keep])
+            y_hi = branch_map._invert_lift(u_hi[keep])
+            for i, p, q in zip(np.nonzero(keep)[0], y_lo, y_hi):
+                j = int(math.floor(p * n))
+                while j / n < q:
+                    lo = max(p, j / n)
+                    hi = min(q, (j + 1) / n)
+                    width = hi - lo
+                    if width >= 1e-14:
+                        rows.append(i)
+                        cols.append(j % n)
+                        mids.append(0.5 * (lo + hi))
+                        widths.append(width)
+                    elif width > 0.0:
+                        self.dropped_entries += 1
+                    j += 1
+        self.points = np.array(mids, dtype=np.float64)
+        self._rows, self._cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
+        self._factors = np.asarray(branch_map.dlift(self.points)) * np.array(widths) * n
+
+    def operator(self, pot: Potential) -> DiscretizedOperator:
+        """The transfer matrix weighted by e^{pot}, from the stored geometry."""
+        n = self.grid.n_cells
+        weights = np.exp(np.asarray(pot(self.points), dtype=self.dtype))
+        if self._cards is not None:
+            mat = np.einsum("kn,knm->nm", weights, self._cards)
+        else:
+            # linear collocation repeats each preimage weight in its two columns
+            repeat = len(self._factors) // weights.size
+            mat = _from_triplets(self._rows, self._cols,
+                                 np.tile(weights.ravel(), repeat) * self._factors,
+                                 n, self.dtype)
+        return DiscretizedOperator(
+            mat, self.grid, self.scheme, self.interpolation, self.branch_map, pot,
+            dropped_entries=self.dropped_entries,
+            preimage_table=self.points if self.scheme == "collocation" else None)
+
+
 def build_operator(branch_map: BranchMap, pot: Potential, grid: Grid,
                    scheme: str = "collocation", interpolation: str = "linear",
                    dtype=np.float64) -> DiscretizedOperator:
-    """Assemble the N x N transfer matrix for the requested scheme.
+    """Assemble the N x N transfer matrix for the requested scheme, once.
 
     Production grids come through Discretization (N >= 8); tiny grids are
-    accepted here for hand-checkable assembly.
+    accepted here for hand-checkable assembly.  Use an OperatorSetup to
+    assemble for many potentials.
     """
-    if scheme == "collocation":
-        return _build_collocation(branch_map, pot, grid, interpolation, dtype)
-    if scheme == "ulam":
-        return _build_ulam(branch_map, pot, grid)
-    raise ConfigError(f"unknown scheme {scheme!r}")
+    return OperatorSetup(branch_map, grid, scheme, interpolation, dtype).operator(pot)
 
 
 def discretize(branch_map, pot, disc: Discretization, dtype=np.float64):
@@ -262,80 +378,3 @@ def _from_triplets(rows, cols, vals, n, dtype):
     """
     coo = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=dtype)
     return coo.tocsr() if np.dtype(dtype) == np.float64 else coo.toarray()
-
-
-def _build_collocation(branch_map, pot, grid, interpolation, dtype):
-    n = grid.n_cells
-    d = branch_map.degree
-    nodes = np.asarray(grid.nodes, dtype=dtype)
-    ys = np.asarray(branch_map.preimages(nodes), dtype=dtype)   # (d, N)
-    # polish preimages in the working dtype (Newton reaches its eps quickly)
-    f0 = np.asarray(branch_map.lift(np.zeros(1, dtype=dtype)))[0]
-    targets = nodes[None, :] + np.ceil(f0 - nodes)[None, :] + \
-        np.arange(d, dtype=dtype)[:, None]
-    for _ in range(3):
-        resid = np.asarray(branch_map.lift(ys)) - targets
-        ys = np.clip(ys - resid / np.asarray(branch_map.dlift(ys)), 0.0, 1.0)
-    weights = np.exp(np.asarray(pot(ys), dtype=dtype))          # (d, N)
-
-    if interpolation == "linear":
-        pos = ys * n
-        idx = np.floor(pos).astype(int) % n
-        frac = pos - np.floor(pos)
-        mat = _from_triplets(np.tile(np.arange(n), 2 * d),
-                             np.concatenate([idx.ravel(), ((idx + 1) % n).ravel()]),
-                             np.concatenate([(weights * (1.0 - frac)).ravel(),
-                                             (weights * frac).ravel()]),
-                             n, dtype)
-    elif interpolation == "fourier":
-        cards = trig_interp_matrix(ys.ravel(), n, dtype=dtype).reshape(d, n, n)
-        mat = np.einsum("kn,knm->nm", weights, cards)
-    else:
-        raise ConfigError(f"unknown interpolation {interpolation!r}")
-    return DiscretizedOperator(mat, grid, "collocation", interpolation,
-                               branch_map, pot, preimage_table=ys)
-
-
-def _build_ulam(branch_map, pot, grid):
-    """Weighted cell-transfer (Galerkin) projection of the operator.
-
-    Entry (i, j) integrates L applied to the indicator of cell j over
-    cell i, evaluated by midpoint rule on each preimage arc:
-    e^{phi(y*)} f'(y*) |arc| / |cell|.  All entries are nonnegative.
-    """
-    n = grid.n_cells
-    d = branch_map.degree
-    c0 = branch_map._lift0
-    rows, cols, vals = [], [], []
-    dropped = 0
-    x_left = grid.nodes
-    x_right = np.append(x_left[1:], 1.0)
-    m_base = np.ceil(c0 - x_right)
-    for r in range(d + 1):
-        m = m_base + r
-        u_lo = np.clip(x_left + m, c0, c0 + d)
-        u_hi = np.clip(x_right + m, c0, c0 + d)
-        keep = u_hi - u_lo > 0.0
-        if not np.any(keep):
-            continue
-        y_lo = branch_map._invert_lift(u_lo[keep])
-        y_hi = branch_map._invert_lift(u_hi[keep])
-        for i, p, q in zip(np.nonzero(keep)[0], y_lo, y_hi):
-            j = int(math.floor(p * n))
-            while j / n < q:
-                lo = max(p, j / n)
-                hi = min(q, (j + 1) / n)
-                width = hi - lo
-                if width >= 1e-14:
-                    ystar = 0.5 * (lo + hi)
-                    wgt = math.exp(float(pot(np.array([ystar]))[0]))
-                    fp = float(branch_map.dlift(np.array([ystar]))[0])
-                    rows.append(i)
-                    cols.append(j % n)
-                    vals.append(wgt * fp * width * n)
-                elif width > 0.0:
-                    dropped += 1
-                j += 1
-    mat = _from_triplets(rows, cols, vals, n, np.float64)
-    return DiscretizedOperator(mat, grid, "ulam", None, branch_map, pot,
-                               dropped_entries=dropped)

@@ -27,9 +27,9 @@ import numpy as np
 
 from .errors import ConfigError, SmoothnessError, SolverError
 from .maps import BranchMap, ParamFamily, Potential, zero_potential
-from .operator import (Discretization, GridFunction, TREE_LEAF_GUARD,
-                       discretize)
-from .spectral import SpectralTriple, gap_estimate, leading_triple, resolvent_solve
+from .operator import (Discretization, GridFunction, OperatorSetup,
+                       TREE_LEAF_GUARD)
+from .spectral import SpectralTriple, gap_estimate, resolvent_solve, triple_at
 
 FD_DEFAULT_STEP = 1e-4
 
@@ -62,10 +62,6 @@ def central_difference(fn: Callable[[float], float], eps: float) -> float:
     return (fn(eps) - fn(-eps)) / (2.0 * eps)
 
 
-def _triple_at(branch_map, pot, disc, tol=1e-12, dtype=np.float64):
-    return leading_triple(discretize(branch_map, pot, disc, dtype=dtype), tol=tol)
-
-
 def _nodes(triple):
     return np.asarray(triple.op.grid.nodes, dtype=triple.op.dtype)
 
@@ -91,7 +87,7 @@ def d_lambda_d_potential(branch_map: BranchMap, pot0: Potential, direction,
                          triple: Optional[SpectralTriple] = None) -> float:
     """Derivative of the leading eigenvalue: lam * int h H d nu."""
     if triple is None:
-        triple = _triple_at(branch_map, pot0, disc)
+        triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
     hvec = _direction(direction, triple)
     return float(triple.lam * triple.integrate_nu(triple.h.values * hvec))
 
@@ -101,7 +97,7 @@ def d_pressure_d_potential(branch_map: BranchMap, pot0: Potential, direction,
                            triple: Optional[SpectralTriple] = None) -> float:
     """Derivative of the pressure: int H d mu (= d lambda / lambda)."""
     if triple is None:
-        triple = _triple_at(branch_map, pot0, disc)
+        triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
     return float(triple.integrate_mu(_direction(direction, triple)))
 
 
@@ -122,7 +118,7 @@ def d_density_d_potential(branch_map: BranchMap, pot0: Potential, direction,
                           triple: Optional[SpectralTriple] = None) -> GridFunction:
     """Derivative of the normalized eigenfunction h in direction H."""
     if triple is None:
-        triple = _triple_at(branch_map, pot0, disc)
+        triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
     hvec = _direction(direction, triple)
     shape = _density_shape_term(triple, hvec)
     scale = _normalization_scalar(triple, hvec)
@@ -134,7 +130,7 @@ def d_conformal_expectation(branch_map: BranchMap, pot0: Potential, g, direction
                             triple: Optional[SpectralTriple] = None) -> float:
     """Derivative of phi -> int g d nu_phi in direction H."""
     if triple is None:
-        triple = _triple_at(branch_map, pot0, disc)
+        triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
     gv = _eval(g, _nodes(triple))
     hvec = _direction(direction, triple)
     gmean = float(triple.integrate_nu(gv))
@@ -148,7 +144,7 @@ def d_equilibrium_expectation(branch_map: BranchMap, pot0: Potential, g, directi
                               triple: Optional[SpectralTriple] = None) -> float:
     """Derivative of phi -> int g d mu_phi in direction H."""
     if triple is None:
-        triple = _triple_at(branch_map, pot0, disc)
+        triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
     gv = _eval(g, _nodes(triple))
     hvec = _direction(direction, triple)
     gmu = float(triple.integrate_mu(gv))
@@ -255,7 +251,7 @@ def d_transfer_n_d_dynamics(branch_map: BranchMap, pot: Potential, g, h_field,
 
 
 def _pressure_of(family, pot, s, disc, tol):
-    return math.log(_triple_at(family.at(s), pot, disc, tol=tol).lam)
+    return math.log(triple_at(OperatorSetup.of(family.at(s), disc), pot, tol=tol).lam)
 
 
 def d_pressure_d_dynamics(family: ParamFamily, pot: Potential, s0: float,
@@ -271,7 +267,7 @@ def d_pressure_d_dynamics(family: ParamFamily, pot: Potential, s0: float,
         raise SmoothnessError("pressure-in-f derivative needs a C^1 potential")
     branch_map = family.at(s0)
     h_field = family.direction(s0)
-    triple = _triple_at(branch_map, pot, disc, tol=tol)
+    triple = triple_at(OperatorSetup.of(branch_map, disc), pot, tol=tol)
     x = _nodes(triple)
     ys = triple.op.preimage_table
     if ys is None:
@@ -301,7 +297,7 @@ def d_maxentropy_expectation(family: ParamFamily, g, s0: float,
     pot0 = zero_potential()
     branch_map = family.at(s0)
     h_field = family.direction(s0)
-    triple = _triple_at(branch_map, pot0, disc, tol=1e-12)
+    triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
     tau = gap_estimate(triple.op, triple)
     if tau >= 1.0 - 1e-6:
         raise SolverError(f"gap estimate tau={tau:.6f} too small for the series")
@@ -346,7 +342,7 @@ def d_maxentropy_expectation(family: ParamFamily, g, s0: float,
     tail = (abs(terms[-1]) * tau / (1.0 - tau)) if tau > 0 else 0.0
 
     def expectation(s):
-        t = _triple_at(family.at(s), pot0, disc, tol=1e-12)
+        t = triple_at(OperatorSetup.of(family.at(s), disc), pot0)
         return float(np.asarray(_eval(g, _nodes(t)), dtype=float) @ t.mu_weights)
 
     fd = central_difference(lambda e: expectation(s0 + e), fd_step)

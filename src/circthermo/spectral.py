@@ -18,7 +18,8 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, SchemeQualityError, SolverError
-from .operator import DiscretizedOperator, GridFunction
+from .maps import Potential
+from .operator import DiscretizedOperator, GridFunction, OperatorSetup
 
 NEGATIVE_MASS_LIMIT = 1e-8
 
@@ -37,10 +38,6 @@ class SpectralTriple:
     tau_is_upper_bound: bool = False
     clipped_nu_mass: float = 0.0
     resolvent_factor: Optional[Callable] = field(default=None, repr=False)
-
-    @property
-    def eigenvalue(self):
-        return self.lam
 
     def integrate_nu(self, values):
         """nu-integral of nodal values (node-weight quadrature)."""
@@ -134,6 +131,17 @@ def leading_triple(op: DiscretizedOperator, tol: float = 1e-12,
     return SpectralTriple(lam=lam, h=h, nu=nu, op=op, iterations=iterations,
                           residual_right=resid_right, residual_left=resid_left,
                           clipped_nu_mass=clipped)
+
+
+def triple_at(setup: OperatorSetup, pot: Potential, tol: float = 1e-12,
+              max_iter: int = 100000) -> SpectralTriple:
+    """Leading triple of the operator that `setup` assembles for `pot`.
+
+    The one way a triple is built from a potential: pass a fresh
+    `OperatorSetup.of(branch_map, disc)` for a single potential, or hold
+    one setup across a potential sweep so that each point only reweights.
+    """
+    return leading_triple(setup.operator(pot), tol=tol, max_iter=max_iter)
 
 
 def gap_estimate(op: DiscretizedOperator, triple: SpectralTriple,

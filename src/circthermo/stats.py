@@ -12,23 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, HypothesisError, SchemeQualityError, SolverError
 from .maps import BranchMap, HypothesisAux, ParamFamily, Potential, check_hypotheses
-from .operator import Discretization, discretize
+from .operator import Discretization, OperatorSetup
 from .response import FD_DEFAULT_STEP, ResponseReport, central_difference
-from .spectral import SpectralTriple, gap_estimate, leading_triple
-from .thermo import pressure
+from .spectral import SpectralTriple, gap_estimate, triple_at
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 COBOUNDARY_TOL = 1e-8
-
-
-def _triple_at(branch_map, pot, disc, tol=1e-12):
-    return leading_triple(discretize(branch_map, pot, disc), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +52,7 @@ def correlation(branch_map: BranchMap, pot: Potential, obs_a, obs_b,
     by least squares on log |C(n)| over the terms above the noise floor.
     """
     if triple is None:
-        triple = _triple_at(branch_map, pot, disc)
+        triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
     x = triple.op.grid.nodes
     av = np.asarray(obs_a(x), dtype=float)
     bv = np.asarray(obs_b(x), dtype=float)
@@ -100,7 +97,7 @@ def clt_parameters(branch_map: BranchMap, pot: Potential, psi,
     the coboundary tolerance of zero is clamped to exactly zero.
     """
     if triple is None:
-        triple = _triple_at(branch_map, pot, disc)
+        triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
     if triple.tau is None:
         gap_estimate(triple.op, triple)
     tau = triple.tau
@@ -175,7 +172,7 @@ class FreeEnergyCurve:
     e_prime: np.ndarray
     e_second: np.ndarray
     convex: bool
-    spline: CubicSpline = field(repr=False)
+    spline: "CubicSpline" = field(repr=False)
 
     def e(self, t):
         return self.spline(t)
@@ -215,16 +212,21 @@ def free_energy(branch_map: BranchMap, phi: Potential, psi: Potential,
 
     Without an explicit t0, the largest radius on the geometric trial grid
     0.4^k whose endpoints pass the smallness checks is used.  An explicit
-    t0 is a caller override and is not re-certified.
+    t0 is a caller override and is not re-certified.  The operator geometry
+    is set up once; each of the n_t pressures only reweights it.
     """
+    from scipy.interpolate import CubicSpline
+
     if n_t < 5 or n_t % 2 == 0:
         raise ConfigError(f"n_t must be odd and >= 5, got {n_t}")
     if t0 is None:
         t0 = _auto_t0(branch_map, phi, psi, hyp_aux or HypothesisAux())
     t_grid = np.linspace(-t0, t0, n_t)
     t_grid[n_t // 2] = 0.0
+    setup = OperatorSetup.of(branch_map, disc)
     pressures = np.array([
-        pressure(branch_map, phi + float(t) * psi, disc) for t in t_grid])
+        math.log(triple_at(setup, phi + float(t) * psi, tol=tol).lam)
+        for t in t_grid])
     values = pressures - pressures[n_t // 2]
     spline = CubicSpline(t_grid, values)
     e_prime = spline.derivative()(t_grid)
@@ -345,7 +347,7 @@ def ldp_monte_carlo(branch_map: BranchMap, pot: Potential, psi,
     predicted = -rate.infimum(a, b)
 
     if triple is None:
-        triple = _triple_at(branch_map, pot, disc)
+        triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
     mu = triple.mu_weights
     n_cells = triple.op.grid.n_cells
 
@@ -440,7 +442,9 @@ def deviation_probability(branch_map: BranchMap, pot: Potential, psi,
     nearest the mean, so every term lives on the scale e^{-n I} and the
     relative accuracy holds at large n.  The sum does not depend on t, so
     the rates are independent of the rate function's own error.  The
-    iteration is renormalized every step and carries its log scale.
+    iteration is renormalized every step and carries its log scale.  S_n
+    is real, so the mode -k term is the conjugate of the mode k term: only
+    k >= 0 is iterated and the sum is g_0 E_0 + 2 Re sum_{k>=1} g_k E_k.
 
     Raises SchemeQualityError when the grid cannot resolve the twist
     e^{z psi} at the outermost mode, and SolverError when the inversion
@@ -448,7 +452,7 @@ def deviation_probability(branch_map: BranchMap, pot: Potential, psi,
     """
     a, b = _deviation_interval(interval, rate)
     tilt = float(legendre_sup(rate.curve, min(max(rate.argmin, a), b))[1])
-    triple = _triple_at(branch_map, pot, disc)
+    triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
     grid = triple.op.grid
     x = grid.nodes
     mid = x + 0.5 * grid.cell_width
@@ -458,7 +462,7 @@ def deviation_probability(branch_map: BranchMap, pot: Potential, psi,
     lam = float(triple.lam)
     hv = np.asarray(triple.h.values, dtype=float)
     nu = np.asarray(triple.nu, dtype=float)
-    k = np.arange(-FOURIER_MODES, FOURIER_MODES + 1)
+    k = np.arange(FOURIER_MODES + 1)
 
     rates = {}
     for n in sorted(set(int(n) for n in n_list)):
@@ -493,7 +497,8 @@ def deviation_probability(branch_map: BranchMap, pot: Potential, psi,
             scale = float(np.max(np.abs(f)))
             f /= scale
             log_scale += math.log(scale / lam)
-        total = float(np.sum(g * (nu @ f)).real)
+        terms = (g * (nu @ f)).real
+        total = float(terms[0] + 2.0 * np.sum(terms[1:]))
         if not total > 0.0:
             raise SolverError(
                 f"Fourier inversion at n={n} gave a nonpositive probability "

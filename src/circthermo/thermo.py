@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import ConfigError, ResourceLimitError
 from .maps import BranchMap, Potential, circle_distance
-from .operator import (Discretization, TREE_LEAF_GUARD, apply_transfer_tree,
-                       discretize)
-from .spectral import SpectralTriple, leading_triple
+from .operator import (Discretization, OperatorSetup, TREE_LEAF_GUARD,
+                       apply_transfer_tree)
+from .spectral import SpectralTriple, triple_at
 
 
 @dataclass
@@ -43,11 +43,6 @@ class ThermoReport:
         return out
 
 
-def _triple(branch_map, pot, disc, tol=1e-12, max_iter=100000):
-    op = discretize(branch_map, pot, disc)
-    return leading_triple(op, tol=tol, max_iter=max_iter)
-
-
 def pressure(branch_map: BranchMap, pot: Potential,
              disc: Discretization = Discretization(),
              triple: Optional[SpectralTriple] = None) -> float:
@@ -57,7 +52,7 @@ def pressure(branch_map: BranchMap, pot: Potential,
     library use assumes the standing hypotheses or an explicit override).
     """
     if triple is None:
-        triple = _triple(branch_map, pot, disc)
+        triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
     return math.log(triple.lam)
 
 
@@ -144,7 +139,7 @@ def equilibrium_state(branch_map: BranchMap, pot: Potential,
     or c log|f'|, where that ratio is meaningful.
     """
     if triple is None:
-        triple = _triple(branch_map, pot, disc)
+        triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
     p = math.log(triple.lam)
     mu = np.asarray(triple.mu_weights, dtype=float)
     nodes = triple.op.grid.nodes

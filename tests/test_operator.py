@@ -5,11 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from circthermo import (Grid, GridFunction, ResourceLimitError,
-                        apply_transfer_point, apply_transfer_tree,
-                        build_operator, constant, doubling,
-                        log_derivative_weight, manneville_pomeau,
-                        translated_doubling, trig_polynomial, zero_potential)
+from scipy import sparse
+
+import circthermo.operator as ct_operator
+from circthermo import (Discretization, Grid, GridFunction, OperatorSetup,
+                        ResourceLimitError, apply_transfer_point,
+                        apply_transfer_tree, build_operator, constant,
+                        doubling, free_energy, log_derivative_weight,
+                        manneville_pomeau, translated_doubling,
+                        trig_polynomial, zero_potential)
 from circthermo.operator import trig_interp_matrix
 from circthermo.spectral import leading_triple
 
@@ -169,6 +173,18 @@ def test_complex_gridfunction_evaluates_real_points(interpolation):
     im = GridFunction(Grid(8), vals.imag, interpolation)(x)
     assert np.max(np.abs(gf(x) - (re + 1j * im))) < 1e-14
     assert np.max(np.abs(gf(gf.grid.nodes) - vals)) < 1e-12
+    # integer values interpolate at the points given, not at truncated ones
+    pts = np.array([0.5, 0.55])
+    as_int = GridFunction(Grid(8), np.arange(8), interpolation)(pts)
+    as_float = GridFunction(Grid(8), np.arange(8.0), interpolation)(pts)
+    assert np.array_equal(as_int, as_float)
+    if interpolation == "linear":
+        assert np.allclose(as_int, [4.0, 4.4], rtol=0, atol=1e-14)
+    d_int = GridFunction(Grid(7), np.arange(7), interpolation).derivative().values
+    d_float = GridFunction(Grid(7), np.arange(7.0), interpolation).derivative().values
+    assert np.array_equal(d_int, d_float)
+    wide = GridFunction(Grid(8), np.arange(8, dtype=np.longdouble), interpolation)
+    assert wide(pts).dtype == np.longdouble
 
 
 def test_trig_cardinal_rows_sum_to_one():
@@ -196,6 +212,60 @@ def test_operator_csv_export_roundtrip(tmp_path):
     assert "map=doubling" in lines[0] and "N=16" in lines[0]
     data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     assert np.array_equal(data, np.asarray(op.matrix, dtype=float))
+
+
+def _dense(op):
+    return op.storage.toarray() if sparse.issparse(op.storage) else op.storage
+
+
+@pytest.mark.parametrize("scheme,interpolation,dtype", [
+    ("collocation", "linear", np.float64),
+    ("collocation", "fourier", np.float64),
+    ("ulam", "linear", np.float64),
+    ("collocation", "linear", np.longdouble),
+    ("collocation", "fourier", np.longdouble),
+])
+def test_reused_setup_matches_fresh_build(scheme, interpolation, dtype):
+    mp = manneville_pomeau(0.5)
+    grid = Grid(96)
+    setup = OperatorSetup(mp, grid, scheme, interpolation, dtype)
+    setup.operator(log_derivative_weight(-1.0, mp))   # an earlier sweep point
+    pot = trig_polynomial(cos_coeffs=[0.2], sin_coeffs=[0.0, 0.05])
+    reused = setup.operator(pot)
+    fresh = build_operator(mp, pot, grid, scheme, interpolation, dtype=dtype)
+    a, b = _dense(reused), _dense(fresh)
+    assert a.dtype == b.dtype
+    if scheme == "collocation":
+        assert np.array_equal(a, b)
+        assert np.array_equal(reused.preimage_table, fresh.preimage_table)
+    else:
+        assert np.array_equal(a != 0, b != 0)
+        assert np.max(np.abs(a - b) / np.where(b != 0, np.abs(b), 1.0)) <= 1e-15
+        assert reused.dropped_entries == fresh.dropped_entries
+    assert reused.potential is pot
+
+
+def test_free_energy_builds_cardinal_matrix_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return trig_interp_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(ct_operator, "trig_interp_matrix", counted)
+    disc = Discretization(n=64, interpolation="fourier")
+    psi = trig_polynomial(cos_coeffs=[1.0])
+    curve = free_energy(doubling(), zero_potential(), psi, t0=0.2, n_t=41,
+                        disc=disc)
+    assert len(calls) == 1
+    # a sweep point equals the pressure difference of freshly built operators
+    p0 = math.log(leading_triple(build_operator(
+        doubling(), zero_potential(), Grid(64), "collocation", "fourier")).lam)
+    t = float(curve.t_grid[3])
+    pt = math.log(leading_triple(build_operator(
+        doubling(), zero_potential() + t * psi, Grid(64), "collocation",
+        "fourier")).lam)
+    assert curve.values[3] == pt - p0
 
 
 def test_ulam_wrap_handling_translated_family():
