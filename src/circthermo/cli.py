@@ -288,6 +288,7 @@ def _validate_response(block, path):
     _require(kind in _RESPONSE_KINDS, f"{path}.derivative",
              f"must be one of {_RESPONSE_KINDS}")
     out = {"derivative": kind, "fd_step": float(block.get("fd_step", 1e-4))}
+    _require(out["fd_step"] > 0.0, f"{path}.fd_step", "must be > 0")
     if kind.endswith("-potential"):
         _require("direction" in block, f"{path}.direction",
                  "potential derivatives need a direction")

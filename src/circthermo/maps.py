@@ -19,16 +19,15 @@ from .errors import ConfigError, SmoothnessError, SolverError
 
 CIRCLE_DIAMETER = 0.5
 
-# Root-finder budget: bisection to this bracket width, then Newton to the
-# residual target, with a global iteration cap.
-_BISECT_WIDTH = 1e-6
+# Root-finder budget: safeguarded Newton to the residual target, with an
+# iteration cap per point.
 _NEWTON_RESIDUAL = 1e-12
 _MAX_ITER = 100
 
 
 def wrap(x):
-    """Reduce to the fundamental domain [0, 1)."""
-    return np.mod(x, 1.0)
+    """Reduce to [0, 1); bit-identical to np.mod(x, 1.0) on finite floats."""
+    return x - np.floor(x)
 
 
 def circle_distance(x, y):
@@ -98,42 +97,58 @@ class BranchMap:
 
     # -- inverse branches ---------------------------------------------------
 
-    def _invert_lift(self, targets):
-        """Solve F(y) = u for each u in `targets`, u in [F(0), F(0)+d].
+    def _invert_lift(self, u, lo, hi, flo, fhi):
+        """Solve F(y) = u on brackets [lo, hi] where F(lo) = flo and F(hi) = fhi.
 
-        Bracketed bisection to width 1e-6, then Newton polished to residual
-        1e-12; monotonicity of the lift makes the bracket safe.
+        All arguments broadcast together.  Each point starts at the chord of
+        the lift across its bracket (the exact root on affine lifts) and
+        takes safeguarded Newton steps to residual 1e-12: the residual's sign
+        shrinks the bracket, and a step that leaves it bisects instead.  Only
+        unconverged points iterate, so each root depends only on its own
+        target and bracket, and equal targets give bit-equal roots.
         """
-        u = np.asarray(targets, dtype=float)
-        lo = np.zeros_like(u)
-        hi = np.ones_like(u)
-        n_bisect = max(1, int(math.ceil(math.log2(1.0 / _BISECT_WIDTH))))
-        iters = 0
-        for _ in range(n_bisect):
-            mid = 0.5 * (lo + hi)
-            high = np.asarray(self.lift(mid)) > u
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-            iters += 1
-        y = 0.5 * (lo + hi)
+        u, lo, hi, flo, fhi = np.broadcast_arrays(u, lo, hi, flo, fhi)
+        shape = u.shape
+        u, lo, hi, flo, fhi = (np.asarray(a, dtype=float).ravel()
+                               for a in (u, lo, hi, flo, fhi))
+        y = np.clip(lo + (u - flo) * ((hi - lo) / (fhi - flo)), lo, hi)
         resid = np.asarray(self.lift(y)) - u
-        while np.max(np.abs(resid)) > _NEWTON_RESIDUAL:
-            if iters >= _MAX_ITER:
-                k = int(np.argmax(np.abs(resid)))
-                branch = int(np.floor(u.ravel()[k] - self._lift0)) if u.ndim else 0
-                raise SolverError(
-                    f"inverse-branch root find failed on branch {branch}: "
-                    f"residual {np.max(np.abs(resid)):.3e} after {iters} iterations")
-            step = resid / np.asarray(self.dlift(y))
-            y = np.clip(y - step, lo, hi)
-            resid = np.asarray(self.lift(y)) - u
-            iters += 1
-        return y
+        todo = np.flatnonzero(~(np.abs(resid) <= _NEWTON_RESIDUAL))
+        yt, rt, lo, hi, u = (a[todo] for a in (y, resid, lo, hi, u))
+        for _ in range(_MAX_ITER):
+            if todo.size == 0:
+                return y.reshape(shape)
+            lo = np.where(rt < 0.0, yt, lo)
+            hi = np.where(rt > 0.0, yt, hi)
+            step = yt - rt / np.asarray(self.dlift(yt))
+            yt = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+            rt = np.asarray(self.lift(yt)) - u
+            y[todo] = yt
+            left = ~(np.abs(rt) <= _NEWTON_RESIDUAL)
+            todo, yt, rt, lo, hi, u = (a[left] for a in (todo, yt, rt, lo, hi, u))
+        worst = int(np.argmax(np.abs(rt)))
+        raise SolverError(
+            f"inverse-branch root find failed on branch "
+            f"{int(np.floor(u[worst] - self._lift0))}: residual "
+            f"{abs(rt[worst]):.3e} after {_MAX_ITER} iterations")
 
     def _compute_branch_bounds(self):
         ks = np.arange(1, self.degree)
-        interior = self._invert_lift(self._lift0 + ks.astype(float))
+        interior = self._invert_lift(self._lift0 + ks, 0.0, 1.0,
+                                     self._lift0, self._lift0 + self.degree)
         return np.concatenate(([0.0], interior, [1.0]))
+
+    def invert_branch(self, k, x):
+        """The preimage of x under branch k; k and x broadcast together.
+
+        The root lies in branch k's domain [b_k, b_{k+1}] and solves
+        F(y) = x + m + k with the integer m chosen so that F(0) <= x + m <
+        F(0) + 1.
+        """
+        x, k = wrap(np.asarray(x, dtype=float)), np.asarray(k)
+        b, flo = self.branch_bounds, self._lift0 + k
+        return self._invert_lift(x + np.ceil(self._lift0 - x) + k,
+                                 b[k], b[k + 1], flo, flo + 1.0)
 
     def preimages(self, x):
         """All d preimages of x, sorted by branch index.
@@ -142,11 +157,9 @@ class BranchMap:
         domain [b_k, b_{k+1}).  Endpoint ties go to the lower-indexed branch
         because each branch solves a distinct lift equation.
         """
-        x = wrap(np.asarray(x, dtype=float))
-        shift = np.ceil(self._lift0 - x)
-        j = np.arange(self.degree, dtype=float).reshape((self.degree,) + (1,) * x.ndim)
-        targets = x + shift + j
-        return self._invert_lift(targets)
+        x = np.asarray(x, dtype=float)
+        ks = np.arange(self.degree).reshape((self.degree,) + (1,) * x.ndim)
+        return self.invert_branch(ks, x)
 
 
 # ---------------------------------------------------------------------------

@@ -121,11 +121,13 @@ class GridFunction:
         n = self.grid.n_cells
         v = self.values
         if self.interpolation == "fourier":
-            coeffs = np.fft.fft(np.asarray(v, dtype=float))
+            cplx = np.iscomplexobj(v)
+            coeffs = np.fft.fft(np.asarray(v, dtype=complex if cplx else float))
             k = np.fft.fftfreq(n, d=1.0 / n)
             if n % 2 == 0:
                 k[n // 2] = 0.0  # cosine Nyquist mode has zero derivative at nodes
-            dv = np.real(np.fft.ifft(coeffs * 2j * np.pi * k))
+            dv = np.fft.ifft(coeffs * 2j * np.pi * k)
+            dv = dv if cplx else dv.real
         else:
             dv = (np.roll(v, -1) - np.roll(v, 1)) * (n / 2.0)
         dtype = np.result_type(v.dtype, np.float64)   # integer values differentiate in float
@@ -304,7 +306,12 @@ class OperatorSetup:
         branch_map = self.branch_map
         n = self.grid.n_cells
         d = branch_map.degree
-        c0 = branch_map._lift0
+        c0, b = branch_map._lift0, branch_map.branch_bounds
+
+        def invert(u):   # F^{-1}(u) for lift values u in [F(0), F(0) + d]
+            k = np.minimum(np.floor(u - c0), d - 1).astype(int)
+            return branch_map._invert_lift(u, b[k], b[k + 1], c0 + k, c0 + k + 1)
+
         rows, cols, mids, widths = [], [], [], []
         x_left = self.grid.nodes
         x_right = np.append(x_left[1:], 1.0)
@@ -316,8 +323,7 @@ class OperatorSetup:
             keep = u_hi - u_lo > 0.0
             if not np.any(keep):
                 continue
-            y_lo = branch_map._invert_lift(u_lo[keep])
-            y_hi = branch_map._invert_lift(u_hi[keep])
+            y_lo, y_hi = invert(u_lo[keep]), invert(u_hi[keep])
             for i, p, q in zip(np.nonzero(keep)[0], y_lo, y_hi):
                 j = int(math.floor(p * n))
                 while j / n < q:

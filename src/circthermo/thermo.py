@@ -95,9 +95,8 @@ def pressure_oracle_periodic(branch_map: BranchMap, pot: Potential, n: int,
         if active.size == 0:
             break
         ya = y[active]
-        cols = np.arange(active.size)
         for k in range(n):
-            ya = branch_map.preimages(ya)[digits[k, active], cols]
+            ya = branch_map.invert_branch(digits[k, active], ya)
         moved = circle_distance(ya, y[active])
         y[active] = ya
         active = active[moved >= tol]

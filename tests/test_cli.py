@@ -136,6 +136,17 @@ def test_response_command_potential_direction(tmp_path):
     assert report.result["rel_error"] < 1e-6
 
 
+@pytest.mark.parametrize("fd_step", [0.0, -1e-4])
+def test_response_rejects_nonpositive_fd_step(tmp_path, fd_step):
+    cfg = base_config(response={"derivative": "pressure-potential",
+                                "direction": {"form": "trig", "sin": [0.1]},
+                                "fd_step": fd_step},
+                      output={"dir": str(tmp_path / "out")})
+    with pytest.raises(ConfigError, match=r"response\.fd_step"):
+        parse_config(json.dumps(cfg))
+    assert main(["response", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+
+
 def test_correlation_and_clt_commands(tmp_path):
     cfg = base_config(
         discretization={"n": 128, "interpolation": "fourier"},

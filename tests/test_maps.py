@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from circthermo import (BranchMap, ConfigError, HypothesisAux, check_hypotheses,
-                        circle_distance, constant, doubling, grid_potential,
-                        linear_map, log_derivative_weight, manneville_pomeau,
-                        trig_polynomial, zero_potential)
+from circthermo import (BranchMap, ConfigError, HypothesisAux, SolverError,
+                        check_hypotheses, circle_distance, constant, doubling,
+                        grid_potential, linear_map, log_derivative_weight,
+                        manneville_pomeau, perturbed_doubling, translated_doubling,
+                        trig_polynomial, wrap, zero_potential)
 from circthermo.maps import smallness_values
 
 from conftest import builtin_maps
@@ -52,6 +53,97 @@ def test_preimages_monotone_per_branch(bmap):
     jumps = np.diff(ys, axis=1)
     wraps = np.count_nonzero(jumps <= 0, axis=1)
     assert np.all(wraps <= 1)   # at most the single seam crossing per branch
+
+
+ENGINE_MAPS = builtin_maps() + [manneville_pomeau(0.5)]
+
+
+def _branch_target(bmap, k, x):
+    x = np.asarray(x, dtype=float)
+    return x + np.ceil(bmap.lift(np.zeros(1))[0] - x) + k
+
+
+@pytest.mark.parametrize("bmap", ENGINE_MAPS, ids=lambda m: m.family_tag)
+def test_invert_branch_bit_equal_to_preimages(bmap):
+    rng = np.random.Generator(np.random.Philox(key=2))
+    xs = rng.random(500)
+    ys = bmap.preimages(xs)
+    for k in range(bmap.degree):
+        assert np.array_equal(bmap.invert_branch(k, xs), ys[k])
+    assert np.array_equal(bmap.invert_branch(np.arange(bmap.degree)[:, None], xs), ys)
+
+
+@pytest.mark.parametrize("bmap", ENGINE_MAPS, ids=lambda m: m.family_tag)
+def test_invert_branch_residual_at_edge_targets(bmap):
+    # x = F(0) mod 1 makes every target exactly F(0) + k
+    xs = np.array([0.0, 1.0 - 2.0 ** -53, float(wrap(bmap.lift(np.zeros(1))[0]))])
+    b = bmap.branch_bounds
+    for k in range(bmap.degree):
+        y = bmap.invert_branch(k, xs)
+        assert np.max(np.abs(bmap.lift(y) - _branch_target(bmap, k, xs))) <= 1e-12
+        assert np.all((y >= b[k]) & (y <= b[k + 1]))
+
+
+@pytest.mark.parametrize("bmap", ENGINE_MAPS, ids=lambda m: m.family_tag)
+def test_equal_targets_give_bit_equal_roots(bmap):
+    rng = np.random.Generator(np.random.Philox(key=3))
+    base = rng.random(64)
+    xs = np.concatenate([base, rng.random(300), base[::-1]])
+    ys = bmap.preimages(xs)
+    assert np.array_equal(ys[:, :64], ys[:, -64:][:, ::-1])
+    # a root does not depend on the other points solved alongside it
+    for i in (0, 17, 63):
+        assert np.array_equal(bmap.preimages(base[i]), ys[:, i])
+
+
+def _evals_per_point(bmap, xs):
+    counts = {"lift": 0, "dlift": 0}
+
+    def counted(name, fn):
+        def wrapper(y):
+            counts[name] += np.size(y)
+            return fn(y)
+        return wrapper
+    lift, dlift = bmap.lift, bmap.dlift
+    bmap.lift, bmap.dlift = counted("lift", lift), counted("dlift", dlift)
+    try:
+        bmap.preimages(xs)
+    finally:
+        bmap.lift, bmap.dlift = lift, dlift
+    points = bmap.degree * xs.size
+    return counts["lift"] / points, counts["dlift"] / points
+
+
+@pytest.mark.parametrize("bmap", [doubling(), linear_map(3), translated_doubling(0.3)],
+                         ids=lambda m: m.family_tag)
+def test_affine_maps_invert_with_one_lift_evaluation(bmap):
+    xs = np.random.Generator(np.random.Philox(key=4)).random(2000)
+    assert _evals_per_point(bmap, xs) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("bmap", [manneville_pomeau(0.5), manneville_pomeau(1.0),
+                                  perturbed_doubling(0.1)], ids=lambda m: m.family_tag)
+def test_nonlinear_maps_invert_within_six_evaluations(bmap):
+    xs = np.random.Generator(np.random.Philox(key=4)).random(2000)
+    lifts, dlifts = _evals_per_point(bmap, xs)
+    assert lifts + dlifts <= 6.0
+
+
+def test_lift_with_jump_raises_solver_error():
+    # monotone with F' > 0 wherever it is differentiable, but F jumps at 0.3
+    bmap = BranchMap(2, lambda x: 1.9 * np.asarray(x) + 0.1 * (np.asarray(x) > 0.3),
+                     lambda x: np.full_like(np.asarray(x, dtype=float), 1.9))
+    assert abs(bmap.invert_branch(0, 0.2) * 1.9 - 0.2) < 1e-12
+    with pytest.raises(SolverError, match="branch 0"):
+        bmap.invert_branch(0, 0.62)   # F(0.3) = 0.57 and F(0.3+) = 0.67
+
+
+def test_wrap_is_bit_identical_to_mod():
+    rng = np.random.Generator(np.random.Philox(key=5))
+    xs = np.concatenate([rng.uniform(-2.0, 2.0, 10000),
+                         [1e-17, -1e-17, 0.0, -0.0, -3.0, -1.0, 1.0, 7.0,
+                          1.0 - 2.0 ** -53, 2.0 ** 60 + 0.5, -(2.0 ** 60 + 0.5)]])
+    assert np.array_equal(wrap(xs).view(np.int64), np.mod(xs, 1.0).view(np.int64))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])

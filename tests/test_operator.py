@@ -1,6 +1,7 @@
 """Pointwise transfer application, tree sums, and matrix assembly."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,16 @@ def test_complex_gridfunction_evaluates_real_points(interpolation):
     assert np.array_equal(d_int, d_float)
     wide = GridFunction(Grid(8), np.arange(8, dtype=np.longdouble), interpolation)
     assert wide(pts).dtype == np.longdouble
+
+
+def test_fourier_derivative_keeps_complex_values():
+    grid = Grid(8)
+    vals = np.exp(2j * np.pi * grid.nodes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        deriv = GridFunction(grid, vals, "fourier").derivative()
+    assert np.iscomplexobj(deriv.values)
+    assert np.max(np.abs(deriv.values - 2j * np.pi * vals)) < 1e-12
 
 
 def test_trig_cardinal_rows_sum_to_one():
