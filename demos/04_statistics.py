@@ -1,8 +1,9 @@
 """Correlation decay, central-limit parameters, and the coboundary wall.
 
 Computes correlation series through the normalized operator, reads CLT
-mean/variance off the Green-Kubo sum, and shows the degenerate branch:
-an observable of the form u o f - u has zero asymptotic variance.
+mean/variance off the Green-Kubo sum (one resolvent solve), and shows the
+degenerate branch: an observable of the form u o f - u has zero asymptotic
+variance.
 """
 
 import numpy as np
@@ -38,4 +39,4 @@ print("C(n):", " ".join(f"{v:+.1e}" for v in series.values[:8]))
 print(f"fitted decay rate {series.tau_fit:.4f} vs gap estimate {tau:.4f}")
 clt_mp = clt_parameters(mp, pot, cos1, Discretization(n=512), triple=tr)
 print(f"CLT mean {clt_mp.mean:+.6f}, variance {clt_mp.variance:.6f} "
-      f"({clt_mp.series_terms} series terms)")
+      f"(Green-Kubo sum from one resolvent solve)")

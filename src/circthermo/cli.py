@@ -626,9 +626,7 @@ def _cmd_clt(config, branch_map, pot, hyp):
         raise ConfigError("clt: block missing from config")
     psi = build_potential(block["observable"], branch_map)
     clt = stats.clt_parameters(branch_map, pot, psi, config.discretization)
-    result = {"mean": clt.mean, "variance": clt.variance,
-              "coboundary": clt.coboundary, "series_terms": clt.series_terms,
-              "tail_bound": clt.tail_bound}
+    result = {"mean": clt.mean, "variance": clt.variance, "coboundary": clt.coboundary}
     return result, ([clt.note] if clt.note else [])
 
 

@@ -13,8 +13,15 @@ zero-mean subspace, the potential derivatives in direction H are
     d mu(g)    = int R(g h - mu(g) h) H d nu  +  int g * R P0 Ltil(h H) d nu
 
 (the rank-one pieces guarantee d nu(1) = d mu(1) = 0).  Map derivatives use
-the inverse-branch rule T_j H (x) = -H(y_j) / F'(y_j) at preimages y_j.
-All analytic values are paired with central finite differences downstream.
+the inverse-branch rule T_j H (x) = -H(y_j) / F'(y_j) at preimages y_j; at
+phi = 0 the maximal-entropy expectation moves by
+
+    d mu(g)    = int T(R P0 g) d mu,   T(w) = -(1/lam) sum_j w'(y_j) H(y_j) / F'(y_j).
+
+Every R is one solve with the bordered factor cached on the triple
+(`spectral.resolvent_solve`), and H is sampled where the operator samples
+the potential (`SpectralTriple.sample`).  All analytic values are paired
+with central finite differences downstream.
 """
 
 from __future__ import annotations
@@ -25,11 +32,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, SmoothnessError, SolverError
+from .errors import ConfigError, SmoothnessError
 from .maps import BranchMap, ParamFamily, Potential, zero_potential
 from .operator import (Discretization, GridFunction, OperatorSetup,
                        TREE_LEAF_GUARD)
-from .spectral import SpectralTriple, gap_estimate, resolvent_solve, triple_at
+from .spectral import SpectralTriple, resolvent_solve, triple_at
 
 FD_DEFAULT_STEP = 1e-4
 
@@ -40,8 +47,6 @@ class ResponseReport:
     analytic_value: float
     fd_value: float
     fd_step: float
-    series_terms_used: Optional[int] = None
-    truncation_tail_bound: Optional[float] = None
 
     @property
     def rel_error(self):
@@ -53,8 +58,6 @@ class ResponseReport:
             "fd_value": self.fd_value,
             "fd_step": self.fd_step,
             "rel_error": self.rel_error,
-            "series_terms_used": self.series_terms_used,
-            "truncation_tail_bound": self.truncation_tail_bound,
         }
 
 
@@ -64,18 +67,6 @@ def central_difference(fn: Callable[[float], float], eps: float) -> float:
 
 def _nodes(triple):
     return np.asarray(triple.op.grid.nodes, dtype=triple.op.dtype)
-
-
-def _direction(direction, triple):
-    """H where the operator samples the potential: cell midpoints under Ulam."""
-    x = _nodes(triple)
-    if triple.op.scheme == "ulam":
-        x = x + 0.5 * triple.op.grid.cell_width
-    return _eval(direction, x)
-
-
-def _eval(fn, x):
-    return np.asarray(fn(x))
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +79,7 @@ def d_lambda_d_potential(branch_map: BranchMap, pot0: Potential, direction,
     """Derivative of the leading eigenvalue: lam * int h H d nu."""
     if triple is None:
         triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
-    hvec = _direction(direction, triple)
+    hvec = triple.sample(direction)
     return float(triple.lam * triple.integrate_nu(triple.h.values * hvec))
 
 
@@ -98,7 +89,7 @@ def d_pressure_d_potential(branch_map: BranchMap, pot0: Potential, direction,
     """Derivative of the pressure: int H d mu (= d lambda / lambda)."""
     if triple is None:
         triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
-    return float(triple.integrate_mu(_direction(direction, triple)))
+    return float(triple.integrate_mu(triple.sample(direction)))
 
 
 def _density_shape_term(triple, direction_values):
@@ -119,7 +110,7 @@ def d_density_d_potential(branch_map: BranchMap, pot0: Potential, direction,
     """Derivative of the normalized eigenfunction h in direction H."""
     if triple is None:
         triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
-    hvec = _direction(direction, triple)
+    hvec = triple.sample(direction)
     shape = _density_shape_term(triple, hvec)
     scale = _normalization_scalar(triple, hvec)
     return triple.op.grid_function(shape + triple.h.values * scale)
@@ -131,8 +122,8 @@ def d_conformal_expectation(branch_map: BranchMap, pot0: Potential, g, direction
     """Derivative of phi -> int g d nu_phi in direction H."""
     if triple is None:
         triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
-    gv = _eval(g, _nodes(triple))
-    hvec = _direction(direction, triple)
+    gv = np.asarray(g(_nodes(triple)))
+    hvec = triple.sample(direction)
     gmean = float(triple.integrate_nu(gv))
     u_g = resolvent_solve(triple, gv - gmean * triple.h.values)
     return float(triple.integrate_nu(u_g * hvec)
@@ -145,8 +136,8 @@ def d_equilibrium_expectation(branch_map: BranchMap, pot0: Potential, g, directi
     """Derivative of phi -> int g d mu_phi in direction H."""
     if triple is None:
         triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
-    gv = _eval(g, _nodes(triple))
-    hvec = _direction(direction, triple)
+    gv = np.asarray(g(_nodes(triple)))
+    hvec = triple.sample(direction)
     gmu = float(triple.integrate_mu(gv))
     u_gh = resolvent_solve(triple, (gv - gmu) * triple.h.values)
     shape = _density_shape_term(triple, hvec)
@@ -286,66 +277,30 @@ def d_pressure_d_dynamics(family: ParamFamily, pot: Potential, s0: float,
 
 def d_maxentropy_expectation(family: ParamFamily, g, s0: float,
                              disc: Discretization = Discretization(),
-                             fd_step: float = FD_DEFAULT_STEP,
-                             tol: float = 1e-10,
-                             max_terms: int = 10000) -> ResponseReport:
+                             fd_step: float = FD_DEFAULT_STEP) -> ResponseReport:
     """Derivative of s -> int g d mu_{f_s} for the maximal entropy measure.
 
-    Implements the series sum_i int DLtil(Ltil^i(P0 g)) . H d mu at phi = 0,
-    truncated through the empirical gap, next to the FD of int g d mu.
+    The series sum_k int DLtil(Ltil^k P0 g) . H d mu at phi = 0 is linear
+    in its summands, so it is summed by one resolvent solve:
+    analytic = int T(u) d mu with u = R P0 g and
+    T(w) = -(1/lam) sum_j w'(y_j) H(y_j) / F'(y_j).  The FD of int g d mu
+    rides along.
     """
     pot0 = zero_potential()
     branch_map = family.at(s0)
-    h_field = family.direction(s0)
     triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
-    tau = gap_estimate(triple.op, triple)
-    if tau >= 1.0 - 1e-6:
-        raise SolverError(f"gap estimate tau={tau:.6f} too small for the series")
-    x = _nodes(triple)
     ys = triple.op.preimage_table
     if ys is None:
-        ys = branch_map.preimages(x)
-    hy = np.asarray(h_field(ys))
-    fp = np.asarray(branch_map.dlift(ys))
-    mu = triple.mu_weights
-    gv = np.asarray(_eval(g, x), dtype=float)
-    gnorm = float(np.max(np.abs(gv))) or 1.0
-
-    w = triple.project_zero_mean(gv)
-    total = 0.0
-    terms = []
-    k_stop = None
-    for k in range(max_terms):
-        wub = triple.op.grid_function(w)
-        term_field = -np.sum(np.asarray(wub.derivative()(ys)) * hy / fp, axis=0) / triple.lam
-        t_k = float(term_field @ mu)
-        total += t_k
-        terms.append(t_k)
-        w = triple.project_zero_mean(triple.normalized_apply(w))
-        if k_stop is None and k >= 10:
-            if tau <= 1e-12:
-                k_stop = k
-            else:
-                scale = max(abs(t) / tau ** i for i, t in enumerate(terms[:11]))
-                if scale == 0.0:
-                    k_stop = k
-                else:
-                    k_need = math.log(tol * (1.0 - tau) / (scale * gnorm)) / math.log(tau)
-                    k_stop = max(k, int(math.ceil(k_need)))
-        if k_stop is not None and k >= k_stop:
-            break
-        if k >= 10 and abs(t_k) < tol * 1e-3 and abs(terms[-2]) < tol * 1e-3:
-            break
-    else:
-        raise SolverError(
-            f"series not truncatable within {max_terms} terms (tau={tau:.4f})")
-    tail = (abs(terms[-1]) * tau / (1.0 - tau)) if tau > 0 else 0.0
+        ys = branch_map.preimages(_nodes(triple))
+    u = resolvent_solve(triple, triple.project_zero_mean(triple.sample(g)))
+    field = -np.sum(np.asarray(triple.op.grid_function(u).derivative()(ys))
+                    * np.asarray(family.direction(s0)(ys))
+                    / np.asarray(branch_map.dlift(ys)), axis=0) / triple.lam
+    analytic = float(triple.integrate_mu(field))
 
     def expectation(s):
         t = triple_at(OperatorSetup.of(family.at(s), disc), pot0)
-        return float(np.asarray(_eval(g, _nodes(t)), dtype=float) @ t.mu_weights)
+        return float(t.integrate_mu(t.sample(g)))
 
     fd = central_difference(lambda e: expectation(s0 + e), fd_step)
-    return ResponseReport(analytic_value=total, fd_value=fd, fd_step=fd_step,
-                          series_terms_used=len(terms),
-                          truncation_tail_bound=tail)
+    return ResponseReport(analytic_value=analytic, fd_value=fd, fd_step=fd_step)

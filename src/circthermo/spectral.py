@@ -22,6 +22,7 @@ from .maps import Potential
 from .operator import DiscretizedOperator, GridFunction, OperatorSetup
 
 NEGATIVE_MASS_LIMIT = 1e-8
+RESOLVENT_RESIDUAL_TOL = 1e-10
 
 
 @dataclass
@@ -38,6 +39,13 @@ class SpectralTriple:
     tau_is_upper_bound: bool = False
     clipped_nu_mass: float = 0.0
     resolvent_factor: Optional[Callable] = field(default=None, repr=False)
+
+    def sample(self, fn):
+        """fn where the operator samples: the nodes, or cell midpoints under Ulam."""
+        x = np.asarray(self.op.grid.nodes, dtype=self.op.dtype)
+        if self.op.scheme == "ulam":
+            x = x + 0.5 * self.op.grid.cell_width
+        return np.asarray(fn(x))
 
     def integrate_nu(self, values):
         """nu-integral of nodal values (node-weight quadrature)."""
@@ -207,7 +215,10 @@ def _resolvent_factor(triple: SpectralTriple) -> Callable:
         if sparse.issparse(mat):
             border = sparse.bmat([[sparse.identity(n, format="csr") - mat / triple.lam, hv],
                                   [nu, None]], format="csc")
-            triple.resolvent_factor = splu(border).solve
+            try:
+                triple.resolvent_factor = splu(border).solve
+            except RuntimeError as exc:
+                raise SolverError(f"bordered resolvent system is singular: {exc}") from exc
         else:
             border = np.block([[mat / -triple.lam, hv], [nu, np.zeros((1, 1))]])
             diag = np.arange(n)
@@ -220,41 +231,52 @@ def resolvent_solve(triple: SpectralTriple, v, method: str = "auto",
                     tol: float = 1e-12):
     """Solve (I - Ltilde) u = v on the zero-mean subspace, with zero-mean u.
 
-    `neumann` sums Ltilde^k v until the sup norm of the term drops below
-    tol * (1 - tau); `direct` solves the bordered system
+    `direct` (float64) solves the bordered system
     [[I - M/lam, h], [nu^T, 0]] [u; c] = [v; 0], whose LU factors are
     computed once per triple and kept on it.  For zero-mean v this has
-    c = 0 and the u of (I - M/lam + h nu^T) u = v.  Both return nodal
-    values in the dtype of v.
+    c = 0 and the u of (I - M/lam + h nu^T) u = v; it needs only a
+    nonsingular border, and a residual above RESOLVENT_RESIDUAL_TOL raises.
+    `neumann`, the extended-precision route, sums Ltilde^k v until the sup
+    norm of the term drops below tol * (1 - tau).  Both refuse a known tau
+    within 1e-6 of 1, and both return nodal values in the dtype of v.
     """
     vin = v.values if isinstance(v, GridFunction) else np.asarray(v)
     mean = float(triple.integrate_nu(vin))
     if abs(mean) > 1e-10 * max(1.0, float(np.max(np.abs(vin)))):
         raise ConfigError(f"resolvent input has nonzero nu-mean {mean:.3e}")
+    dtype = triple.op.dtype
+    if method == "auto":
+        method = "direct" if dtype == np.float64 else "neumann"
     tau = triple.tau
-    if tau is None:
+    if tau is None and method == "neumann":
         tau = gap_estimate(triple.op, triple)
-    if tau >= 1.0 - 1e-6:
+    if tau is not None and tau >= 1.0 - 1e-6:
         raise SolverError(
             f"spectral gap estimate tau={tau:.6f} too close to 1; "
             "resolvent series not summable")
 
-    dtype = triple.op.dtype
     rhs = triple.project_zero_mean(np.asarray(vin, dtype=dtype))
-    if method == "auto":
-        method = "direct" if dtype == np.float64 else "neumann"
     if method == "direct":
         if dtype != np.float64:
             raise ConfigError(f"direct resolvent runs in float64, not {dtype}; "
                               "use method='neumann'")
-        u = _resolvent_factor(triple)(np.append(rhs, 0.0))[:-1]
+        sol = _resolvent_factor(triple)(np.append(rhs, 0.0))
+        u = sol[:-1]
+        # one matvec confirms the solve; a NaN residual fails too
+        resid = np.append(u - triple.op.apply(u) / triple.lam
+                          + sol[-1] * triple.h.values - rhs, triple.nu @ u)
+        err = float(np.max(np.abs(resid))) / max(1.0, float(np.max(np.abs(rhs))),
+                                                 float(np.max(np.abs(u))))
+        if not err <= RESOLVENT_RESIDUAL_TOL:
+            raise SolverError(f"bordered resolvent residual {err:.3e} exceeds "
+                              f"{RESOLVENT_RESIDUAL_TOL:g} (singular border?)")
     elif method == "neumann":
         lam_t = np.asarray(triple.lam, dtype=dtype)
         term = rhs.copy()
         u = np.zeros_like(rhs)
         limit = tol * (1.0 - tau) * max(1.0, float(np.max(np.abs(rhs))))
-        max_terms = 200 + (int(8 * np.log(max(tol, 1e-30)) / np.log(tau)) if tau > 0 else 0)
-        for _ in range(max(max_terms, 50)):
+        n_terms = 200 + (int(8 * np.log(max(tol, 1e-30)) / np.log(tau)) if tau > 0 else 0)
+        for _ in range(max(n_terms, 50)):
             u += term
             if float(np.max(np.abs(term))) < limit:
                 break

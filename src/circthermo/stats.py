@@ -20,7 +20,7 @@ from .errors import ConfigError, HypothesisError, SchemeQualityError, SolverErro
 from .maps import BranchMap, HypothesisAux, ParamFamily, Potential, check_hypotheses
 from .operator import Discretization, OperatorSetup
 from .response import FD_DEFAULT_STEP, ResponseReport, central_difference
-from .spectral import SpectralTriple, gap_estimate, triple_at
+from .spectral import SpectralTriple, resolvent_solve, triple_at
 
 if TYPE_CHECKING:
     from scipy.interpolate import CubicSpline
@@ -53,9 +53,8 @@ def correlation(branch_map: BranchMap, pot: Potential, obs_a, obs_b,
     """
     if triple is None:
         triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
-    x = triple.op.grid.nodes
-    av = np.asarray(obs_a(x), dtype=float)
-    bv = np.asarray(obs_b(x), dtype=float)
+    av = triple.sample(obs_a)
+    bv = triple.sample(obs_b)
     z = triple.project_zero_mean(bv * triple.h.values)
     vals = np.empty(n_max + 1)
     for n in range(n_max + 1):
@@ -80,52 +79,27 @@ def correlation(branch_map: BranchMap, pot: Potential, obs_a, obs_b,
 class CltParameters:
     mean: float
     variance: float
-    series_terms: int
-    tail_bound: float
     coboundary: bool
     note: Optional[str] = None
 
 
 def clt_parameters(branch_map: BranchMap, pot: Potential, psi,
                    disc: Discretization = Discretization(),
-                   triple: Optional[SpectralTriple] = None,
-                   tol: float = 1e-13) -> CltParameters:
+                   triple: Optional[SpectralTriple] = None) -> CltParameters:
     """Mean and Green-Kubo variance of Birkhoff sums of psi.
 
-    variance = C(0) + 2 sum_{n>=1} C(n), truncated once the iterated
-    zero-mean field falls below the gap-based floor; a variance within
-    the coboundary tolerance of zero is clamped to exactly zero.
+    variance = C(0) + 2 sum_{n>=1} C(n) = int psi (2u - z) d nu, with
+    z = P0(psi h) and u = R z summed by one resolvent solve; a variance
+    within the coboundary tolerance of zero is clamped to exactly zero.
     """
     if triple is None:
         triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
-    if triple.tau is None:
-        gap_estimate(triple.op, triple)
-    tau = triple.tau
-    x = triple.op.grid.nodes
-    pv = np.asarray(psi(x), dtype=float)
+    pv = triple.sample(psi)
     mean = float(triple.integrate_mu(pv))
     z = triple.project_zero_mean(pv * triple.h.values)
-    pnorm = float(np.max(np.abs(pv))) or 1.0
+    var = float(triple.integrate_nu(pv * (2.0 * resolvent_solve(triple, z) - z)))
 
     note = None
-    if tau >= 1.0 - 1e-6:
-        note = "tail bound unavailable: gap estimate too close to 1; partial sum"
-        n_cap = 200
-    else:
-        n_cap = max(50, int(12 * math.log(max(tol, 1e-30)) / math.log(max(tau, 1e-12))))
-    var = float(triple.integrate_nu(pv * z))          # C(0)
-    terms = 1
-    floor = tol * max(1.0, float(np.max(np.abs(z))))
-    z = triple.project_zero_mean(triple.normalized_apply(z))
-    while terms <= n_cap:
-        c_n = float(triple.integrate_nu(pv * z))
-        var += 2.0 * c_n
-        terms += 1
-        if float(np.max(np.abs(z))) < floor:
-            break
-        z = triple.project_zero_mean(triple.normalized_apply(z))
-    tail = float(np.max(np.abs(z))) * pnorm * (2.0 / (1.0 - tau) if tau < 1 else np.inf)
-
     coboundary = False
     if abs(var) < COBOUNDARY_TOL:
         var = 0.0
@@ -133,10 +107,8 @@ def clt_parameters(branch_map: BranchMap, pot: Potential, psi,
     elif var < 0.0:
         var = 0.0
         coboundary = True
-        note = (note + "; " if note else "") + \
-            "negative truncated variance clamped to zero"
-    return CltParameters(mean=mean, variance=var, series_terms=terms,
-                         tail_bound=tail, coboundary=coboundary, note=note)
+        note = "negative variance clamped to zero"
+    return CltParameters(mean=mean, variance=var, coboundary=coboundary, note=note)
 
 
 def d_correlation_d_dynamics(family: ParamFamily, obs_a, obs_b, n: int,

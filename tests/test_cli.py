@@ -223,6 +223,31 @@ def test_byte_identical_reruns(tmp_path):
         assert out["a"][name] == out["b"][name], name
 
 
+@pytest.mark.parametrize("command,block", [
+    ("clt", {"clt": {"observable": {"form": "trig", "cos": [1.0], "sin": [0.3]}}}),
+    ("response", {"map": {"family": "perturbed-doubling", "t": 0.1},
+                  "hypotheses": {"enforce": False},
+                  "response": {"derivative": "maxentropy-map",
+                               "observable": {"form": "trig", "cos": [0.0, 1.0]}}}),
+])
+def test_clt_and_maxentropy_response_reruns_are_byte_identical(tmp_path, command, block):
+    cfg = base_config(discretization={"n": 128, "interpolation": "fourier"}, **block)
+    path = write_config(tmp_path, cfg)
+    out = {}
+    for tag in ("a", "b"):
+        assert main([command, path, "--out", str(tmp_path / tag)]) == 0
+        out[tag] = {
+            name: (tmp_path / tag / name).read_bytes()
+            for name in os.listdir(tmp_path / tag)
+        }
+    assert out["a"].keys() == out["b"].keys()
+    for name in out["a"]:
+        assert out["a"][name] == out["b"][name], name
+    result = json.loads(out["a"]["report.json"])["result"]
+    assert not {"series_terms", "tail_bound", "series_terms_used",
+                "truncation_tail_bound"} & result.keys()
+
+
 def test_seed_override_changes_samples(tmp_path):
     cfg = base_config(
         discretization={"n": 64},

@@ -127,6 +127,22 @@ def test_resolvent_refuses_gapless():
         resolvent_solve(tr, tr.project_zero_mean(np.cos(2 * np.pi * op.grid.nodes)))
 
 
+@pytest.mark.parametrize("interpolation,is_sparse", [("linear", True),
+                                                     ("fourier", False)])
+def test_singular_border_raises_solver_error(interpolation, is_sparse):
+    # zero conformal weights make the border row, and so the system, singular;
+    # the gap is known beforehand, so only the solve itself can notice
+    op = build_operator(doubling(), zero_potential(), Grid(32), "collocation",
+                        interpolation)
+    assert sparse.issparse(op.storage) == is_sparse
+    tr = leading_triple(op)
+    assert gap_estimate(op, tr) < 0.5
+    v = tr.project_zero_mean(np.cos(2 * np.pi * op.grid.nodes))
+    tr.nu = np.zeros_like(tr.nu)
+    with pytest.raises(SolverError):
+        resolvent_solve(tr, v)
+
+
 def test_dual_convergence_rate_bounded_by_gap():
     mp = manneville_pomeau(0.5)
     pot = log_derivative_weight(-0.1, mp)

@@ -11,7 +11,8 @@ from circthermo import (ConfigError, Discretization, HypothesisError,
                         d_correlation_d_dynamics, deviation_probability,
                         doubling, free_energy, ldp_monte_carlo, leading_triple,
                         discretize, log_derivative_weight, manneville_pomeau,
-                        perturbed_doubling_family, rate_continuity_scan,
+                        perturbed_doubling, perturbed_doubling_family,
+                        rate_continuity_scan,
                         rate_function, translated_doubling_family,
                         trig_polynomial, zero_potential)
 from circthermo.spectral import gap_estimate
@@ -85,6 +86,45 @@ def test_clt_coboundary_degenerates():
     clt = clt_parameters(doubling(), zero_potential(), cob, DISC_F)
     assert clt.variance == 0.0
     assert clt.coboundary
+
+
+def _green_kubo_series(triple, pv, floor=1e-14, max_terms=5000):
+    """C(0) + 2 sum C(n), summed term by term: the reference for the one solve."""
+    z = triple.project_zero_mean(pv * triple.h.values)
+    var = float(triple.integrate_nu(pv * z))
+    stop = floor * max(1.0, float(np.max(np.abs(z))))
+    for _ in range(max_terms):
+        z = triple.project_zero_mean(triple.normalized_apply(z))
+        var += 2.0 * float(triple.integrate_nu(pv * z))
+        if float(np.max(np.abs(z))) < stop:
+            return var
+    raise AssertionError(f"Green-Kubo series not summed in {max_terms} terms")
+
+
+@pytest.mark.parametrize("alpha,pot_of,n,tau_range", [
+    (1.0, lambda m: trig_polynomial(cos_coeffs=[0.004]), 256, (0.4, 0.6)),
+    (0.3, lambda m: log_derivative_weight(-1.0, m), 512, (0.95, 0.99)),
+])
+def test_clt_variance_matches_green_kubo_series(alpha, pot_of, n, tau_range):
+    mp = manneville_pomeau(alpha)
+    pot = pot_of(mp)
+    disc = Discretization(n=n)
+    tr = leading_triple(discretize(mp, pot, disc))
+    assert tau_range[0] < gap_estimate(tr.op, tr) < tau_range[1]
+    clt = clt_parameters(mp, pot, cos1, disc, triple=tr)
+    ref = _green_kubo_series(tr, cos1(tr.op.grid.nodes))
+    assert abs(clt.variance - ref) <= 1e-10 * abs(ref)
+
+
+def test_clt_ulam_samples_the_observable_at_cell_midpoints():
+    # the Ulam weights are cell masses; sampling psi at the left cell ends
+    # biases the mean by O(1/N) (2.4e-4 here)
+    pd = perturbed_doubling(0.1)
+    pot = trig_polynomial(cos_coeffs=[0.05])
+    psi = trig_polynomial(sin_coeffs=[1.0])
+    ulam = clt_parameters(pd, pot, psi, Discretization(n=512, scheme="ulam"))
+    fourier = clt_parameters(pd, pot, psi, Discretization(n=512, interpolation="fourier"))
+    assert abs(ulam.mean - fourier.mean) < 2e-5
 
 
 def test_clt_variance_matches_free_energy_curvature():
