@@ -6,6 +6,11 @@ a self-contained ``report.json`` plus CSV artifacts into the output
 directory.  Identical config and seed produce byte-identical outputs
 (timing goes to stderr only).
 
+The config schema is declared once: each map family is one entry of
+``_FAMILIES``, each potential form one entry of ``_FORMS``, and every block
+one spec in ``_CONFIG``.  One walker type-checks every value against them,
+and the first offending key is reported by its path (``map.alpha``).
+
 Exit codes: 0 ok, 2 config error, 3 hypotheses failed, 4 solver failure,
 5 resource guard.
 """
@@ -19,7 +24,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -35,10 +40,6 @@ from .response import (central_difference, d_conformal_expectation,
 from .spectral import gap_estimate, triple_at
 from .thermo import equilibrium_state, pressure
 
-COMMANDS = ("check-hypotheses", "pressure", "spectrum", "equilibrium",
-            "response", "correlation", "clt", "free-energy", "ldp",
-            "rate-scan", "bifurcation-scan")
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_HYPOTHESES = 3
@@ -49,10 +50,18 @@ EXIT_RESOURCE = 5
 # ---------------------------------------------------------------------------
 # Config schema
 # ---------------------------------------------------------------------------
+#
+# A spec maps each key of a config object to (kind, default[, rule, message]).
+# kind is int, float, str or bool; a tuple of allowed values; [kind] for a
+# list; a spec dict for a nested object; or a function (value, path) ->
+# normalized value.  An absent key takes its default, which is walked like a
+# given value: REQUIRED makes the key mandatory, and a None default also
+# accepts JSON null.  The rule must hold for the normalized value.
 
-def _require(cond, path, message):
-    if not cond:
-        raise ConfigError(f"{path}: {message}")
+REQUIRED = object()
+
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
+               bool: "true or false"}
 
 
 def _check_keys(block, path, allowed, required=()):
@@ -64,6 +73,184 @@ def _check_keys(block, path, allowed, required=()):
     for key in required:
         if key not in block:
             raise ConfigError(f"{path}.{key}: missing required key")
+
+
+def _value(value, path, kind):
+    """Type-check one value against its kind; returns it normalized."""
+    if isinstance(kind, dict):
+        return _block(value, path, kind)
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        return [_value(v, f"{path}[{i}]", kind[0]) for i, v in enumerate(value)]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{path}: must be one of {', '.join(kind)}, got {value!r}")
+        return value
+    if kind not in _KIND_NAMES:
+        return kind(value, path)
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{path}: expected {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _block(raw, path, spec):
+    """Walk one config object against its spec; returns the normalized dict."""
+    _check_keys(raw, path, spec, [k for k, entry in spec.items() if entry[1] is REQUIRED])
+    out = {}
+    for key, (kind, default, *rule) in spec.items():
+        sub = key if path == "config" else f"{path}.{key}"   # top-level keys go bare
+        value = raw.get(key, default)
+        if value is not None or default is not None:
+            value = _value(value, sub, kind)
+            if rule and not rule[0](value):
+                raise ConfigError(f"{sub}: {rule[1]}, got {value!r}")
+        out[key] = value
+    return out
+
+
+def _tagged(tag, table):
+    """Kind of an object whose `tag` value picks the spec of its other keys."""
+    def check(raw, path):
+        _check_keys(raw, path, raw, required=(tag,))    # the other keys: below
+        name = _value(raw[tag], f"{path}.{tag}", tuple(table))
+        return _block(raw, path, {tag: (str, REQUIRED), **table[name].spec})
+    return check
+
+
+class _Family(NamedTuple):
+    build: Callable                      # normalized map block -> BranchMap
+    spec: dict                           # the family's parameters
+    family: Optional[Callable] = None    # ParamFamily factory, for map derivatives
+
+
+class _Form(NamedTuple):
+    build: Callable                      # (normalized block, branch map) -> Potential
+    spec: dict
+
+
+_FAMILIES = {
+    "doubling": _Family(lambda p: maps.doubling(), {}),
+    "linear": _Family(lambda p: maps.linear_map(p["degree"]),
+                      {"degree": (int, REQUIRED, lambda d: d >= 2, "must be >= 2")}),
+    "manneville-pomeau": _Family(lambda p: maps.manneville_pomeau(p["alpha"]),
+                                 {"alpha": (float, REQUIRED, lambda a: a > 0, "must be > 0")}),
+    "perturbed-doubling": _Family(lambda p: maps.perturbed_doubling(p["t"]),
+                                  {"t": (float, REQUIRED)}, maps.perturbed_doubling_family),
+    "translated-doubling": _Family(lambda p: maps.translated_doubling(p["s"]),
+                                   {"s": (float, REQUIRED)}, maps.translated_doubling_family),
+    "piecewise-poly": _Family(
+        lambda p: _piecewise_poly_map(p["breakpoints"], p["coeffs"]),
+        {"breakpoints": ([float], REQUIRED,
+                         lambda bp: len(bp) >= 2 and bp[0] == 0.0 and bp[-1] == 1.0
+                         and all(b2 > b1 for b1, b2 in zip(bp, bp[1:])),
+                         "must increase from 0.0 to 1.0"),
+         "coeffs": ([[float]], REQUIRED)}),
+}
+
+_INTERPOLATIONS = ("linear", "fourier")
+
+_FORMS = {
+    "constant": _Form(lambda p, f: maps.constant(p["c"]), {"c": (float, 0.0)}),
+    "trig": _Form(lambda p, f: maps.trig_polynomial(cos_coeffs=p["cos"], sin_coeffs=p["sin"],
+                                                    const_term=p["const"]),
+                  {"cos": ([float], []), "sin": ([float], []), "const": (float, 0.0)}),
+    "log-deriv": _Form(lambda p, f: maps.log_derivative_weight(p["coefficient"], f),
+                       {"coefficient": (float, REQUIRED)}),
+    "grid": _Form(lambda p, f: maps.grid_potential(p["values"], p["interpolation"]),
+                  {"values": ([float], REQUIRED),
+                   "interpolation": (_INTERPOLATIONS, "linear")}),
+}
+
+_POTENTIAL = _tagged("form", _FORMS)
+
+# each derivative -> the potentials it needs besides the base potential
+_RESPONSE_KINDS = {
+    "lambda-potential": ("direction",),
+    "pressure-potential": ("direction",),
+    "density-potential": ("direction",),
+    "conformal-potential": ("direction", "observable"),
+    "equilibrium-potential": ("direction", "observable"),
+    "pressure-map": (),
+    "maxentropy-map": ("observable",),
+}
+
+
+def _response(raw, path):
+    block = _block(raw, path, {
+        "derivative": (tuple(_RESPONSE_KINDS), REQUIRED),
+        "direction": (_POTENTIAL, None),
+        "observable": (_POTENTIAL, None),
+        "fd_step": (float, 1e-4, lambda h: h > 0.0, "must be > 0")})
+    needs = _RESPONSE_KINDS[block["derivative"]]
+    for need in needs:
+        if block[need] is None:
+            raise ConfigError(f"{path}.{need}: {block['derivative']} needs a {need}")
+    return {k: v for k, v in block.items() if k in ("derivative", "fd_step") + needs}
+
+
+_QUANTITIES = ("pressure", "entropy", "lyapunov", "dimension")
+
+
+def _scan(raw, path):
+    block = _block(raw, path, {"start": (float, None), "stop": (float, None),
+                               "step": (float, None), "values": ([float], None),
+                               "quantities": ([_QUANTITIES], list(_QUANTITIES))})
+    start, stop, step = (block[key] for key in ("start", "stop", "step"))
+    if block["values"] is not None:
+        if (start, stop, step) != (None, None, None):
+            raise ConfigError(f"{path}.values: mutually exclusive with start/stop/step")
+        values = block["values"]
+    else:
+        for key in ("start", "stop", "step"):
+            if block[key] is None:
+                raise ConfigError(f"{path}.{key}: missing required key")
+        if not (step > 0 and stop >= start):
+            raise ConfigError(f"{path}.step: need step > 0, stop >= start")
+        values = [start + i * step for i in range(int(round((stop - start) / step)) + 1)]
+    return {"values": values, "quantities": block["quantities"]}
+
+
+def _positive(v):
+    return v > 0
+
+
+_T0 = (float, None, _positive, "must be > 0")
+_GRID = ([float], REQUIRED, lambda grid: len(grid) > 0, "must not be empty")
+
+_CONFIG = {
+    "map": (_tagged("family", _FAMILIES), REQUIRED),
+    "potential": (_POTENTIAL, {"form": "constant", "c": 0.0}),
+    "discretization": ({"n": (int, 512, lambda n: n >= 8, "N must be >= 8"),
+                        "scheme": (("collocation", "ulam"), "collocation"),
+                        "interpolation": (_INTERPOLATIONS, "linear")}, {}),
+    "tolerances": ({"eig_tol": (float, 1e-12, lambda v: v >= 1e-14, "must be >= 1e-14"),
+                    "max_iter": (int, 100000, _positive, "must be >= 1")}, {}),
+    "hypotheses": ({"m": (int, None, _positive, "must be >= 1"),
+                    "delta": (float, 0.05, _positive, "must be > 0"),
+                    "region_a": ([[float]], None, lambda arcs: all(len(a) == 2 for a in arcs),
+                                 "expected a list of [a, b] arcs"),
+                    "q": (int, None, lambda q: q >= 0, "must be >= 0"),
+                    "enforce": (bool, True)}, {}),
+    "output": ({"dir": (str, "out")}, {}),
+    "seed": (int, 0, lambda s: s >= 0, "must be a nonnegative integer"),
+    # command blocks; each command reads one (see _HANDLERS)
+    "response": (_response, None),
+    "correlation": ({"obs_a": (_POTENTIAL, REQUIRED), "obs_b": (_POTENTIAL, REQUIRED),
+                     "n_max": (int, 30, lambda n: n >= 0, "must be >= 0")}, None),
+    "clt": ({"observable": (_POTENTIAL, REQUIRED)}, None),
+    "free_energy": ({"observable": (_POTENTIAL, REQUIRED), "t0": _T0, "n_t": (int, 41)}, None),
+    "ldp": ({"observable": (_POTENTIAL, REQUIRED),
+             "interval": ([float], REQUIRED, lambda ab: len(ab) == 2, "expected [a, b]"),
+             "n_list": ([int], REQUIRED),
+             "n_samples": (int, REQUIRED, _positive, "must be >= 1"),
+             "t0": _T0, "n_t": (int, 41)}, None),
+    "rate_scan": ({"observable": (_POTENTIAL, REQUIRED), "s_grid": _GRID, "v_grid": _GRID,
+                   "t0": _T0, "n_t": (int, 21)}, None),
+    "scan": (_scan, None),
+}
 
 
 @dataclass
@@ -86,219 +273,13 @@ def parse_config(text: str) -> RunConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    top_allowed = {"map", "potential", "discretization", "tolerances",
-                   "hypotheses", "output", "seed", "response", "correlation",
-                   "clt", "free_energy", "ldp", "rate_scan", "scan"}
-    _check_keys(raw, "config", top_allowed, required=("map",))
-
-    map_block = _validate_map(raw["map"], "map")
-    pot_block = _validate_potential(raw.get("potential", {"form": "constant", "c": 0.0}),
-                                    "potential")
-
-    disc_block = raw.get("discretization", {})
-    _check_keys(disc_block, "discretization", {"n", "scheme", "interpolation"})
-    n = disc_block.get("n", 512)
-    _require(isinstance(n, int) and n >= 8, "discretization.n",
-             f"N must be an integer >= 8, got {n!r}")
-    scheme = disc_block.get("scheme", "collocation")
-    _require(scheme in ("collocation", "ulam"), "discretization.scheme",
-             f"unknown scheme {scheme!r}")
-    interpolation = disc_block.get("interpolation", "linear")
-    _require(interpolation in ("linear", "fourier"), "discretization.interpolation",
-             f"unknown interpolation {interpolation!r}")
-    disc = Discretization(n=n, scheme=scheme, interpolation=interpolation)
-
-    tol_block = raw.get("tolerances", {})
-    _check_keys(tol_block, "tolerances", {"eig_tol", "max_iter"})
-    tolerances = {"eig_tol": float(tol_block.get("eig_tol", 1e-12)),
-                  "max_iter": int(tol_block.get("max_iter", 100000))}
-    _require(tolerances["eig_tol"] >= 1e-14, "tolerances.eig_tol",
-             "must be >= 1e-14")
-
-    hyp_block = raw.get("hypotheses", {})
-    _check_keys(hyp_block, "hypotheses", {"m", "delta", "region_a", "q", "enforce"})
-    hypotheses = {
-        "m": hyp_block.get("m"),
-        "delta": float(hyp_block.get("delta", 0.05)),
-        "region_a": hyp_block.get("region_a"),
-        "q": hyp_block.get("q"),
-        "enforce": bool(hyp_block.get("enforce", True)),
-    }
-
-    out_block = raw.get("output", {})
-    _check_keys(out_block, "output", {"dir"})
-    output_dir = out_block.get("dir", "out")
-
-    seed = raw.get("seed", 0)
-    _require(isinstance(seed, int) and seed >= 0, "seed",
-             "must be a nonnegative integer")
-
-    blocks = {}
-    if "response" in raw:
-        blocks["response"] = _validate_response(raw["response"], "response")
-    if "correlation" in raw:
-        b = raw["correlation"]
-        _check_keys(b, "correlation", {"obs_a", "obs_b", "n_max"},
-                    required=("obs_a", "obs_b"))
-        blocks["correlation"] = {
-            "obs_a": _validate_potential(b["obs_a"], "correlation.obs_a"),
-            "obs_b": _validate_potential(b["obs_b"], "correlation.obs_b"),
-            "n_max": int(b.get("n_max", 30)),
-        }
-    if "clt" in raw:
-        b = raw["clt"]
-        _check_keys(b, "clt", {"observable"}, required=("observable",))
-        blocks["clt"] = {"observable": _validate_potential(b["observable"],
-                                                           "clt.observable")}
-    if "free_energy" in raw:
-        b = raw["free_energy"]
-        _check_keys(b, "free_energy", {"observable", "t0", "n_t"},
-                    required=("observable",))
-        blocks["free_energy"] = {
-            "observable": _validate_potential(b["observable"], "free_energy.observable"),
-            "t0": b.get("t0"),
-            "n_t": int(b.get("n_t", 41)),
-        }
-    if "ldp" in raw:
-        b = raw["ldp"]
-        _check_keys(b, "ldp", {"observable", "interval", "n_list", "n_samples",
-                               "t0", "n_t"},
-                    required=("observable", "interval", "n_list", "n_samples"))
-        interval = b["interval"]
-        _require(isinstance(interval, list) and len(interval) == 2,
-                 "ldp.interval", "expected [a, b]")
-        blocks["ldp"] = {
-            "observable": _validate_potential(b["observable"], "ldp.observable"),
-            "interval": [float(interval[0]), float(interval[1])],
-            "n_list": [int(v) for v in b["n_list"]],
-            "n_samples": int(b["n_samples"]),
-            "t0": b.get("t0"),
-            "n_t": int(b.get("n_t", 41)),
-        }
-    if "rate_scan" in raw:
-        b = raw["rate_scan"]
-        _check_keys(b, "rate_scan", {"observable", "s_grid", "v_grid", "t0", "n_t"},
-                    required=("observable", "s_grid", "v_grid"))
-        blocks["rate_scan"] = {
-            "observable": _validate_potential(b["observable"], "rate_scan.observable"),
-            "s_grid": [float(v) for v in b["s_grid"]],
-            "v_grid": [float(v) for v in b["v_grid"]],
-            "t0": b.get("t0"),
-            "n_t": int(b.get("n_t", 21)),
-        }
-    if "scan" in raw:
-        b = raw["scan"]
-        _check_keys(b, "scan", {"start", "stop", "step", "values", "quantities"})
-        if "values" in b:
-            _require("start" not in b and "stop" not in b and "step" not in b,
-                     "scan.values", "mutually exclusive with start/stop/step")
-            values = [float(v) for v in b["values"]]
-        else:
-            _check_keys(b, "scan", {"start", "stop", "step", "quantities"},
-                        required=("start", "stop", "step"))
-            start, stop, step = float(b["start"]), float(b["stop"]), float(b["step"])
-            _require(step > 0 and stop >= start, "scan.step", "need step > 0, stop >= start")
-            count = int(round((stop - start) / step)) + 1
-            values = [start + i * step for i in range(count)]
-        quantities = b.get("quantities", ["pressure", "entropy", "lyapunov", "dimension"])
-        for q in quantities:
-            _require(q in ("pressure", "entropy", "lyapunov", "dimension"),
-                     "scan.quantities", f"unknown quantity {q!r}")
-        blocks["scan"] = {"values": values, "quantities": quantities}
-
-    return RunConfig(map=map_block, potential=pot_block, discretization=disc,
-                     tolerances=tolerances, hypotheses=hypotheses,
-                     output_dir=output_dir, seed=seed, blocks=blocks, raw=raw)
-
-
-def _validate_map(block, path):
-    _check_keys(block, path, {"family", "degree", "alpha", "t", "s",
-                              "breakpoints", "coeffs"}, required=("family",))
-    family = block["family"]
-    if family == "doubling":
-        _check_keys(block, path, {"family"})
-        return {"family": "doubling"}
-    if family == "linear":
-        _check_keys(block, path, {"family", "degree"}, required=("degree",))
-        _require(isinstance(block["degree"], int) and block["degree"] >= 2,
-                 f"{path}.degree", "must be an integer >= 2")
-        return {"family": "linear", "degree": block["degree"]}
-    if family == "manneville-pomeau":
-        _check_keys(block, path, {"family", "alpha"}, required=("alpha",))
-        alpha = block["alpha"]
-        _require(isinstance(alpha, (int, float)) and alpha > 0,
-                 f"{path}.alpha", f"must be > 0, got {alpha!r}")
-        return {"family": "manneville-pomeau", "alpha": float(alpha)}
-    if family == "perturbed-doubling":
-        _check_keys(block, path, {"family", "t"}, required=("t",))
-        return {"family": "perturbed-doubling", "t": float(block["t"])}
-    if family == "translated-doubling":
-        _check_keys(block, path, {"family", "s"}, required=("s",))
-        return {"family": "translated-doubling", "s": float(block["s"])}
-    if family == "piecewise-poly":
-        _check_keys(block, path, {"family", "breakpoints", "coeffs"},
-                    required=("breakpoints", "coeffs"))
-        bp = [float(v) for v in block["breakpoints"]]
-        _require(len(bp) >= 2 and bp[0] == 0.0 and bp[-1] == 1.0
-                 and all(b2 > b1 for b1, b2 in zip(bp, bp[1:])),
-                 f"{path}.breakpoints", "must increase from 0.0 to 1.0")
-        coeffs = [[float(c) for c in piece] for piece in block["coeffs"]]
-        _require(len(coeffs) == len(bp) - 1, f"{path}.coeffs",
-                 "need one coefficient list per piece")
-        return {"family": "piecewise-poly", "breakpoints": bp, "coeffs": coeffs}
-    raise ConfigError(f"{path}.family: unknown family {family!r}")
-
-
-def _validate_potential(block, path):
-    _check_keys(block, path, {"form", "c", "cos", "sin", "const", "coefficient",
-                              "values", "interpolation"}, required=("form",))
-    form = block["form"]
-    if form == "constant":
-        _check_keys(block, path, {"form", "c"})
-        return {"form": "constant", "c": float(block.get("c", 0.0))}
-    if form == "trig":
-        _check_keys(block, path, {"form", "cos", "sin", "const"})
-        return {"form": "trig",
-                "cos": [float(v) for v in block.get("cos", [])],
-                "sin": [float(v) for v in block.get("sin", [])],
-                "const": float(block.get("const", 0.0))}
-    if form == "log-deriv":
-        _check_keys(block, path, {"form", "coefficient"}, required=("coefficient",))
-        return {"form": "log-deriv", "coefficient": float(block["coefficient"])}
-    if form == "grid":
-        _check_keys(block, path, {"form", "values", "interpolation"},
-                    required=("values",))
-        interp = block.get("interpolation", "linear")
-        _require(interp in ("linear", "fourier"), f"{path}.interpolation",
-                 f"unknown interpolation {interp!r}")
-        return {"form": "grid", "values": [float(v) for v in block["values"]],
-                "interpolation": interp}
-    raise ConfigError(f"{path}.form: unknown potential form {form!r}")
-
-
-_RESPONSE_KINDS = ("lambda-potential", "pressure-potential", "density-potential",
-                   "conformal-potential", "equilibrium-potential",
-                   "pressure-map", "maxentropy-map")
-
-
-def _validate_response(block, path):
-    _check_keys(block, path, {"derivative", "direction", "observable", "fd_step"},
-                required=("derivative",))
-    kind = block["derivative"]
-    _require(kind in _RESPONSE_KINDS, f"{path}.derivative",
-             f"must be one of {_RESPONSE_KINDS}")
-    out = {"derivative": kind, "fd_step": float(block.get("fd_step", 1e-4))}
-    _require(out["fd_step"] > 0.0, f"{path}.fd_step", "must be > 0")
-    if kind.endswith("-potential"):
-        _require("direction" in block, f"{path}.direction",
-                 "potential derivatives need a direction")
-        out["direction"] = _validate_potential(block["direction"], f"{path}.direction")
-    if kind in ("conformal-potential", "equilibrium-potential", "maxentropy-map"):
-        _require("observable" in block, f"{path}.observable",
-                 "this derivative needs an observable g")
-        out["observable"] = _validate_potential(block["observable"],
-                                                f"{path}.observable")
-    return out
+    c = _block(raw, "config", _CONFIG)
+    blocks = {name: c[name] for _, name in _HANDLERS.values()
+              if name is not None and c[name] is not None}
+    return RunConfig(map=c["map"], potential=c["potential"],
+                     discretization=Discretization(**c["discretization"]),
+                     tolerances=c["tolerances"], hypotheses=c["hypotheses"],
+                     output_dir=c["output"]["dir"], seed=c["seed"], blocks=blocks, raw=raw)
 
 
 # ---------------------------------------------------------------------------
@@ -306,24 +287,13 @@ def _validate_response(block, path):
 # ---------------------------------------------------------------------------
 
 def build_map(map_block):
-    family = map_block["family"]
-    if family == "doubling":
-        return maps.doubling()
-    if family == "linear":
-        return maps.linear_map(map_block["degree"])
-    if family == "manneville-pomeau":
-        return maps.manneville_pomeau(map_block["alpha"])
-    if family == "perturbed-doubling":
-        return maps.perturbed_doubling(map_block["t"])
-    if family == "translated-doubling":
-        return maps.translated_doubling(map_block["s"])
-    if family == "piecewise-poly":
-        return _piecewise_poly_map(map_block["breakpoints"], map_block["coeffs"])
-    raise ConfigError(f"unknown family {family!r}")
+    return _FAMILIES[map_block["family"]].build(map_block)
 
 
 def _piecewise_poly_map(breakpoints, coeffs):
     bp = np.asarray(breakpoints)
+    if len(coeffs) != len(bp) - 1:
+        raise ConfigError("map.coeffs: need one coefficient list per piece")
     polys = [np.poly1d(list(reversed(c))) for c in coeffs]
     dpolys = [p.deriv() for p in polys]
     ddpolys = [p.deriv(2) for p in polys]
@@ -359,41 +329,28 @@ def _piecewise_poly_map(breakpoints, coeffs):
 
 
 def build_potential(pot_block, branch_map):
-    form = pot_block["form"]
-    if form == "constant":
-        return maps.constant(pot_block["c"])
-    if form == "trig":
-        return maps.trig_polynomial(cos_coeffs=pot_block["cos"],
-                                    sin_coeffs=pot_block["sin"],
-                                    const_term=pot_block["const"])
-    if form == "log-deriv":
-        return maps.log_derivative_weight(pot_block["coefficient"], branch_map)
-    if form == "grid":
-        return maps.grid_potential(pot_block["values"], pot_block["interpolation"])
-    raise ConfigError(f"unknown potential form {form!r}")
+    return _FORMS[pot_block["form"]].build(pot_block, branch_map)
 
 
 def build_family(map_block) -> ParamFamily:
     family = map_block["family"]
-    if family == "perturbed-doubling":
-        return maps.perturbed_doubling_family()
-    if family == "translated-doubling":
-        return maps.translated_doubling_family()
-    raise ConfigError(
-        f"map family {family!r} has no parameter derivative; use "
-        "perturbed-doubling or translated-doubling for map-direction scans")
+    if _FAMILIES[family].family is None:
+        raise ConfigError(
+            f"map family {family!r} has no parameter derivative; use "
+            f"{' or '.join(k for k, e in _FAMILIES.items() if e.family)} "
+            "for map-direction scans")
+    return _FAMILIES[family].family()
 
 
-def _family_param(map_block):
-    return map_block.get("t", map_block.get("s", 0.0))
+def _float_param(family):
+    """The family's one float parameter: the scan and map-derivative axis."""
+    keys = [key for key, (kind, *_) in _FAMILIES[family].spec.items() if kind is float]
+    return keys[0] if len(keys) == 1 else None
 
 
 def hypothesis_aux(config: RunConfig) -> HypothesisAux:
     h = config.hypotheses
-    region = h["region_a"]
-    if region is not None:
-        region = [tuple(map(float, arc)) for arc in region]
-    return HypothesisAux(m=h["m"], delta=h["delta"], region_a=region, q=h["q"])
+    return HypothesisAux(m=h["m"], delta=h["delta"], region_a=h["region_a"], q=h["q"])
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +372,8 @@ def write_csv(path, header_cols, rows, comment=None):
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
@@ -433,16 +388,9 @@ class RunReport:
     warnings: list
 
     def write(self, out_dir):
-        payload = {
-            "command": self.command,
-            "config": self.config,
-            "hypotheses": self.hypotheses,
-            "result": self.result,
-            "warnings": self.warnings,
-        }
         path = os.path.join(out_dir, "report.json")
         with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
+            json.dump(vars(self), fh, sort_keys=True, indent=2, default=_json_default)
             fh.write("\n")
         return path
 
@@ -455,6 +403,10 @@ def run(command: str, config: RunConfig) -> RunReport:
     """Execute one subcommand; writes CSV artifacts and returns the report."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
+    handler, block_name = _HANDLERS[command]
+    block = config.blocks.get(block_name)
+    if block_name is not None and block is None:
+        raise ConfigError(f"{block_name}: block missing from config")
     os.makedirs(config.output_dir, exist_ok=True)
     branch_map = build_map(config.map)
     pot = build_potential(config.potential, branch_map)
@@ -474,8 +426,7 @@ def run(command: str, config: RunConfig) -> RunReport:
                 "set hypotheses.enforce=false to override")
         warnings.append(f"hypotheses not all satisfied: {failed} (override active)")
 
-    handler = _HANDLERS[command]
-    result, extra_warnings = handler(config, branch_map, pot, hyp)
+    result, extra_warnings = handler(config, block, branch_map, pot, hyp)
     report = RunReport(command=command, config=config.raw,
                        hypotheses=hyp.as_dict(), result=result,
                        warnings=warnings + extra_warnings)
@@ -483,27 +434,28 @@ def run(command: str, config: RunConfig) -> RunReport:
     return report
 
 
-def _cmd_check_hypotheses(config, branch_map, pot, hyp):
+def _cmd_check_hypotheses(config, block, branch_map, pot, hyp):
     return {"passed": hyp.passed()}, []
 
 
-def _cmd_pressure(config, branch_map, pot, hyp):
-    disc = config.discretization
-    triple = triple_at(OperatorSetup.of(branch_map, disc), pot,
-                       tol=config.tolerances["eig_tol"],
-                       max_iter=config.tolerances["max_iter"])
-    return {"pressure": pressure(branch_map, pot, disc, triple=triple),
+def _triple(config, branch_map, pot):
+    return triple_at(OperatorSetup.of(branch_map, config.discretization), pot,
+                     tol=config.tolerances["eig_tol"],
+                     max_iter=config.tolerances["max_iter"])
+
+
+def _cmd_pressure(config, block, branch_map, pot, hyp):
+    triple = _triple(config, branch_map, pot)
+    return {"pressure": pressure(branch_map, pot, config.discretization, triple=triple),
             "lambda": float(triple.lam),
             "iterations": triple.iterations,
             "residual_right": triple.residual_right,
             "residual_left": triple.residual_left}, []
 
 
-def _cmd_spectrum(config, branch_map, pot, hyp):
+def _cmd_spectrum(config, block, branch_map, pot, hyp):
     disc = config.discretization
-    triple = triple_at(OperatorSetup.of(branch_map, disc), pot,
-                       tol=config.tolerances["eig_tol"],
-                       max_iter=config.tolerances["max_iter"])
+    triple = _triple(config, branch_map, pot)
     op = triple.op
     tau = gap_estimate(op, triple)
     nodes = op.grid.nodes
@@ -525,7 +477,7 @@ def _cmd_spectrum(config, branch_map, pot, hyp):
             "residual_left": triple.residual_left}, warnings
 
 
-def _cmd_equilibrium(config, branch_map, pot, hyp):
+def _cmd_equilibrium(config, block, branch_map, pot, hyp):
     disc = config.discretization
     rep = equilibrium_state(branch_map, pot, disc)
     nodes = Grid(disc.n).nodes
@@ -536,78 +488,61 @@ def _cmd_equilibrium(config, branch_map, pot, hyp):
     return rep.as_dict(), []
 
 
-def _cmd_response(config, branch_map, pot, hyp):
-    block = config.blocks.get("response")
-    if block is None:
-        raise ConfigError("response: block missing from config")
+def _cmd_response(config, block, branch_map, pot, hyp):
     disc = config.discretization
     kind = block["derivative"]
     eps = block["fd_step"]
-    if kind.endswith("-potential"):
-        direction = build_potential(block["direction"], branch_map)
-        # one setup serves the base triple and its two FD twins at +-eps
-        setup = OperatorSetup.of(branch_map, disc)
-        tol = config.tolerances["eig_tol"]
-        triple = triple_at(setup, pot, tol=tol)
-        twins = {e: triple_at(setup, pot + e * direction, tol=tol)
-                 for e in (eps, -eps)}
-
-        if kind == "lambda-potential":
-            analytic = d_lambda_d_potential(branch_map, pot, direction, disc,
-                                            triple=triple)
-            fd = central_difference(lambda e: float(twins[e].lam), eps)
-        elif kind == "pressure-potential":
-            analytic = d_pressure_d_potential(branch_map, pot, direction, disc,
-                                              triple=triple)
-            fd = central_difference(lambda e: math.log(twins[e].lam), eps)
-        elif kind == "density-potential":
-            deriv = d_density_d_potential(branch_map, pot, direction, disc,
-                                          triple=triple)
-            write_csv(os.path.join(config.output_dir, "density_derivative.csv"),
-                      ["x", "dh"], zip(Grid(disc.n).nodes, map(float, deriv.values)),
-                      comment="density derivative in the given direction")
-            hp = twins[eps].h.values
-            hm = twins[-eps].h.values
-            fd_vec = (np.asarray(hp, float) - np.asarray(hm, float)) / (2 * eps)
-            analytic = float(np.max(np.abs(deriv.values)))
-            fd = float(np.max(np.abs(fd_vec)))
-            sup_err = float(np.max(np.abs(np.asarray(deriv.values, float) - fd_vec)))
-            return {"derivative": kind, "analytic_sup_norm": analytic,
-                    "fd_sup_norm": fd, "sup_norm_error": sup_err,
-                    "fd_step": eps}, []
+    if "direction" not in _RESPONSE_KINDS[kind]:
+        family = build_family(config.map)
+        s0 = config.map[_float_param(config.map["family"])]
+        if kind == "pressure-map":
+            rep = d_pressure_d_dynamics(family, pot, s0, disc, fd_step=eps)
         else:
             g = build_potential(block["observable"], branch_map)
-            conformal = kind == "conformal-potential"
-            derivative = (d_conformal_expectation if conformal
-                          else d_equilibrium_expectation)
-            analytic = derivative(branch_map, pot, g, direction, disc, triple=triple)
+            rep = d_maxentropy_expectation(family, g, s0, disc, fd_step=eps)
+        return {**rep.as_dict(), "derivative": kind}, []
 
-            def observable_at(e):
-                t = twins[e]
-                weights = t.nu if conformal else t.mu_weights
-                return float(np.asarray(g(t.op.grid.nodes), float) @
-                             np.asarray(weights, float))
-            fd = central_difference(observable_at, eps)
-        rel = abs(analytic - fd) / max(1.0, abs(fd))
-        return {"derivative": kind, "analytic_value": float(analytic),
-                "fd_value": float(fd), "fd_step": eps, "rel_error": rel}, []
-
-    family = build_family(config.map)
-    s0 = _family_param(config.map)
-    if kind == "pressure-map":
-        rep = d_pressure_d_dynamics(family, pot, s0, disc, fd_step=eps)
+    direction = build_potential(block["direction"], branch_map)
+    # one setup serves the base triple and its two FD twins at +-eps
+    setup = OperatorSetup.of(branch_map, disc)
+    tol = config.tolerances["eig_tol"]
+    triple = triple_at(setup, pot, tol=tol)
+    twins = {e: triple_at(setup, pot + e * direction, tol=tol) for e in (eps, -eps)}
+    if kind == "lambda-potential":
+        analytic = d_lambda_d_potential(branch_map, pot, direction, disc, triple=triple)
+        fd = central_difference(lambda e: float(twins[e].lam), eps)
+    elif kind == "pressure-potential":
+        analytic = d_pressure_d_potential(branch_map, pot, direction, disc, triple=triple)
+        fd = central_difference(lambda e: math.log(twins[e].lam), eps)
+    elif kind == "density-potential":
+        deriv = d_density_d_potential(branch_map, pot, direction, disc, triple=triple)
+        write_csv(os.path.join(config.output_dir, "density_derivative.csv"),
+                  ["x", "dh"], zip(Grid(disc.n).nodes, map(float, deriv.values)),
+                  comment="density derivative in the given direction")
+        fd_vec = central_difference(lambda e: np.asarray(twins[e].h.values, float), eps)
+        analytic = float(np.max(np.abs(deriv.values)))
+        fd = float(np.max(np.abs(fd_vec)))
+        sup_err = float(np.max(np.abs(np.asarray(deriv.values, float) - fd_vec)))
+        return {"derivative": kind, "analytic_sup_norm": analytic,
+                "fd_sup_norm": fd, "sup_norm_error": sup_err,
+                "fd_step": eps}, []
     else:
         g = build_potential(block["observable"], branch_map)
-        rep = d_maxentropy_expectation(family, g, s0, disc, fd_step=eps)
-    out = rep.as_dict()
-    out["derivative"] = kind
-    return out, []
+        conformal = kind == "conformal-potential"
+        derivative = d_conformal_expectation if conformal else d_equilibrium_expectation
+        analytic = derivative(branch_map, pot, g, direction, disc, triple=triple)
+
+        def observable_at(e):
+            t = twins[e]
+            weights = t.nu if conformal else t.mu_weights
+            return float(np.asarray(t.sample(g), float) @ np.asarray(weights, float))
+        fd = central_difference(observable_at, eps)
+    rel = abs(analytic - fd) / max(1.0, abs(fd))
+    return {"derivative": kind, "analytic_value": float(analytic),
+            "fd_value": float(fd), "fd_step": eps, "rel_error": rel}, []
 
 
-def _cmd_correlation(config, branch_map, pot, hyp):
-    block = config.blocks.get("correlation")
-    if block is None:
-        raise ConfigError("correlation: block missing from config")
+def _cmd_correlation(config, block, branch_map, pot, hyp):
     obs_a = build_potential(block["obs_a"], branch_map)
     obs_b = build_potential(block["obs_b"], branch_map)
     series = stats.correlation(branch_map, pot, obs_a, obs_b, block["n_max"],
@@ -620,25 +555,24 @@ def _cmd_correlation(config, branch_map, pot, hyp):
     return result, ([series.note] if series.note else [])
 
 
-def _cmd_clt(config, branch_map, pot, hyp):
-    block = config.blocks.get("clt")
-    if block is None:
-        raise ConfigError("clt: block missing from config")
+def _cmd_clt(config, block, branch_map, pot, hyp):
     psi = build_potential(block["observable"], branch_map)
     clt = stats.clt_parameters(branch_map, pot, psi, config.discretization)
     result = {"mean": clt.mean, "variance": clt.variance, "coboundary": clt.coboundary}
     return result, ([clt.note] if clt.note else [])
 
 
-def _cmd_free_energy(config, branch_map, pot, hyp):
-    block = config.blocks.get("free_energy")
-    if block is None:
-        raise ConfigError("free_energy: block missing from config")
+def _curve_and_rate(config, block, branch_map, pot):
+    """The free-energy curve of the block's observable and its rate function."""
     psi = build_potential(block["observable"], branch_map)
     curve = stats.free_energy(branch_map, pot, psi, t0=block["t0"],
                               n_t=block["n_t"], disc=config.discretization,
                               hyp_aux=hypothesis_aux(config))
-    rate = stats.rate_function(curve)
+    return psi, curve, stats.rate_function(curve)
+
+
+def _cmd_free_energy(config, block, branch_map, pot, hyp):
+    _, curve, rate = _curve_and_rate(config, block, branch_map, pot)
     write_csv(os.path.join(config.output_dir, "free_energy.csv"),
               ["t", "e", "e_prime", "e_second"],
               zip(curve.t_grid, curve.values, curve.e_prime, curve.e_second),
@@ -650,15 +584,8 @@ def _cmd_free_energy(config, branch_map, pot, hyp):
             "domain": list(curve.domain), "argmin": rate.argmin}, []
 
 
-def _cmd_ldp(config, branch_map, pot, hyp):
-    block = config.blocks.get("ldp")
-    if block is None:
-        raise ConfigError("ldp: block missing from config")
-    psi = build_potential(block["observable"], branch_map)
-    curve = stats.free_energy(branch_map, pot, psi, t0=block["t0"],
-                              n_t=block["n_t"], disc=config.discretization,
-                              hyp_aux=hypothesis_aux(config))
-    rate = stats.rate_function(curve)
+def _cmd_ldp(config, block, branch_map, pot, hyp):
+    psi, _, rate = _curve_and_rate(config, block, branch_map, pot)
     exp = stats.ldp_monte_carlo(branch_map, pot, psi, block["interval"],
                                 block["n_list"], block["n_samples"],
                                 config.seed, rate, disc=config.discretization)
@@ -673,20 +600,15 @@ def _cmd_ldp(config, branch_map, pot, hyp):
             "ci95": {str(n): exp.ci95[n] for n in exp.n_list}}, list(exp.notes)
 
 
-def _cmd_rate_scan(config, branch_map, pot, hyp):
-    block = config.blocks.get("rate_scan")
-    if block is None:
-        raise ConfigError("rate_scan: block missing from config")
+def _cmd_rate_scan(config, block, branch_map, pot, hyp):
     family = build_family(config.map)
     psi = build_potential(block["observable"], branch_map)
     scan = stats.rate_continuity_scan(family, pot, psi, block["s_grid"],
                                       block["v_grid"], disc=config.discretization,
                                       t0=block["t0"], n_t=block["n_t"],
                                       hyp_aux=hypothesis_aux(config))
-    rows = []
-    for i, v in enumerate(scan.v_grid):
-        for j, s in enumerate(scan.s_grid):
-            rows.append((v, s, scan.table[i, j]))
+    rows = [(v, s, scan.table[i, j]) for i, v in enumerate(scan.v_grid)
+            for j, s in enumerate(scan.s_grid)]
     write_csv(os.path.join(config.output_dir, "rate_scan.csv"),
               ["v", "s", "rate"], rows, comment="rate-function continuity scan")
     return {"modulus": scan.modulus,
@@ -694,19 +616,11 @@ def _cmd_rate_scan(config, branch_map, pot, hyp):
             "s_grid": list(map(float, scan.s_grid))}, []
 
 
-_SCAN_PARAM_KEY = {"perturbed-doubling": "t", "translated-doubling": "s",
-                   "manneville-pomeau": "alpha"}
-
-
-def _cmd_bifurcation_scan(config, branch_map, pot, hyp):
-    block = config.blocks.get("scan")
-    if block is None:
-        raise ConfigError("scan: block missing from config")
+def _cmd_bifurcation_scan(config, block, branch_map, pot, hyp):
     family_tag = config.map["family"]
-    param_key = _SCAN_PARAM_KEY.get(family_tag)
+    param_key = _float_param(family_tag)
     if param_key is None:
-        raise ConfigError(
-            f"scan: family {family_tag!r} has no scan parameter")
+        raise ConfigError(f"scan: family {family_tag!r} has no scan parameter")
     quantities = block["quantities"]
     rows = []
     for v in block["values"]:
@@ -724,19 +638,21 @@ def _cmd_bifurcation_scan(config, branch_map, pot, hyp):
     return {"rows": len(rows), "quantities": list(quantities)}, []
 
 
+# command -> (handler, the config block it reads or None)
 _HANDLERS = {
-    "check-hypotheses": _cmd_check_hypotheses,
-    "pressure": _cmd_pressure,
-    "spectrum": _cmd_spectrum,
-    "equilibrium": _cmd_equilibrium,
-    "response": _cmd_response,
-    "correlation": _cmd_correlation,
-    "clt": _cmd_clt,
-    "free-energy": _cmd_free_energy,
-    "ldp": _cmd_ldp,
-    "rate-scan": _cmd_rate_scan,
-    "bifurcation-scan": _cmd_bifurcation_scan,
+    "check-hypotheses": (_cmd_check_hypotheses, None),
+    "pressure": (_cmd_pressure, None),
+    "spectrum": (_cmd_spectrum, None),
+    "equilibrium": (_cmd_equilibrium, None),
+    "response": (_cmd_response, "response"),
+    "correlation": (_cmd_correlation, "correlation"),
+    "clt": (_cmd_clt, "clt"),
+    "free-energy": (_cmd_free_energy, "free_energy"),
+    "ldp": (_cmd_ldp, "ldp"),
+    "rate-scan": (_cmd_rate_scan, "rate_scan"),
+    "bifurcation-scan": (_cmd_bifurcation_scan, "scan"),
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 # ---------------------------------------------------------------------------

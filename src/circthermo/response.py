@@ -19,9 +19,9 @@ phi = 0 the maximal-entropy expectation moves by
     d mu(g)    = int T(R P0 g) d mu,   T(w) = -(1/lam) sum_j w'(y_j) H(y_j) / F'(y_j).
 
 Every R is one solve with the bordered factor cached on the triple
-(`spectral.resolvent_solve`), and H is sampled where the operator samples
-the potential (`SpectralTriple.sample`).  All analytic values are paired
-with central finite differences downstream.
+(`spectral.resolvent_solve`), and H and g are sampled where the operator
+samples the potential (`SpectralTriple.sample`).  All analytic values are
+paired with central finite differences downstream.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def d_conformal_expectation(branch_map: BranchMap, pot0: Potential, g, direction
     """Derivative of phi -> int g d nu_phi in direction H."""
     if triple is None:
         triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
-    gv = np.asarray(g(_nodes(triple)))
+    gv = triple.sample(g)
     hvec = triple.sample(direction)
     gmean = float(triple.integrate_nu(gv))
     u_g = resolvent_solve(triple, gv - gmean * triple.h.values)
@@ -136,7 +136,7 @@ def d_equilibrium_expectation(branch_map: BranchMap, pot0: Potential, g, directi
     """Derivative of phi -> int g d mu_phi in direction H."""
     if triple is None:
         triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
-    gv = np.asarray(g(_nodes(triple)))
+    gv = triple.sample(g)
     hvec = triple.sample(direction)
     gmu = float(triple.integrate_mu(gv))
     u_gh = resolvent_solve(triple, (gv - gmu) * triple.h.values)

@@ -8,13 +8,14 @@ then h so that its nu-integral is one.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, SchemeQualityError, SolverError
@@ -212,18 +213,22 @@ def _resolvent_factor(triple: SpectralTriple) -> Callable:
         n = triple.op.grid.n_cells
         hv = triple.h.values[:, None]
         nu = triple.nu[None, :]
-        if sparse.issparse(mat):
-            border = sparse.bmat([[sparse.identity(n, format="csr") - mat / triple.lam, hv],
-                                  [nu, None]], format="csc")
-            try:
-                triple.resolvent_factor = splu(border).solve
-            except RuntimeError as exc:
-                raise SolverError(f"bordered resolvent system is singular: {exc}") from exc
-        else:
-            border = np.block([[mat / -triple.lam, hv], [nu, np.zeros((1, 1))]])
-            diag = np.arange(n)
-            border[diag, diag] += 1.0
-            triple.resolvent_factor = partial(lu_solve, lu_factor(border, overwrite_a=True))
+        try:
+            with warnings.catch_warnings():
+                # a zero pivot is an error here, not a warning
+                warnings.simplefilter("error", LinAlgWarning)
+                if sparse.issparse(mat):
+                    border = sparse.bmat([[sparse.identity(n, format="csr") - mat / triple.lam,
+                                           hv], [nu, None]], format="csc")
+                    triple.resolvent_factor = splu(border).solve
+                else:
+                    border = np.block([[mat / -triple.lam, hv], [nu, np.zeros((1, 1))]])
+                    diag = np.arange(n)
+                    border[diag, diag] += 1.0
+                    triple.resolvent_factor = partial(lu_solve,
+                                                      lu_factor(border, overwrite_a=True))
+        except (RuntimeError, LinAlgWarning) as exc:
+            raise SolverError(f"bordered resolvent system is singular: {exc}") from exc
     return triple.resolvent_factor
 
 

@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import pytest
 
+from circthermo import cli
 from circthermo.cli import (EXIT_CONFIG, EXIT_HYPOTHESES, EXIT_SOLVER, main,
                             parse_config, run)
 from circthermo.errors import ConfigError
@@ -279,3 +282,51 @@ def test_check_hypotheses_command(tmp_path):
     cfg = base_config(output={"dir": str(tmp_path / "out")})
     report = run("check-hypotheses", parse_config(json.dumps(cfg)))
     assert report.result["passed"] is True
+
+
+_TRIG = {"form": "trig", "cos": [1.0]}
+
+
+@pytest.mark.parametrize("command,path,overrides", [
+    ("pressure", "hypotheses.m", {"hypotheses": {"m": "x"}}),
+    ("pressure", "hypotheses.region_a", {"hypotheses": {"region_a": 5}}),
+    ("correlation", "correlation.n_max",
+     {"correlation": {"obs_a": _TRIG, "obs_b": _TRIG, "n_max": "abc"}}),
+    ("correlation", "correlation.n_max",
+     {"correlation": {"obs_a": _TRIG, "obs_b": _TRIG, "n_max": -3}}),
+    ("pressure", "tolerances.max_iter", {"tolerances": {"max_iter": 0}}),
+    ("pressure", "tolerances.eig_tol", {"tolerances": {"eig_tol": "x"}}),
+    ("pressure", "map.t", {"map": {"family": "perturbed-doubling", "t": "abc"}}),
+    ("pressure", "potential.cos", {"potential": {"form": "trig", "cos": 0.01}}),
+    ("free-energy", "free_energy.n_t", {"free_energy": {"observable": _TRIG, "n_t": 41.7}}),
+], ids=["m-string", "region_a-scalar", "n_max-string", "n_max-negative", "max_iter-zero",
+        "eig_tol-string", "t-string", "cos-scalar", "n_t-fraction"])
+def test_malformed_value_exits_config_naming_the_key(tmp_path, capsys, command, path,
+                                                     overrides):
+    cfg = base_config(output={"dir": str(tmp_path / "out")}, **overrides)
+    assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert f"config error: {path}:" in capsys.readouterr().err
+
+
+def _readme_section(heading):
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return text.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_table(section, label):
+    """{name: [parameter, ...]} from a README line `label: `name` (+`p`, ...), ...`."""
+    listing = re.split(r"\.\s", section.split(f"{label}:", 1)[1], maxsplit=1)[0]
+    return {name: re.findall(r"`([a-z_]+)`", params)
+            for name, params in re.findall(r"`([a-z-]+)`(?:\s*\(\+([^)]*)\))?", listing)}
+
+
+def test_readme_command_line_matches_the_schema(tmp_path):
+    section = _readme_section("Command line")
+    minimal = section.split("A minimal config:\n\n```json\n", 1)[1].split("```", 1)[0]
+    cfg = json.loads(minimal)
+    cfg["output"] = {"dir": str(tmp_path / "out")}
+    assert main(["check-hypotheses", write_config(tmp_path, cfg)]) == 0
+    assert _readme_table(section, "Map families") == {
+        name: list(entry.spec) for name, entry in cli._FAMILIES.items()}
+    assert _readme_table(section, "Potential forms") == {
+        name: list(entry.spec) for name, entry in cli._FORMS.items()}

@@ -143,6 +143,19 @@ def test_singular_border_raises_solver_error(interpolation, is_sparse):
         resolvent_solve(tr, v)
 
 
+@pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
+def test_dense_singular_border_raises_without_linalg_warning():
+    # scipy reports the zero pivot of the dense LU as a LinAlgWarning; with
+    # warnings escalated, only the typed error may come out of the solve
+    op = build_operator(doubling(), zero_potential(), Grid(32), "collocation", "fourier")
+    assert not sparse.issparse(op.storage)
+    tr = leading_triple(op)
+    v = tr.project_zero_mean(np.cos(2 * np.pi * op.grid.nodes))
+    tr.nu = np.zeros_like(tr.nu)
+    with pytest.raises(SolverError, match="singular"):
+        resolvent_solve(tr, v)
+
+
 def test_dual_convergence_rate_bounded_by_gap():
     mp = manneville_pomeau(0.5)
     pot = log_derivative_weight(-0.1, mp)
