@@ -46,6 +46,8 @@ EXIT_HYPOTHESES = 3
 EXIT_SOLVER = 4
 EXIT_RESOURCE = 5
 
+SCAN_ROW_GUARD = 2 ** 16   # rows of a start/stop/step scan, each a full solve
+
 
 # ---------------------------------------------------------------------------
 # Config schema
@@ -209,7 +211,11 @@ def _scan(raw, path):
                 raise ConfigError(f"{path}.{key}: missing required key")
         if not (step > 0 and stop >= start):
             raise ConfigError(f"{path}.step: need step > 0, stop >= start")
-        values = [start + i * step for i in range(int(round((stop - start) / step)) + 1)]
+        span = (stop - start) / step
+        if not span < SCAN_ROW_GUARD - 0.5:    # round(span) + 1 rows; inf fails too
+            raise ResourceLimitError(
+                f"{path} would have {span + 1:.6g} rows (> {SCAN_ROW_GUARD})")
+        values = [start + i * step for i in range(int(round(span)) + 1)]
     return {"values": values, "quantities": block["quantities"]}
 
 

@@ -166,14 +166,20 @@ class BranchMap:
 # Builtin families
 # ---------------------------------------------------------------------------
 
+def _floating(x):
+    """x as an array that keeps a floating dtype (longdouble stays) and casts others to float64."""
+    x = np.asarray(x)
+    return x if np.issubdtype(x.dtype, np.floating) else x.astype(float)
+
+
 def linear_map(degree: int) -> BranchMap:
     """x -> degree * x (mod 1)."""
     d = float(degree)
     return BranchMap(
         degree,
-        lambda x: d * np.asarray(x, dtype=float),
-        lambda x: np.full_like(np.asarray(x, dtype=float), d),
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        lambda x: d * _floating(x),
+        lambda x: np.full_like(_floating(x), d),
+        lambda x: np.zeros_like(_floating(x)),
         family_tag=f"linear-{degree}",
         family_params={"degree": degree},
     )
@@ -192,21 +198,24 @@ def manneville_pomeau(alpha: float) -> BranchMap:
     Lift: x (1 + 2^alpha x^alpha) on [0, 1/2], 2x on (1/2, 1]; continuous,
     degree 2, F'(0) = 1.  For alpha < 1 the second derivative blows up at 0.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ConfigError(f"manneville-pomeau alpha must be > 0, got {alpha}")
     a = float(alpha)
-    c = 2.0 ** a
+    try:
+        c = 2.0 ** a
+    except OverflowError:
+        raise ConfigError(f"manneville-pomeau alpha={alpha} overflows 2**alpha") from None
 
     def lift(x):
-        x = np.asarray(x, dtype=float)
+        x = _floating(x)
         return np.where(x <= 0.5, x * (1.0 + c * np.power(x, a)), 2.0 * x)
 
     def dlift(x):
-        x = np.asarray(x, dtype=float)
+        x = _floating(x)
         return np.where(x <= 0.5, 1.0 + c * (1.0 + a) * np.power(x, a), 2.0)
 
     def d2lift(x):
-        x = np.asarray(x, dtype=float)
+        x = _floating(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             left = c * (1.0 + a) * a * np.power(x, a - 1.0)
         return np.where(x <= 0.5, left, 0.0)
@@ -223,20 +232,20 @@ def manneville_pomeau(alpha: float) -> BranchMap:
 
 def _pitchfork_bump(x):
     # sin^4 localized in the branch domain [0, 1/2]; C^2 across both endpoints.
-    x = np.asarray(x, dtype=float)
+    x = _floating(x)
     s = np.sin(2.0 * np.pi * x)
     return np.where(x <= 0.5, 0.25 * s ** 4, 0.0)
 
 
 def _pitchfork_bump_d1(x):
-    x = np.asarray(x, dtype=float)
+    x = _floating(x)
     s = np.sin(2.0 * np.pi * x)
     c = np.cos(2.0 * np.pi * x)
     return np.where(x <= 0.5, 2.0 * np.pi * s ** 3 * c, 0.0)
 
 
 def _pitchfork_bump_d2(x):
-    x = np.asarray(x, dtype=float)
+    x = _floating(x)
     s = np.sin(2.0 * np.pi * x)
     c = np.cos(2.0 * np.pi * x)
     return np.where(x <= 0.5, 4.0 * np.pi ** 2 * s ** 2 * (3.0 * c ** 2 - s ** 2), 0.0)
@@ -252,11 +261,11 @@ def perturbed_doubling(t: float) -> BranchMap:
     t = float(t)
 
     def lift(x):
-        x = np.asarray(x, dtype=float)
+        x = _floating(x)
         return 2.0 * x + t * _pitchfork_bump(x)
 
     def dlift(x):
-        x = np.asarray(x, dtype=float)
+        x = _floating(x)
         return 2.0 + t * _pitchfork_bump_d1(x)
 
     def d2lift(x):
@@ -274,9 +283,9 @@ def translated_doubling(s: float) -> BranchMap:
     s = float(s)
     return BranchMap(
         2,
-        lambda x: 2.0 * (np.asarray(x, dtype=float) + s),
-        lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        lambda x: 2.0 * (_floating(x) + s),
+        lambda x: np.full_like(_floating(x), 2.0),
+        lambda x: np.zeros_like(_floating(x)),
         family_tag="translated-doubling",
         family_params={"s": s},
     )
@@ -577,8 +586,12 @@ def smallness_values(deg, q, sigma, big_l, alpha, eps, m, diam=CIRCLE_DIAMETER):
     """Left-hand sides of the two explicit smallness inequalities."""
     core = ((deg - q) * sigma ** (-alpha)
             + q * big_l ** alpha * (1.0 + max(big_l - 1.0, 0.0) ** alpha)) / deg
-    vep = math.exp(eps) * core + eps * 2.0 * m * big_l ** alpha * diam ** alpha
-    vepp = (1.0 + eps) * math.exp(eps) * core
+    try:
+        growth = math.exp(eps)
+    except OverflowError:   # an oscillation past ~709 fails both inequalities
+        return math.inf, math.inf
+    vep = growth * core + eps * 2.0 * m * big_l ** alpha * diam ** alpha
+    vepp = (1.0 + eps) * growth * core
     return vep, vepp
 
 

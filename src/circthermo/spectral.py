@@ -2,8 +2,12 @@
 
 The triple (lambda, h, nu) is obtained by two-sided power iteration seeded
 at the constant function and the uniform weight vector, mirroring the limit
-h = lim lambda^{-n} L^n 1.  Normalization order: nu to total mass one first,
-then h so that its nu-integral is one.
+h = lim lambda^{-n} L^n 1.  A float64 operator that has not converged after
+ARNOLDI_HANDOVER steps (a slowly mixing map, where tau is near 1) is handed
+to implicitly restarted Arnoldi (ARPACK), started from the current iterates
+on M and on its transpose; extended precision stays with power iteration.
+Normalization order: nu to total mass one first, then h so that its
+nu-integral is one.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, splu
 
 from .errors import ConfigError, SchemeQualityError, SolverError
 from .maps import Potential
@@ -24,6 +28,7 @@ from .operator import DiscretizedOperator, GridFunction, OperatorSetup
 
 NEGATIVE_MASS_LIMIT = 1e-8
 RESOLVENT_RESIDUAL_TOL = 1e-10
+ARNOLDI_HANDOVER = 64   # float64 power steps before the Arnoldi handover
 
 
 @dataclass
@@ -33,7 +38,7 @@ class SpectralTriple:
     h: GridFunction
     nu: np.ndarray
     op: DiscretizedOperator
-    iterations: int
+    iterations: int          # power steps plus Arnoldi matvecs
     residual_right: float
     residual_left: float
     tau: Optional[float] = None
@@ -75,7 +80,11 @@ def leading_triple(op: DiscretizedOperator, tol: float = 1e-12,
     """Two-sided power iteration for the dominant eigentriple.
 
     Convergence is declared when successive Rayleigh quotients differ by
-    less than tol; failure to converge raises with the last residual.
+    less than tol; failure to converge raises with the last residual.  A
+    float64 operator still unconverged after ARNOLDI_HANDOVER steps
+    continues by Arnoldi from the current iterates, and its normalized
+    triple must then meet the same residual tolerance.  Either way at most
+    max_iter operator applications are made.
     """
     if tol < 1e-14 and op.dtype == np.float64:
         raise ConfigError(f"tol={tol} below float64 attainable accuracy")
@@ -86,10 +95,15 @@ def leading_triple(op: DiscretizedOperator, tol: float = 1e-12,
     w = np.full(n, 1.0 / n, dtype=dtype)
     resid_floor = 50.0 * n * float(np.finfo(dtype).eps)
     rtol = max(tol, resid_floor)
+    # ARPACK needs n >= 3 for one eigenpair
+    power_steps = max_iter
+    if dtype == np.float64 and n >= 3:
+        power_steps = min(max_iter, ARNOLDI_HANDOVER)
     lam_prev = None
     lam = None
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    arnoldi = False
+    for iterations in range(1, power_steps + 1):
         mv = apply(v)
         wm = apply_left(w)
         lam = (w @ mv) / (w @ v)          # scalar in the working dtype
@@ -108,9 +122,13 @@ def leading_triple(op: DiscretizedOperator, tol: float = 1e-12,
         lam_prev = float(lam)
     else:
         resid = float(np.max(np.abs(apply(v) - lam * v)) / abs(lam))
-        raise SolverError(
-            f"no eigenvalue convergence in {max_iter} iterations; "
-            f"last residual {resid:.3e} (gapless or mis-assembled operator?)")
+        if power_steps == max_iter:
+            raise SolverError(
+                f"no eigenvalue convergence in {max_iter} iterations; "
+                f"last residual {resid:.3e} (gapless or mis-assembled operator?)")
+        lam, v, w, matvecs = _arnoldi_pair(op, v, w, max_iter - power_steps, resid)
+        iterations += matvecs
+        arnoldi = True
 
     nu = np.asarray(w, dtype=dtype).copy()
     if nu.sum() < 0:
@@ -137,9 +155,54 @@ def leading_triple(op: DiscretizedOperator, tol: float = 1e-12,
     h = op.grid_function(hv)
     resid_right = float(np.max(np.abs(apply(hv) - lam * hv)) / abs(lam))
     resid_left = float(np.sum(np.abs(apply_left(nu) - lam * nu)) / abs(lam))
+    if arnoldi and not max(resid_right, resid_left) <= rtol:
+        raise SolverError(
+            f"Arnoldi eigentriple residual {max(resid_right, resid_left):.3e} "
+            f"exceeds {rtol:.3e}")
     return SpectralTriple(lam=lam, h=h, nu=nu, op=op, iterations=iterations,
                           residual_right=resid_right, residual_left=resid_left,
                           clipped_nu_mass=clipped)
+
+
+def _arnoldi_pair(op: DiscretizedOperator, v, w, budget: int, resid: float):
+    """Leading right and left eigenvectors of a float64 operator by ARPACK.
+
+    Continues the power iteration: eigs(k=1) on M from v and on M^T (the
+    cached transpose of `apply_left`) from w, with at most `budget` matvecs
+    on both together.  Returns the two-sided Rayleigh quotient, the
+    vectors (w scaled to sum one) and the matvecs spent.  An ARPACK error
+    (non-convergence included), a spent budget or a complex leading Ritz
+    value raises with `resid`, the residual of the last power iterate.
+    """
+    n = op.grid.n_cells
+    spent = 0
+
+    def counted(apply):
+        def matvec(x):
+            nonlocal spent
+            spent += 1
+            if spent > budget:
+                raise SolverError(f"Arnoldi eigensolve spent its {budget} matvecs; "
+                                  f"last power residual {resid:.3e}")
+            return apply(x)
+        return matvec
+
+    right, left = counted(op.apply), counted(op.apply_left)
+    try:
+        (theta_r,), vr = eigs(LinearOperator((n, n), right, dtype=np.float64),
+                              k=1, v0=v, rng=0)
+        (theta_l,), vl = eigs(LinearOperator((n, n), left, dtype=np.float64),
+                              k=1, v0=w, rng=0)
+    except ArpackError as exc:    # non-convergence, or no factorization of non-finite data
+        raise SolverError(f"Arnoldi eigensolve failed ({exc}); "
+                          f"last power residual {resid:.3e}") from exc
+    if theta_r.imag != 0.0 or theta_l.imag != 0.0:
+        raise SolverError(f"leading Ritz values {theta_r:.6g}, {theta_l:.6g} are not "
+                          f"both real; last power residual {resid:.3e}")
+    v, w = vr[:, 0].real, vl[:, 0].real
+    w = w / w.sum()
+    lam = (w @ right(v)) / (w @ v)
+    return lam, v, w, spent
 
 
 def triple_at(setup: OperatorSetup, pot: Potential, tol: float = 1e-12,

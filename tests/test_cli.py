@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from circthermo import cli
-from circthermo.cli import (EXIT_CONFIG, EXIT_HYPOTHESES, EXIT_SOLVER, main,
-                            parse_config, run)
+from circthermo.cli import (EXIT_CONFIG, EXIT_HYPOTHESES, EXIT_RESOURCE, EXIT_SOLVER,
+                            SCAN_ROW_GUARD, main, parse_config, run)
+from circthermo.spectral import ARNOLDI_HANDOVER
 from circthermo.errors import ConfigError
 
 
@@ -197,6 +198,52 @@ def test_config_error_exit_code(tmp_path):
     assert rc == EXIT_CONFIG
     rc = main(["pressure", str(tmp_path / "missing.json")])
     assert rc == EXIT_CONFIG
+
+
+def test_huge_potential_oscillation_fails_hypotheses_without_traceback(tmp_path):
+    cfg = base_config(potential={"form": "trig", "cos": [400.0]},
+                      output={"dir": str(tmp_path / "out")})
+    path = write_config(tmp_path, cfg)
+    assert main(["pressure", path]) == EXIT_HYPOTHESES
+    assert main(["check-hypotheses", path]) == 0
+    stored = json.load(open(tmp_path / "out" / "report.json"))
+    assert stored["hypotheses"]["vep_value"] == math.inf
+    assert stored["result"]["passed"] is False
+
+
+def test_overflowing_alpha_exits_config(tmp_path, capsys):
+    cfg = base_config(map={"family": "manneville-pomeau", "alpha": 1e300},
+                      output={"dir": str(tmp_path / "out")})
+    assert main(["pressure", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scan", [{"start": 0.0, "stop": 1e300, "step": 0.01},
+                                  {"start": 0.0, "stop": float(SCAN_ROW_GUARD), "step": 1.0}],
+                         ids=["overflowing", "one-past-guard"])
+def test_scan_row_guard_exits_resource(tmp_path, capsys, scan):
+    cfg = base_config(scan=scan, output={"dir": str(tmp_path / "out")})
+    assert main(["bifurcation-scan", write_config(tmp_path, cfg)]) == EXIT_RESOURCE
+    assert "rows" in capsys.readouterr().err
+    scan = dict(scan, stop=scan["start"] + (SCAN_ROW_GUARD - 1) * scan["step"])
+    assert len(parse_config(json.dumps(base_config(scan=scan))).blocks["scan"]["values"]) \
+        == SCAN_ROW_GUARD
+
+
+def test_intermittent_pressure_reruns_are_byte_identical(tmp_path):
+    # MP alpha=0.5 at -log f' mixes slowly, so its triple comes from Arnoldi
+    cfg = base_config(map={"family": "manneville-pomeau", "alpha": 0.5},
+                      potential={"form": "log-deriv", "coefficient": -1.0},
+                      discretization={"n": 362}, hypotheses={"enforce": False})
+    path = write_config(tmp_path, cfg)
+    out = {}
+    for tag in ("a", "b"):
+        assert main(["pressure", path, "--out", str(tmp_path / tag)]) == 0
+        out[tag] = {name: (tmp_path / tag / name).read_bytes()
+                    for name in os.listdir(tmp_path / tag)}
+    assert out["a"] == out["b"]
+    result = json.loads(out["a"]["report.json"])["result"]
+    assert result["iterations"] > ARNOLDI_HANDOVER
 
 
 def test_unknown_command_usage_error(tmp_path):

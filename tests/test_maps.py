@@ -262,6 +262,38 @@ def test_smallness_values_monotone_in_eps():
     assert all(a < b for a, b in zip(vepps, vepps[1:]))
 
 
+def test_smallness_values_overflow_to_inf():
+    assert smallness_values(2, 0, 2.0, 1.0, 1.0, 800.0, 10) == (np.inf, np.inf)
+
+
+def test_hypotheses_huge_oscillation_fails_smallness():
+    rep = check_hypotheses(doubling(), trig_polynomial(cos_coeffs=[400.0]))
+    assert rep.vep_value == np.inf and rep.vepp_value == np.inf
+    assert rep.verdicts["P"] is False and rep.verdicts["P'"] is False
+    assert not rep.passed()
+
+
+def test_manneville_pomeau_rejects_overflowing_alpha():
+    with pytest.raises(ConfigError, match="alpha"):
+        manneville_pomeau(1e300)
+    with pytest.raises(ConfigError, match="alpha"):
+        manneville_pomeau(float("nan"))
+
+
+@pytest.mark.parametrize("fmap", [linear_map(3), manneville_pomeau(0.5),
+                                  perturbed_doubling(0.1), translated_doubling(0.3)],
+                         ids=lambda m: m.family_tag)
+def test_builtin_lifts_keep_floating_dtype(fmap):
+    x = np.array([0.0, 0.125, 0.3, 0.75])
+    for fn in (fmap.lift, fmap.dlift, fmap.d2lift):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            wide = np.asarray(fn(x.astype(np.longdouble)))
+            assert wide.dtype == np.longdouble
+            # integer input is still cast, and float64 input is unchanged
+            assert np.asarray(fn(np.array([0, 1]))).dtype == np.float64
+            assert np.asarray(fn(x)).dtype == np.float64
+
+
 def test_hypothesis_report_roundtrips_to_dict():
     rep = check_hypotheses(doubling(), zero_potential())
     d = rep.as_dict()

@@ -12,7 +12,7 @@ import circthermo.operator as ct_operator
 from circthermo import (Discretization, Grid, GridFunction, OperatorSetup,
                         ResourceLimitError, apply_transfer_point,
                         apply_transfer_tree, build_operator, constant,
-                        doubling, free_energy, log_derivative_weight,
+                        doubling, free_energy, linear_map, log_derivative_weight,
                         manneville_pomeau, translated_doubling,
                         trig_polynomial, zero_potential)
 from circthermo.operator import trig_interp_matrix
@@ -286,3 +286,14 @@ def test_ulam_wrap_handling_translated_family():
     op = build_operator(bmap, zero_potential(), Grid(64), "ulam")
     tr = leading_triple(op)
     assert float(tr.lam) == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="longdouble is float64 on this platform")
+def test_longdouble_collocation_preimages_polish_below_float64():
+    grid = Grid(257)
+    ys = OperatorSetup(linear_map(3), grid, dtype=np.longdouble).points
+    assert ys.dtype == np.longdouble
+    u = np.asarray(grid.nodes, dtype=np.longdouble)
+    targets = u[None, :] + np.arange(3, dtype=np.longdouble)[:, None]
+    assert np.max(np.abs(3 * ys - targets)) <= 1e-18

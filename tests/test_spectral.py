@@ -9,11 +9,13 @@ import scipy.linalg
 from scipy import sparse
 
 import circthermo.spectral as spectral
-from circthermo import (ConfigError, Discretization, Grid, SchemeQualityError,
+from circthermo import (ConfigError, Discretization, Grid, SchemeQualityError, constant,
                         SolverError, build_operator, discretize,
                         doubling, gap_estimate, leading_triple, linear_map,
                         log_derivative_weight, manneville_pomeau,
-                        resolvent_solve, trig_polynomial, zero_potential)
+                        perturbed_doubling, resolvent_solve, trig_polynomial,
+                        zero_potential)
+from circthermo.operator import DiscretizedOperator
 
 
 @pytest.mark.parametrize("scheme,interpolation", [("collocation", "linear"),
@@ -266,3 +268,121 @@ def test_sparse_path_allocates_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < n * n           # an eighth of one dense N x N float64 array
+
+
+# --- Arnoldi handover -------------------------------------------------------
+
+def _power_only(monkeypatch, op, **kwargs):
+    """The triple from two-sided power iteration alone, with no handover."""
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "ARNOLDI_HANDOVER", 10 ** 9)
+        return leading_triple(op, **kwargs)
+
+
+@pytest.fixture(scope="module", params=["collocation", "ulam"])
+def mp_physical_362(request):
+    mp = manneville_pomeau(0.5)
+    return discretize(mp, log_derivative_weight(-1.0, mp),
+                      Discretization(n=362, scheme=request.param))
+
+
+def test_handover_triple_matches_dense_eig(mp_physical_362):
+    op = mp_physical_362
+    tr = leading_triple(op)
+    assert tr.iterations > spectral.ARNOLDI_HANDOVER   # the slow gap reached Arnoldi
+    vals, right = np.linalg.eig(op.matrix)
+    lead = np.argmax(np.abs(vals))
+    lvals, left = np.linalg.eig(op.matrix.T)
+    nu = left[:, np.argmax(np.abs(lvals))].real
+    nu = nu / nu.sum()
+    h = right[:, lead].real
+    h = h / (h @ nu)
+    assert abs(float(tr.lam) - vals[lead].real) <= 1e-12 * abs(vals[lead])
+    assert np.max(np.abs(tr.h.values - h)) <= 1e-10
+    assert np.sum(np.abs(tr.nu - nu)) <= 1e-10
+    rtol = max(1e-12, 50.0 * op.grid.n_cells * np.finfo(float).eps)
+    assert max(tr.residual_right, tr.residual_left) <= rtol
+
+
+def test_handover_takes_fewer_applications_than_power(mp_physical_362, monkeypatch):
+    fast = leading_triple(mp_physical_362)
+    slow = _power_only(monkeypatch, mp_physical_362)
+    assert fast.iterations < slow.iterations
+    assert float(fast.lam) == pytest.approx(float(slow.lam), rel=1e-13)
+
+
+@pytest.mark.parametrize("fmap,pot,disc", [
+    (doubling(), trig_polynomial(cos_coeffs=[0.01], sin_coeffs=[0.004]),
+     Discretization(n=256, interpolation="fourier")),
+    (doubling(), trig_polynomial(cos_coeffs=[0.01], sin_coeffs=[0.004]),
+     Discretization(n=512, interpolation="fourier")),
+    (perturbed_doubling(0.1), trig_polynomial(cos_coeffs=[0.005]),
+     Discretization(n=1024)),
+], ids=["doubling-fourier-256", "doubling-fourier-512", "perturbed-linear-1024"])
+def test_fast_mixing_triples_never_reach_arnoldi(fmap, pot, disc, monkeypatch):
+    op = discretize(fmap, pot, disc)
+    ref = _power_only(monkeypatch, op)
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "eigs", None)    # any handover would fail loudly
+        tr = leading_triple(op)
+    assert tr.iterations < spectral.ARNOLDI_HANDOVER
+    assert tr.iterations == ref.iterations
+    assert np.asarray(tr.lam).tobytes() == np.asarray(ref.lam).tobytes()
+    assert tr.h.values.tobytes() == ref.h.values.tobytes()
+    assert tr.nu.tobytes() == ref.nu.tobytes()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="longdouble is float64 on this platform")
+def test_longdouble_keeps_power_iteration(monkeypatch):
+    mp = manneville_pomeau(0.5)
+    pot = log_derivative_weight(-1.0, mp)
+    disc = Discretization(n=96)
+    monkeypatch.setattr(spectral, "eigs", None)
+    tr = leading_triple(discretize(mp, pot, disc, dtype=np.longdouble))
+    assert tr.lam.dtype == np.longdouble
+    assert tr.iterations > spectral.ARNOLDI_HANDOVER
+    monkeypatch.undo()
+    ref = leading_triple(discretize(mp, pot, disc))
+    assert float(tr.lam) == pytest.approx(float(ref.lam), rel=1e-12)
+
+
+def test_handover_budget_raises_with_residual(mp_physical_362):
+    need = leading_triple(mp_physical_362).iterations
+    for max_iter in (spectral.ARNOLDI_HANDOVER + 1, need - 1):
+        with pytest.raises(SolverError, match="residual"):
+            leading_triple(mp_physical_362, max_iter=max_iter)
+    assert leading_triple(mp_physical_362, max_iter=need).iterations == need
+
+
+def test_handover_residual_gate(mp_physical_362, monkeypatch):
+    real_eigs = spectral.eigs
+
+    def perturbed_eigs(*args, **kwargs):
+        vals, vecs = real_eigs(*args, **kwargs)
+        return vals, vecs * (1.0 + 1e-6 * np.cos(np.arange(len(vecs)))[:, None])
+
+    monkeypatch.setattr(spectral, "eigs", perturbed_eigs)
+    with pytest.raises(SolverError, match="Arnoldi eigentriple residual"):
+        leading_triple(mp_physical_362)
+
+
+def test_complex_leading_ritz_value_raises():
+    # eigenvalues +-2i lead, so the power iterates rotate and never settle
+    n = 8
+    mat = np.zeros((n, n))
+    mat[0, 1], mat[1, 0] = -2.0, 2.0
+    mat[2:, 2:] = 0.5 * np.eye(n - 2)
+    mat[2:, :2] = 0.1
+    op = DiscretizedOperator(mat, Grid(n), "collocation", "linear", doubling(),
+                             zero_potential())
+    with pytest.raises(SolverError, match="not both real; last power residual"):
+        leading_triple(op)
+
+
+def test_overflowing_weights_raise_solver_error():
+    # e^{1e300} is inf, so the power iterates are NaN when Arnoldi takes over
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = discretize(doubling(), constant(1e300), Discretization(n=64))
+    with pytest.raises(SolverError, match="residual nan"):
+        leading_triple(op)
