@@ -377,12 +377,18 @@ def write_csv(path, header_cols, rows, comment=None):
                               else str(v) for v in row) + "\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _jsonable(obj):
+    """obj with numpy values made native and non-finite floats written as
+    the strings "inf", "-inf" and "nan", which strict JSON readers accept."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    return obj
 
 
 @dataclass
@@ -396,7 +402,7 @@ class RunReport:
     def write(self, out_dir):
         path = os.path.join(out_dir, "report.json")
         with open(path, "w") as fh:
-            json.dump(vars(self), fh, sort_keys=True, indent=2, default=_json_default)
+            json.dump(_jsonable(vars(self)), fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
         return path
 

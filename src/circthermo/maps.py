@@ -352,7 +352,7 @@ class Potential:
     #  ("grid", values, interpolation)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _floating(x)
         out = np.zeros_like(x)
         for term in self.terms:
             kind = term[0]
@@ -381,7 +381,7 @@ class Potential:
             raise SmoothnessError(
                 "potential has smoothness order "
                 f"{self.smoothness_order}; derivative not available")
-        x = np.asarray(x, dtype=float)
+        x = _floating(x)
         out = np.zeros_like(x)
         for term in self.terms:
             kind = term[0]

@@ -1,11 +1,14 @@
 """Statistical laws of equilibrium states: correlation decay, central limit
-parameters, free-energy curves, Legendre rate functions, and a seeded
-Monte-Carlo local large-deviations experiment.
+parameters, free-energy curves, Legendre rate functions, exact finite-n
+deviation probabilities, and a seeded Monte-Carlo local large-deviations
+experiment.
 
 Correlations are computed through the normalized operator (no orbit
 simulation); Monte-Carlo orbits use exact map evaluation so the deviation
 experiment stays independent of the discretization behind the rate
-function.
+function.  The Monte Carlo runs in cache-sized blocks of samples.  The
+finite-n probabilities invert the twisted operator's characteristic
+function; a twist shared by several n is iterated once for all of them.
 """
 
 from __future__ import annotations
@@ -219,8 +222,7 @@ class RateFunction:
     curve: FreeEnergyCurve = field(repr=False)
 
     def __call__(self, s):
-        return np.asarray([legendre_sup(self.curve, float(si))[0]
-                           for si in np.atleast_1d(s)]).reshape(np.shape(s))
+        return legendre_sup(self.curve, s)[0]
 
     def infimum(self, a, b):
         """inf over [a, b] (clipped to the domain); uses convexity."""
@@ -234,23 +236,45 @@ class RateFunction:
         return float(legendre_sup(self.curve, s)[0])
 
 
-def legendre_sup(curve: FreeEnergyCurve, s: float, iters: int = 200):
-    """sup_t { s t - E(t) } over [-t0, t0] by ternary search (concave)."""
-    lo, hi = -curve.t0, curve.t0
-    for _ in range(iters):
-        if hi - lo < 1e-14 * max(1.0, curve.t0):
+# A bisection step halves the bracket, so 100 steps reach any float64 width.
+LEGENDRE_MAX_STEPS = 100
+
+
+def legendre_sup(curve: FreeEnergyCurve, s):
+    """sup_t { s t - E(t) } over [-t0, t0] and its maximizer, for each s.
+
+    The maximizer solves E'(t) = s.  It is found by Newton steps on the
+    spline's derivative, using E'', each kept inside a bracket taken from
+    the slopes at the nodes and replaced by bisection when it leaves it.
+    Outside [E'(-t0), E'(t0)] the maximizer is clamped to -t0 or t0.
+    Returns arrays shaped like s.
+    """
+    s = np.asarray(s, dtype=float)
+    flat = s.ravel()
+    d1, d2 = curve.spline.derivative(), curve.spline.derivative(2)
+    nodes = curve.t_grid
+    # the running maximum keeps a sign change of E' - s inside each bracket
+    slopes = np.maximum.accumulate(curve.e_prime)
+    i = np.clip(np.searchsorted(slopes, flat), 1, len(nodes) - 1)
+    lo, hi = nodes[i - 1], nodes[i]
+    t = 0.5 * (lo + hi)
+    tol = 4.0 * np.finfo(float).eps * max(1.0, curve.t0)
+    for _ in range(LEGENDRE_MAX_STEPS):
+        r = d1(t) - flat
+        below = r < 0.0
+        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = t - r / d2(t)
+        t_next = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+        done = np.all(np.abs(t_next - t) <= tol)
+        t = t_next
+        if done:
             break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if s * m1 - curve.spline(m1) < s * m2 - curve.spline(m2):
-            lo = m1
-        else:
-            hi = m2
-    t_star = 0.5 * (lo + hi)
-    val = float(s * t_star - curve.spline(t_star))
-    if val < -1e-10:
-        raise ConfigError(f"negative rate value {val:.3e}; curve not convex?")
-    return max(val, 0.0), t_star
+    t = np.where(flat <= slopes[0], -curve.t0, np.where(flat >= slopes[-1], curve.t0, t))
+    val = flat * t - curve.spline(t)
+    if np.any(val < -1e-10):
+        raise ConfigError(f"negative rate value {np.min(val):.3e}; curve not convex?")
+    return np.maximum(val, 0.0).reshape(s.shape)[()], t.reshape(s.shape)[()]
 
 
 def rate_function(curve: FreeEnergyCurve, n_s: Optional[int] = None) -> RateFunction:
@@ -265,9 +289,8 @@ def rate_function(curve: FreeEnergyCurve, n_s: Optional[int] = None) -> RateFunc
                             argmin=m, t0=curve.t0, curve=curve)
     n_s = n_s or len(curve.t_grid)
     s_grid = np.linspace(s_lo, s_hi, n_s)
-    values = np.array([legendre_sup(curve, float(s))[0] for s in s_grid])
-    return RateFunction(s_grid=s_grid, values=values, argmin=m, t0=curve.t0,
-                        curve=curve)
+    return RateFunction(s_grid=s_grid, values=legendre_sup(curve, s_grid)[0],
+                        argmin=m, t0=curve.t0, curve=curve)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +306,11 @@ def _deviation_interval(interval, rate):
         raise ConfigError(
             f"interval [{a}, {b}] not inside the rate domain [{lo:.6f}, {hi:.6f}]")
     return a, b
+
+
+# Monte-Carlo samples per block: a float64 array of a block is 128 KB, so
+# the block's working arrays stay inside one core's L2 cache.
+MC_BLOCK = 2 ** 14
 
 
 @dataclass
@@ -309,7 +337,9 @@ def ldp_monte_carlo(branch_map: BranchMap, pot: Potential, psi,
 
     Initial points are drawn from the discretized equilibrium density by
     inverse CDF; orbits are iterated with exact map evaluation.  The RNG
-    is counter-based (Philox) keyed by the recorded seed.
+    is counter-based (Philox) keyed by the recorded seed.  Samples are
+    drawn and iterated in consecutive blocks of MC_BLOCK, which gives the
+    same draws and counts as one full-length pass in bounded memory.
 
     `predicted` is the n -> infinity limit of the rates; at finite n the
     rates sit below it by a prefactor of order log(n)/n.  The exact
@@ -317,21 +347,6 @@ def ldp_monte_carlo(branch_map: BranchMap, pot: Potential, psi,
     """
     a, b = _deviation_interval(interval, rate)
     predicted = -rate.infimum(a, b)
-
-    if triple is None:
-        triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
-    mu = triple.mu_weights
-    n_cells = triple.op.grid.n_cells
-
-    # inverse-CDF draw from the piecewise-constant equilibrium density
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random(n_samples)
-    cum = np.concatenate(([0.0], np.cumsum(mu)))
-    cum[-1] = 1.0
-    cells = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, n_cells - 1)
-    frac = (u - cum[cells]) / np.maximum(mu[cells], 1e-300)
-    x = (cells + np.clip(frac, 0.0, 1.0)) / n_cells
-
     n_sorted = sorted(set(int(n) for n in n_list))
     if n_sorted[0] < 1:
         raise ConfigError("n_list entries must be >= 1")
@@ -339,17 +354,37 @@ def ldp_monte_carlo(branch_map: BranchMap, pot: Potential, psi,
     if batch < 1:
         raise ConfigError("fewer samples than batches")
 
-    s = np.zeros(n_samples)
-    step = 0
+    if triple is None:
+        triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
+    mu = triple.mu_weights
+    n_cells = triple.op.grid.n_cells
+    cum = np.concatenate(([0.0], np.cumsum(mu)))
+    cum[-1] = 1.0
+
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    # hits per batch; the last slot takes the remainder past n_batches * batch
+    counts = {n: np.zeros(n_batches + 1, dtype=np.int64) for n in n_sorted}
+    for start in range(0, n_samples, MC_BLOCK):
+        # inverse-CDF draw from the piecewise-constant equilibrium density
+        u = rng.random(min(MC_BLOCK, n_samples - start))
+        cells = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, n_cells - 1)
+        frac = (u - cum[cells]) / np.maximum(mu[cells], 1e-300)
+        x = (cells + np.clip(frac, 0.0, 1.0)) / n_cells
+        which = np.minimum(np.arange(start, start + len(u)) // batch, n_batches)
+        s = np.zeros(len(u))
+        step = 0
+        for n in n_sorted:
+            while step < n:
+                s += psi(x)
+                x = branch_map(x)
+                step += 1
+            mask = ((s / n) >= a) & ((s / n) <= b)
+            counts[n] += np.bincount(which[mask], minlength=n_batches + 1)
+
     hits, rates, ci95 = {}, {}, {}
     notes = []
     for n in n_sorted:
-        while step < n:
-            s += psi(x)
-            x = branch_map(x)
-            step += 1
-        mask = ((s / n) >= a) & ((s / n) <= b)
-        total = int(np.count_nonzero(mask))
+        total = int(counts[n].sum())
         hits[n] = total
         if total == 0:
             rates[n] = -np.inf
@@ -357,12 +392,10 @@ def ldp_monte_carlo(branch_map: BranchMap, pot: Potential, psi,
             notes.append(f"n={n}: -inf (0 hits / {n_samples})")
             continue
         rates[n] = math.log(total / n_samples) / n
-        counts = np.array([
-            np.count_nonzero(mask[i * batch:(i + 1) * batch])
-            for i in range(n_batches)])
-        good = counts > 0
+        per_batch = counts[n][:n_batches]
+        good = per_batch > 0
         if np.count_nonzero(good) >= 2:
-            r_b = np.log(counts[good] / batch) / n
+            r_b = np.log(per_batch[good] / batch) / n
             ci95[n] = float(1.96 * np.std(r_b, ddof=1)
                             / math.sqrt(np.count_nonzero(good)))
             if not np.all(good):
@@ -395,6 +428,12 @@ class DeviationProbability:
     rates: dict                   # n -> (1/n) log mu(S_n/n in [a, b])
 
 
+def _twist_key(k, n):
+    """Mode k of n in lowest terms: modes with equal k/n have equal twists."""
+    g = math.gcd(k, n)
+    return k // g, n // g
+
+
 def deviation_probability(branch_map: BranchMap, pot: Potential, psi,
                           interval, n_list: Sequence[int], rate: RateFunction,
                           disc: Discretization = Discretization(
@@ -404,7 +443,7 @@ def deviation_probability(branch_map: BranchMap, pot: Potential, psi,
 
     With Ltil = L_phi / lambda and the twist Ltil_z f = Ltil(e^{z psi} f),
     E_mu[e^{z S_n}] = nu(Ltil_z^n h).  As |S_n| <= n sup|psi|, on a period
-    P > 2 n sup|psi| the indicator of [na, nb] expands in the modes
+    P = 2 n c > 2 n sup|psi| the indicator of [na, nb] expands in the modes
     e^{z_k s}, z_k = t + i w_k, w_k = 2 pi k / P, |k| <= FOURIER_MODES:
 
         mu(S_n in [na, nb]) = sum_k g_k E_mu[e^{z_k S_n}],
@@ -413,16 +452,25 @@ def deviation_probability(branch_map: BranchMap, pot: Potential, psi,
     The real tilt t is the Legendre maximizer at the point of [a, b]
     nearest the mean, so every term lives on the scale e^{-n I} and the
     relative accuracy holds at large n.  The sum does not depend on t, so
-    the rates are independent of the rate function's own error.  The
-    iteration is renormalized every step and carries its log scale.  S_n
-    is real, so the mode -k term is the conjugate of the mode k term: only
+    the rates are independent of the rate function's own error.  S_n is
+    real, so the mode -k term is the conjugate of the mode k term: only
     k >= 0 is iterated and the sum is g_0 E_0 + 2 Re sum_{k>=1} g_k E_k.
 
+    Since w_k = pi (k/n) / c, mode k of n and mode k' of n' have the same
+    twist whenever k/n = k'/n'.  Each distinct twist is iterated once, as
+    one column, up to the largest n that needs it, and every n reads its
+    modes off the shared columns.  Each step renormalizes every column by
+    a power of two and carries the exponent, so a column's iterate does
+    not depend on the columns beside it.
+
     Raises SchemeQualityError when the grid cannot resolve the twist
-    e^{z psi} at the outermost mode, and SolverError when the inversion
-    cancels to a nonpositive probability.
+    e^{z psi} at the outermost mode of some n, and SolverError when the
+    inversion cancels to a nonpositive probability.
     """
     a, b = _deviation_interval(interval, rate)
+    n_sorted = sorted(set(int(n) for n in n_list))
+    if n_sorted[0] < 1:
+        raise ConfigError("n_list entries must be >= 1")
     tilt = float(legendre_sup(rate.curve, min(max(rate.argmin, a), b))[1])
     triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
     grid = triple.op.grid
@@ -431,51 +479,70 @@ def deviation_probability(branch_map: BranchMap, pot: Potential, psi,
     pv = np.asarray(psi(x), dtype=float)
     pmid = np.asarray(psi(mid), dtype=float)
     half_period = 1.05 * float(max(np.max(np.abs(pv)), np.max(np.abs(pmid))))
-    lam = float(triple.lam)
     hv = np.asarray(triple.h.values, dtype=float)
     nu = np.asarray(triple.nu, dtype=float)
-    k = np.arange(FOURIER_MODES + 1)
 
-    rates = {}
-    for n in sorted(set(int(n) for n in n_list)):
-        if n < 1:
-            raise ConfigError("n_list entries must be >= 1")
-        period = 2.0 * n * half_period
-        omega = 2.0 * np.pi * k / period
-        z = tilt + 1j * omega
-        top = np.exp(z[-1] * pv)
+    # one column per distinct twist, ordered by the last n that needs it,
+    # so the columns still needed after any step are a prefix
+    last = {}
+    for n in n_sorted:
+        for k in range(FOURIER_MODES + 1):
+            last[_twist_key(k, n)] = n
+    keys = sorted(last, key=last.get, reverse=True)
+    column = {key: j for j, key in enumerate(keys)}
+    last_n = np.array([last[key] for key in keys])
+    omega = np.array([np.pi * p / (q * half_period) for p, q in keys])
+    modes = {n: np.array([column[_twist_key(k, n)] for k in range(FOURIER_MODES + 1)])
+             for n in n_sorted}
+
+    for n in n_sorted:
+        w_top = omega[modes[n][-1]]
+        top = np.exp((tilt + 1j * w_top) * pv)
         interp = triple.op.grid_function(top)(mid)
-        exact = np.exp(z[-1] * pmid)
+        exact = np.exp((tilt + 1j * w_top) * pmid)
         err = float(np.max(np.abs(interp - exact)) / np.max(np.abs(exact)))
         if err > TWIST_RESOLUTION_TOL:
             raise SchemeQualityError(
                 f"N={grid.n_cells} does not resolve the twist at "
-                f"omega={omega[-1]:.3g} (n={n}): interpolation error {err:.2e} "
+                f"omega={w_top:.3g} (n={n}): interpolation error {err:.2e} "
                 f"> {TWIST_RESOLUTION_TOL:g}; refine the grid")
 
+    twist = np.exp(np.outer(pv, tilt + 1j * omega))
+    f = np.repeat(hv[:, None], len(keys), axis=1).astype(complex)
+    exponent = np.zeros(len(keys), dtype=int)      # column j carries 2^exponent[j]
+    log_lam = math.log(float(triple.lam))
+    rates = {}
+    step = 0
+    for n in n_sorted:
+        while step < n:
+            live = int(np.count_nonzero(last_n > step))
+            twist, exponent = twist[:, :live], exponent[:live]
+            # real matrix on the interleaved (re, im) columns of the product
+            fr = triple.op.apply((twist * f[:, :live]).view(float))
+            e = np.frexp(np.abs(fr).max(axis=0).reshape(live, 2).max(axis=1))[1]
+            fr *= np.repeat(np.ldexp(1.0, -e), 2)
+            f = fr.view(complex)
+            exponent = exponent + e
+            step += 1
+
+        idx = modes[n]
+        e_top = int(exponent[idx].max())
+        moments = (nu @ f[:, idx]) * np.ldexp(1.0, exponent[idx] - e_top)
         # g_k with the common factor e^{-t n a} taken out
+        z = tilt + 1j * omega[idx]
         lo, width = n * a, n * (b - a)
         w = -z * width
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(w == 0, 1.0, np.expm1(w) / w)
-        g = np.exp(-1j * omega * lo) * width * ratio / period
-
-        twist = np.exp(np.outer(pv, z))
-        f = np.repeat(hv[:, None], len(k), axis=1).astype(complex)
-        log_scale = 0.0
-        for _ in range(n):
-            # real matrix on the interleaved (re, im) columns of the product
-            f = triple.op.apply((twist * f).view(float)).view(complex)
-            scale = float(np.max(np.abs(f)))
-            f /= scale
-            log_scale += math.log(scale / lam)
-        terms = (g * (nu @ f)).real
+        g = np.exp(-1j * omega[idx] * lo) * width * ratio / (2.0 * n * half_period)
+        terms = (g * moments).real
         total = float(terms[0] + 2.0 * np.sum(terms[1:]))
         if not total > 0.0:
             raise SolverError(
                 f"Fourier inversion at n={n} gave a nonpositive probability "
                 f"({total:.3e}): truncation or discretization error dominates")
-        rates[n] = (log_scale - tilt * lo + math.log(total)) / n
+        rates[n] = (e_top * math.log(2.0) - n * log_lam - tilt * lo
+                    + math.log(total)) / n
     return DeviationProbability(interval=(a, b), tilt=tilt, rates=rates)
 
 
@@ -517,7 +584,6 @@ def rate_continuity_scan(family: ParamFamily, phi: Potential, psi: Potential,
     if np.min(s_grid) < j_lo - 1e-12 or np.max(s_grid) > j_hi + 1e-12:
         raise ConfigError(
             f"s_grid not inside the common interval [{j_lo:.6f}, {j_hi:.6f}]")
-    table = np.array([[legendre_sup(c, float(s))[0] for s in s_grid]
-                      for c in curves])
+    table = np.array([legendre_sup(c, s_grid)[0] for c in curves])
     modulus = float(np.max(np.abs(np.diff(table, axis=0)))) if len(curves) > 1 else 0.0
     return RateScan(v_grid=v_grid, s_grid=s_grid, table=table, modulus=modulus)

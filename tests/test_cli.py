@@ -6,6 +6,7 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from circthermo import cli
@@ -207,8 +208,26 @@ def test_huge_potential_oscillation_fails_hypotheses_without_traceback(tmp_path)
     assert main(["pressure", path]) == EXIT_HYPOTHESES
     assert main(["check-hypotheses", path]) == 0
     stored = json.load(open(tmp_path / "out" / "report.json"))
-    assert stored["hypotheses"]["vep_value"] == math.inf
+    assert float(stored["hypotheses"]["vep_value"]) == math.inf
     assert stored["result"]["passed"] is False
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+def test_report_writes_non_finite_floats_as_strings(tmp_path):
+    cfg = base_config(potential={"form": "trig", "cos": [400.0]},
+                      output={"dir": str(tmp_path / "out")})
+    assert main(["check-hypotheses", write_config(tmp_path, cfg)]) == 0
+    assert _strict_json(tmp_path / "out" / "report.json")["hypotheses"]["vep_value"] == "inf"
+    report = cli.RunReport(command="x", config={}, hypotheses=None, warnings=[],
+                           result={"a": np.array([1.5, -np.inf]), "b": (np.float64(np.nan),),
+                                   "c": {"d": np.float32(np.inf), "e": np.int64(3)}})
+    stored = _strict_json(report.write(str(tmp_path)))
+    assert stored["result"] == {"a": [1.5, "-inf"], "b": ["nan"], "c": {"d": "inf", "e": 3}}
 
 
 def test_overflowing_alpha_exits_config(tmp_path, capsys):

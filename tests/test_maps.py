@@ -294,6 +294,24 @@ def test_builtin_lifts_keep_floating_dtype(fmap):
             assert np.asarray(fn(x)).dtype == np.float64
 
 
+@pytest.mark.parametrize("pot", [
+    trig_polynomial(cos_coeffs=[0.3], sin_coeffs=[0.0, 0.2], const_term=0.1),
+    log_derivative_weight(-1.0, manneville_pomeau(0.5)),
+    constant(0.4),
+    grid_potential(np.cos(2 * np.pi * np.arange(16) / 16), "fourier"),
+], ids=["trig", "logderiv", "const", "grid"])
+def test_potentials_keep_floating_dtype(pot):
+    x = np.array([0.0, 0.125, 0.3, 0.75])
+    for fn in [pot] + ([pot.derivative] if pot.smoothness_order >= 1 else []):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            wide = np.asarray(fn(x.astype(np.longdouble)))
+            assert wide.dtype == np.longdouble
+            np.testing.assert_allclose(wide.astype(float), fn(x), rtol=1e-14, atol=1e-14)
+            # integer input is still cast, and float64 input is unchanged
+            assert np.asarray(fn(np.array([0, 1]))).dtype == np.float64
+            assert np.asarray(fn(x)).dtype == np.float64
+
+
 def test_hypothesis_report_roundtrips_to_dict():
     rep = check_hypotheses(doubling(), zero_potential())
     d = rep.as_dict()

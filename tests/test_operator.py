@@ -297,3 +297,15 @@ def test_longdouble_collocation_preimages_polish_below_float64():
     u = np.asarray(grid.nodes, dtype=np.longdouble)
     targets = u[None, :] + np.arange(3, dtype=np.longdouble)[:, None]
     assert np.max(np.abs(3 * ys - targets)) <= 1e-18
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="longdouble is float64 on this platform")
+@pytest.mark.parametrize("interpolation", ["linear", "fourier"])
+def test_longdouble_operator_weights_below_float64(interpolation):
+    # under -log f' each of the three preimages weighs 1/3, so L 1 = 1
+    setup = OperatorSetup(linear_map(3), Grid(64), interpolation=interpolation,
+                          dtype=np.longdouble)
+    op = setup.operator(log_derivative_weight(-1.0, linear_map(3)))
+    ones_ld = np.ones(64, dtype=np.longdouble)
+    assert np.max(np.abs(op.apply(ones_ld) - 1)) <= 1e-17

@@ -1,6 +1,7 @@
 """Correlations, CLT parameters, free energy, rate functions, Monte-Carlo LDP."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from circthermo import (ConfigError, Discretization, HypothesisError,
                         rate_continuity_scan,
                         rate_function, translated_doubling_family,
                         trig_polynomial, zero_potential)
-from circthermo.spectral import gap_estimate
+from circthermo import stats
+from circthermo.operator import OperatorSetup
+from circthermo.spectral import gap_estimate, triple_at
+from circthermo.stats import FOURIER_MODES, MC_BLOCK, legendre_sup
 
 from conftest import cos1
 
@@ -363,3 +367,182 @@ def test_rate_scan_empty_common_interval_rejected():
         rate_continuity_scan(fam, zero_potential(), PSI_COS,
                              np.linspace(-0.9, 0.9, 5), [0.0, 0.1],
                              disc=Discretization(n=128), t0=0.4)
+
+
+# ---------------------------------------------------------------------------
+# Shared twists and blocked Monte Carlo against their one-pass twins
+# ---------------------------------------------------------------------------
+
+def _per_n_deviation_rates(branch_map, pot, psi, interval, n_list, tilt,
+                           disc=Discretization(n=256, interpolation="fourier")):
+    """Each n iterates its own FOURIER_MODES + 1 twists, with one common scale."""
+    a, b = interval
+    triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
+    grid = triple.op.grid
+    pv = np.asarray(psi(grid.nodes), dtype=float)
+    pmid = np.asarray(psi(grid.nodes + 0.5 * grid.cell_width), dtype=float)
+    half_period = 1.05 * float(max(np.max(np.abs(pv)), np.max(np.abs(pmid))))
+    lam = float(triple.lam)
+    k = np.arange(FOURIER_MODES + 1)
+    rates = {}
+    for n in n_list:
+        period = 2.0 * n * half_period
+        omega = 2.0 * np.pi * k / period
+        z = tilt + 1j * omega
+        lo, width = n * a, n * (b - a)
+        w = -z * width
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(w == 0, 1.0, np.expm1(w) / w)
+        g = np.exp(-1j * omega * lo) * width * ratio / period
+        twist = np.exp(np.outer(pv, z))
+        f = np.repeat(triple.h.values[:, None], len(k), axis=1).astype(complex)
+        log_scale = 0.0
+        for _ in range(n):
+            f = triple.op.apply((twist * f).view(float)).view(complex)
+            scale = float(np.max(np.abs(f)))
+            f /= scale
+            log_scale += math.log(scale / lam)
+        terms = (g * (triple.nu @ f)).real
+        total = terms[0] + 2.0 * np.sum(terms[1:])
+        rates[n] = (log_scale - tilt * lo + math.log(total)) / n
+    return rates
+
+
+@pytest.fixture(scope="module", params=["doubling", "perturbed"])
+def deviation_case(request):
+    if request.param == "doubling":
+        fmap, pot = doubling(), zero_potential()
+    else:
+        fmap, pot = perturbed_doubling(0.1), trig_polynomial(cos_coeffs=[0.05])
+    curve = free_energy(fmap, pot, PSI_COS, t0=1.2, disc=Discretization(n=256))
+    return fmap, pot, rate_function(curve)
+
+
+@pytest.mark.parametrize("n_list", [[10, 15, 20, 25, 30, 60, 120, 240, 480], [7, 11, 13]],
+                         ids=["shared", "coprime"])
+def test_shared_twists_match_per_n_iteration(deviation_case, n_list):
+    fmap, pot, rate = deviation_case
+    dp = deviation_probability(fmap, pot, PSI_COS, (0.25, 0.45), n_list, rate)
+    twin = _per_n_deviation_rates(fmap, pot, PSI_COS, (0.25, 0.45), n_list, dp.tilt)
+    assert sorted(dp.rates) == n_list
+    for n in n_list:
+        assert abs(dp.rates[n] - twin[n]) <= 1e-12, n
+
+
+def _unblocked_monte_carlo(branch_map, psi, interval, n_list, n_samples, seed, triple,
+                           n_batches=20):
+    """One full-length draw and orbit array: hits and batch-means CI per n."""
+    a, b = interval
+    mu = triple.mu_weights
+    n_cells = triple.op.grid.n_cells
+    u = np.random.Generator(np.random.Philox(key=seed)).random(n_samples)
+    cum = np.concatenate(([0.0], np.cumsum(mu)))
+    cum[-1] = 1.0
+    cells = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, n_cells - 1)
+    frac = (u - cum[cells]) / np.maximum(mu[cells], 1e-300)
+    x = (cells + np.clip(frac, 0.0, 1.0)) / n_cells
+    batch = n_samples // n_batches
+    s = np.zeros(n_samples)
+    step = 0
+    hits, ci95 = {}, {}
+    for n in n_list:
+        while step < n:
+            s += psi(x)
+            x = branch_map(x)
+            step += 1
+        mask = ((s / n) >= a) & ((s / n) <= b)
+        hits[n] = int(np.count_nonzero(mask))
+        counts = np.array([np.count_nonzero(mask[i * batch:(i + 1) * batch])
+                           for i in range(n_batches)])
+        good = counts > 0
+        ci95[n] = np.nan
+        if hits[n] and np.count_nonzero(good) >= 2:
+            r_b = np.log(counts[good] / batch) / n
+            ci95[n] = float(1.96 * np.std(r_b, ddof=1) / math.sqrt(np.count_nonzero(good)))
+    return hits, ci95
+
+
+@pytest.mark.parametrize("n_samples, interval", [
+    (3 * MC_BLOCK + 1234, (0.25, 0.45)),     # not a multiple of the block
+    (5000, (0.25, 0.45)),                    # below one block
+    (45, (-0.2, 0.2)),                       # remainder past the batches exceeds a batch
+])
+def test_blocked_monte_carlo_matches_one_pass(n_samples, interval):
+    rate, disc = _doubling_rate_setup(n=256)
+    triple = triple_at(OperatorSetup.of(doubling(), disc), zero_potential())
+    exp = ldp_monte_carlo(doubling(), zero_potential(), PSI_COS, interval, [5, 10, 20],
+                          n_samples, 17, rate, triple=triple)
+    hits, ci95 = _unblocked_monte_carlo(doubling(), PSI_COS, interval, [5, 10, 20],
+                                        n_samples, 17, triple)
+    assert exp.hits == hits
+    np.testing.assert_equal(exp.ci95, ci95)
+
+
+def test_monte_carlo_memory_stays_within_blocks():
+    rate, disc = _doubling_rate_setup(n=256)
+    triple = triple_at(OperatorSetup.of(doubling(), disc), zero_potential())
+    tracemalloc.start()
+    try:
+        ldp_monte_carlo(doubling(), zero_potential(), PSI_COS, (0.25, 0.45), [10],
+                        10 ** 6, 5, rate, triple=triple)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# Legendre transform
+# ---------------------------------------------------------------------------
+
+def _ternary_legendre(curve, s, iters=200):
+    """sup_t { s t - E(t) } over [-t0, t0] by ternary search on the concave objective."""
+    lo, hi = -curve.t0, curve.t0
+    for _ in range(iters):
+        if hi - lo < 1e-14 * max(1.0, curve.t0):
+            break
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if s * m1 - curve.spline(m1) < s * m2 - curve.spline(m2):
+            lo = m1
+        else:
+            hi = m2
+    t_star = 0.5 * (lo + hi)
+    return float(s * t_star - curve.spline(t_star)), t_star
+
+
+@pytest.mark.parametrize("t0, n", [(1.2, 256), (0.2, 128)])
+def test_legendre_newton_matches_ternary_search(t0, n):
+    curve = free_energy(doubling(), zero_potential(), PSI_COS, t0=t0,
+                        disc=Discretization(n=n))
+    lo, hi = curve.domain
+    # points past either end of the domain clamp the maximizer to -t0 or t0
+    s = np.linspace(lo - 0.05, hi + 0.05, 57)
+    values, t_star = legendre_sup(curve, s)
+    assert values.shape == t_star.shape == s.shape
+    for si, vi, ti in zip(s, values, t_star):
+        v_ref, t_ref = _ternary_legendre(curve, si)
+        assert abs(vi - max(v_ref, 0.0)) <= 1e-14
+        assert abs(ti - t_ref) <= 1e-6
+    assert t_star[0] == -t0 and t_star[-1] == t0
+    value, t_mid = legendre_sup(curve, 0.5 * (lo + hi))
+    assert np.ndim(value) == 0 and np.ndim(t_mid) == 0
+
+
+def test_rate_function_makes_one_legendre_call(monkeypatch):
+    curve = free_energy(doubling(), zero_potential(), PSI_COS, t0=0.2, disc=DISC_F)
+    calls = []
+    original = stats.legendre_sup
+
+    def counted(curve, s):
+        calls.append(np.size(s))
+        return original(curve, s)
+
+    monkeypatch.setattr(stats, "legendre_sup", counted)
+    rate = rate_function(curve)
+    rate(rate.s_grid[::2])
+    rate.infimum(rate.s_grid[30], rate.s_grid[35])
+    scan = rate_continuity_scan(constant_family(doubling()), zero_potential(), PSI_COS,
+                                [0.0, 0.01], [0.0, 0.1], disc=DISC_F, t0=0.2)
+    assert scan.table.shape == (2, 2)
+    assert calls == [len(curve.t_grid), len(rate.s_grid[::2]), 1, 2, 2]
