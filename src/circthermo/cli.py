@@ -491,7 +491,7 @@ def _cmd_spectrum(config, block, branch_map, pot, hyp):
 
 def _cmd_equilibrium(config, block, branch_map, pot, hyp):
     disc = config.discretization
-    rep = equilibrium_state(branch_map, pot, disc)
+    rep = equilibrium_state(branch_map, pot, triple=_triple(config, branch_map, pot))
     nodes = Grid(disc.n).nodes
     write_csv(os.path.join(config.output_dir, "equilibrium.csv"),
               ["x", "mu_weight"], zip(nodes, map(float, rep.equilibrium)),
@@ -517,9 +517,10 @@ def _cmd_response(config, block, branch_map, pot, hyp):
     direction = build_potential(block["direction"], branch_map)
     # one setup serves the base triple and its two FD twins at +-eps
     setup = OperatorSetup.of(branch_map, disc)
-    tol = config.tolerances["eig_tol"]
-    triple = triple_at(setup, pot, tol=tol)
-    twins = {e: triple_at(setup, pot + e * direction, tol=tol) for e in (eps, -eps)}
+    tol, max_iter = config.tolerances["eig_tol"], config.tolerances["max_iter"]
+    triple = triple_at(setup, pot, tol=tol, max_iter=max_iter)
+    twins = {e: triple_at(setup, pot + e * direction, tol=tol, max_iter=max_iter)
+             for e in (eps, -eps)}
     if kind == "lambda-potential":
         analytic = d_lambda_d_potential(branch_map, pot, direction, disc, triple=triple)
         fd = central_difference(lambda e: float(twins[e].lam), eps)
@@ -558,7 +559,7 @@ def _cmd_correlation(config, block, branch_map, pot, hyp):
     obs_a = build_potential(block["obs_a"], branch_map)
     obs_b = build_potential(block["obs_b"], branch_map)
     series = stats.correlation(branch_map, pot, obs_a, obs_b, block["n_max"],
-                               config.discretization)
+                               triple=_triple(config, branch_map, pot))
     write_csv(os.path.join(config.output_dir, "correlation.csv"),
               ["n", "c"], enumerate(map(float, series.values)),
               comment=f"correlation series map={branch_map.family_tag}")
@@ -569,7 +570,7 @@ def _cmd_correlation(config, block, branch_map, pot, hyp):
 
 def _cmd_clt(config, block, branch_map, pot, hyp):
     psi = build_potential(block["observable"], branch_map)
-    clt = stats.clt_parameters(branch_map, pot, psi, config.discretization)
+    clt = stats.clt_parameters(branch_map, pot, psi, triple=_triple(config, branch_map, pot))
     result = {"mean": clt.mean, "variance": clt.variance, "coboundary": clt.coboundary}
     return result, ([clt.note] if clt.note else [])
 
@@ -600,7 +601,7 @@ def _cmd_ldp(config, block, branch_map, pot, hyp):
     psi, _, rate = _curve_and_rate(config, block, branch_map, pot)
     exp = stats.ldp_monte_carlo(branch_map, pot, psi, block["interval"],
                                 block["n_list"], block["n_samples"],
-                                config.seed, rate, disc=config.discretization)
+                                config.seed, rate, triple=_triple(config, branch_map, pot))
     write_csv(os.path.join(config.output_dir, "ldp.csv"),
               ["n", "hits", "rate", "ci95"],
               [(n, exp.hits[n], exp.rates[n], exp.ci95[n]) for n in exp.n_list],
@@ -638,7 +639,7 @@ def _cmd_bifurcation_scan(config, block, branch_map, pot, hyp):
     for v in block["values"]:
         fmap = build_map({**config.map, param_key: v})
         fpot = build_potential(config.potential, fmap)
-        rep = equilibrium_state(fmap, fpot, config.discretization)
+        rep = equilibrium_state(fmap, fpot, triple=_triple(config, fmap, fpot))
         row = [v]
         for q in quantities:
             val = getattr(rep, q)

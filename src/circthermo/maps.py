@@ -47,14 +47,13 @@ class BranchMap:
         Vectorized callables for F, F' and F'' on [0, 1].
     family_tag, family_params:
         Identification of the builtin family, echoed into reports.
-    default_region, default_q:
-        Suggested non-expanding region A (list of (start, end) arcs) and
-        covering count q for the hypothesis checker.
+    default_region:
+        Suggested non-expanding region A (list of (start, end) arcs) for
+        the hypothesis checker.
     """
 
     def __init__(self, degree, lift, dlift, d2lift=None, *, family_tag="custom",
-                 family_params=None, default_region=(), default_q=0,
-                 holder_exponent=1.0, param_derivative=None):
+                 family_params=None, default_region=(), holder_exponent=1.0):
         if degree < 2 or int(degree) != degree:
             raise ConfigError(f"degree must be an integer >= 2, got {degree}")
         self.degree = int(degree)
@@ -64,9 +63,7 @@ class BranchMap:
         self.family_tag = family_tag
         self.family_params = dict(family_params or {})
         self.default_region = tuple(tuple(a) for a in default_region)
-        self.default_q = int(default_q)
         self.holder_exponent = float(holder_exponent)
-        self.param_derivative = param_derivative
 
         self._lift0 = float(np.asarray(lift(np.array([0.0])))[0])
         lift1 = float(np.asarray(lift(np.array([1.0])))[0])
@@ -86,9 +83,6 @@ class BranchMap:
 
     def __call__(self, x):
         return wrap(self.lift(np.asarray(x)))
-
-    def derivative(self, x):
-        return self.dlift(np.asarray(x))
 
     def second_derivative(self, x):
         if self.d2lift is None:
@@ -172,6 +166,11 @@ def _floating(x):
     return x if np.issubdtype(x.dtype, np.floating) else x.astype(float)
 
 
+def _pi(x):
+    """pi in x's dtype: np.pi is a float64 constant, 1.2e-16 below pi."""
+    return np.pi if x.dtype == np.float64 else 4 * np.arctan(np.ones((), x.dtype))
+
+
 def linear_map(degree: int) -> BranchMap:
     """x -> degree * x (mod 1)."""
     d = float(degree)
@@ -225,7 +224,6 @@ def manneville_pomeau(alpha: float) -> BranchMap:
         family_tag="manneville-pomeau",
         family_params={"alpha": alpha},
         default_region=((0.0, 0.05),),
-        default_q=1,
         holder_exponent=min(1.0, a),
     )
 
@@ -233,22 +231,24 @@ def manneville_pomeau(alpha: float) -> BranchMap:
 def _pitchfork_bump(x):
     # sin^4 localized in the branch domain [0, 1/2]; C^2 across both endpoints.
     x = _floating(x)
-    s = np.sin(2.0 * np.pi * x)
+    s = np.sin(2.0 * _pi(x) * x)
     return np.where(x <= 0.5, 0.25 * s ** 4, 0.0)
 
 
 def _pitchfork_bump_d1(x):
     x = _floating(x)
-    s = np.sin(2.0 * np.pi * x)
-    c = np.cos(2.0 * np.pi * x)
-    return np.where(x <= 0.5, 2.0 * np.pi * s ** 3 * c, 0.0)
+    pi = _pi(x)
+    s = np.sin(2.0 * pi * x)
+    c = np.cos(2.0 * pi * x)
+    return np.where(x <= 0.5, 2.0 * pi * s ** 3 * c, 0.0)
 
 
 def _pitchfork_bump_d2(x):
     x = _floating(x)
-    s = np.sin(2.0 * np.pi * x)
-    c = np.cos(2.0 * np.pi * x)
-    return np.where(x <= 0.5, 4.0 * np.pi ** 2 * s ** 2 * (3.0 * c ** 2 - s ** 2), 0.0)
+    pi = _pi(x)
+    s = np.sin(2.0 * pi * x)
+    c = np.cos(2.0 * pi * x)
+    return np.where(x <= 0.5, 4.0 * pi ** 2 * s ** 2 * (3.0 * c ** 2 - s ** 2), 0.0)
 
 
 def perturbed_doubling(t: float) -> BranchMap:
@@ -353,6 +353,7 @@ class Potential:
 
     def __call__(self, x):
         x = _floating(x)
+        pi = _pi(x)
         out = np.zeros_like(x)
         for term in self.terms:
             kind = term[0]
@@ -363,10 +364,10 @@ class Potential:
                 out = out + c0
                 for k, a in enumerate(ac, start=1):
                     if a != 0.0:
-                        out = out + a * np.cos(2.0 * np.pi * k * x)
+                        out = out + a * np.cos(2.0 * pi * k * x)
                 for k, b in enumerate(bc, start=1):
                     if b != 0.0:
-                        out = out + b * np.sin(2.0 * np.pi * k * x)
+                        out = out + b * np.sin(2.0 * pi * k * x)
             elif kind == "logderiv":
                 _, c, bmap = term
                 out = out + c * np.log(bmap.dlift(wrap(x)))
@@ -382,6 +383,7 @@ class Potential:
                 "potential has smoothness order "
                 f"{self.smoothness_order}; derivative not available")
         x = _floating(x)
+        pi = _pi(x)
         out = np.zeros_like(x)
         for term in self.terms:
             kind = term[0]
@@ -391,10 +393,10 @@ class Potential:
                 _, c0, ac, bc = term
                 for k, a in enumerate(ac, start=1):
                     if a != 0.0:
-                        out = out - a * 2.0 * np.pi * k * np.sin(2.0 * np.pi * k * x)
+                        out = out - a * 2.0 * pi * k * np.sin(2.0 * pi * k * x)
                 for k, b in enumerate(bc, start=1):
                     if b != 0.0:
-                        out = out + b * 2.0 * np.pi * k * np.cos(2.0 * np.pi * k * x)
+                        out = out + b * 2.0 * pi * k * np.cos(2.0 * pi * k * x)
             elif kind == "logderiv":
                 _, c, bmap = term
                 y = wrap(x)

@@ -151,7 +151,6 @@ class DiscretizedOperator:
     branch_map: BranchMap
     potential: Potential
     dropped_entries: int = 0
-    preimage_table: Optional[np.ndarray] = None  # (d, N) node preimages (collocation)
     _dense: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     _left: Optional[sparse.csr_matrix] = field(default=None, init=False, repr=False)
 
@@ -201,12 +200,45 @@ class DiscretizedOperator:
 # Pointwise application
 # ---------------------------------------------------------------------------
 
+def preimage_tree(branch_map: BranchMap, pot: Potential, x, depth: int, h_field=None):
+    """The d^depth leaves above the points x, with their Birkhoff log-weights.
+
+    Level k holds the y_k with f(y_k) = y_{k-1}, y_0 = x, and adds phi(y_k)
+    to the log-weight S.  Under a map direction H (f -> f + eps H) the
+    inverse branches move: vel_k = (vel_{k-1} - H(y_k)) / F'(y_k) from
+    vel_0 = 0, and dS = sum_k phi'(y_k) vel_k.  Returns (y, S, vel, dS),
+    each of shape (d^depth, *shape(x)); vel and dS are None without H.
+    """
+    if depth < 1:
+        raise ConfigError(f"tree depth must be >= 1, got {depth}")
+    leaves = branch_map.degree ** depth
+    if leaves > TREE_LEAF_GUARD:
+        raise ResourceLimitError(
+            f"preimage tree would have {leaves} leaves (> {TREE_LEAF_GUARD})")
+    ys = np.asarray(x, dtype=float)
+    shape = (-1,) + ys.shape
+    log_w = np.zeros_like(ys)
+    vel = d_log_w = None if h_field is None else np.zeros_like(ys)
+    for _ in range(depth):
+        level = branch_map.preimages(ys)          # (d, *ys.shape)
+        log_w = (log_w[None] + pot(level)).reshape(shape)
+        if h_field is not None:
+            step = (vel[None] - np.asarray(h_field(level))) / np.asarray(branch_map.dlift(level))
+            d_log_w = (d_log_w[None] + pot.derivative(level) * step).reshape(shape)
+            vel = step.reshape(shape)
+        ys = level.reshape(shape)
+    return ys, log_w, vel, d_log_w
+
+
+def leaf_sum(values):
+    """Sum over the leaves (axis 0) of a `preimage_tree`; a float for one root."""
+    total = np.sum(values, axis=0)
+    return float(total) if total.ndim == 0 else total
+
+
 def apply_transfer_point(branch_map: BranchMap, pot: Potential, g, x):
     """(L g)(x) evaluated through exact preimages; g is any callable."""
-    x = np.asarray(x, dtype=float)
-    ys = branch_map.preimages(x)
-    total = np.sum(np.exp(pot(ys)) * np.asarray(g(ys)), axis=0)
-    return float(total) if total.ndim == 0 else total
+    return apply_transfer_tree(branch_map, pot, g, x, 1)
 
 
 def apply_transfer_tree(branch_map: BranchMap, pot: Potential, g, x, depth: int):
@@ -215,23 +247,8 @@ def apply_transfer_tree(branch_map: BranchMap, pot: Potential, g, x, depth: int)
     No discretization is involved: Birkhoff weights accumulate along the
     tree and g is evaluated at the leaves.
     """
-    if depth < 1:
-        raise ConfigError(f"tree depth must be >= 1, got {depth}")
-    leaves = branch_map.degree ** depth
-    if leaves > TREE_LEAF_GUARD:
-        raise ResourceLimitError(
-            f"preimage tree would have {leaves} leaves (> {TREE_LEAF_GUARD})")
-    ys = np.atleast_1d(np.asarray(x, dtype=float))
-    scalar = np.asarray(x).ndim == 0
-    log_w = np.zeros_like(ys)
-    for _ in range(depth):
-        level = branch_map.preimages(ys)          # (d, m)
-        log_w = (log_w[None, :] + pot(level)).ravel()
-        ys = level.ravel()
-    total = np.exp(log_w) * np.asarray(g(ys))
-    if scalar:
-        return float(np.sum(total))
-    return np.sum(total.reshape(-1, len(np.atleast_1d(x))), axis=0)
+    ys, log_w, _, _ = preimage_tree(branch_map, pot, x, depth)
+    return leaf_sum(np.exp(log_w) * np.asarray(g(ys)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +373,7 @@ class OperatorSetup:
                                  n, self.dtype)
         return DiscretizedOperator(
             mat, self.grid, self.scheme, self.interpolation, self.branch_map, pot,
-            dropped_entries=self.dropped_entries,
-            preimage_table=self.points if self.scheme == "collocation" else None)
+            dropped_entries=self.dropped_entries)
 
 
 def build_operator(branch_map: BranchMap, pot: Potential, grid: Grid,

@@ -12,11 +12,19 @@ zero-mean subspace, the potential derivatives in direction H are
     d nu(g)    = int R(g - nu(g) h) H d nu  -  nu(g) * int R(1 - h) H d nu
     d mu(g)    = int R(g h - mu(g) h) H d nu  +  int g * R P0 Ltil(h H) d nu
 
-(the rank-one pieces guarantee d nu(1) = d mu(1) = 0).  Map derivatives use
-the inverse-branch rule T_j H (x) = -H(y_j) / F'(y_j) at preimages y_j; at
-phi = 0 the maximal-entropy expectation moves by
+(the rank-one pieces guarantee d nu(1) = d mu(1) = 0).  Map derivatives
+rest on one rule: under f -> f + eps H the inverse branches move.  Along a
+path y_1, ..., y_n of the preimage tree of x, the leaf moves with velocity
+vel_n, where vel_k = (vel_{k-1} - H(y_k)) / F'(y_k) and vel_0 = 0, and the
+Birkhoff sum S = sum_k phi(y_k) moves by dS = sum_k phi'(y_k) vel_k.  One
+forward sweep of the tree (`operator.preimage_tree`) gives
 
-    d mu(g)    = int T(R P0 g) d mu,   T(w) = -(1/lam) sum_j w'(y_j) H(y_j) / F'(y_j).
+    d (L^n g)(x) = sum over leaves of e^S [g'(y_n) vel_n + g(y_n) dS],
+
+and with D = d(L .) (n = 1) the two spectral map derivatives are
+
+    d P        = int D(h) d nu / lam,
+    d mu(g)    = int D(R P0 g) d mu / lam      (maximal entropy, phi = 0).
 
 Every R is one solve with the bordered factor cached on the triple
 (`spectral.resolvent_solve`), and H and g are sampled where the operator
@@ -32,10 +40,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, SmoothnessError
+from .errors import SmoothnessError
 from .maps import BranchMap, ParamFamily, Potential, zero_potential
-from .operator import (Discretization, GridFunction, OperatorSetup,
-                       TREE_LEAF_GUARD)
+from .operator import (Discretization, GridFunction, OperatorSetup, leaf_sum,
+                       preimage_tree)
 from .spectral import SpectralTriple, resolvent_solve, triple_at
 
 FD_DEFAULT_STEP = 1e-4
@@ -63,10 +71,6 @@ class ResponseReport:
 
 def central_difference(fn: Callable[[float], float], eps: float) -> float:
     return (fn(eps) - fn(-eps)) / (2.0 * eps)
-
-
-def _nodes(triple):
-    return np.asarray(triple.op.grid.nodes, dtype=triple.op.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -168,77 +172,23 @@ def d_transfer_d_dynamics(branch_map: BranchMap, pot: Potential, g, h_field, x):
     -H(y_j)/F'(y_j), so the derivative is
     sum_j (g e^phi)'(y_j) * (-H(y_j) / F'(y_j)).
     """
-    gval, gder = _value_and_derivative(g)
-    if pot.smoothness_order < 1:
-        raise SmoothnessError("potential must be C^1 for map derivatives")
-    x = np.asarray(x, dtype=float)
-    ys = branch_map.preimages(x)
-    weight = np.exp(pot(ys))
-    total = weight * (np.asarray(gder(ys)) + np.asarray(gval(ys)) * pot.derivative(ys))
-    total = total * (-np.asarray(h_field(ys)) / np.asarray(branch_map.dlift(ys)))
-    out = np.sum(total, axis=0)
-    return float(out) if out.ndim == 0 else out
-
-
-def _transfer_power_with_derivative(branch_map, pot, gval, gder, pts, k):
-    """(L^k g)(pts) and its x-derivative, by upward sweep of the preimage tree."""
-    pts = np.asarray(pts, dtype=float)
-    levels = [pts]
-    for _ in range(k):
-        levels.append(branch_map.preimages(levels[-1].ravel()))
-    vals = np.asarray(gval(levels[-1]))
-    ders = np.asarray(gder(levels[-1]))
-    for lev in range(k, 0, -1):
-        ys = levels[lev]
-        weight = np.exp(pot(ys))
-        phi_p = pot.derivative(ys)
-        fp = np.asarray(branch_map.dlift(ys))
-        vals = vals.reshape(ys.shape)
-        ders = ders.reshape(ys.shape)
-        new_vals = np.sum(weight * vals, axis=0)
-        new_ders = np.sum(weight * (phi_p * vals + ders) / fp, axis=0)
-        vals, ders = new_vals, new_ders
-    return vals.reshape(pts.shape), ders.reshape(pts.shape)
+    return d_transfer_n_d_dynamics(branch_map, pot, g, h_field, x, 1)
 
 
 def d_transfer_n_d_dynamics(branch_map: BranchMap, pot: Potential, g, h_field,
                             x, n: int):
-    """Chain rule for f -> (L^n g)(x): sum_i L^{i-1}(DL(L^{n-i} g) . H)(x)."""
-    if branch_map.degree ** n > TREE_LEAF_GUARD:
-        raise ConfigError(f"depth {n} exceeds the preimage-tree guard")
+    """Derivative of f -> (L^n g)(x) in map direction H, by one tree sweep.
+
+    Each leaf y_n of the depth-n preimage tree carries its weight e^S, its
+    velocity vel_n and dS (`operator.preimage_tree`), so the derivative is
+    sum over leaves of e^S [g'(y_n) vel_n + g(y_n) dS].
+    """
     gval, gder = _value_and_derivative(g)
     if pot.smoothness_order < 1:
         raise SmoothnessError("potential must be C^1 for map derivatives")
-    x = np.asarray(x, dtype=float)
-    total = np.zeros_like(x)
-    for i in range(1, n + 1):
-        inner_power = n - i
-
-        def inner(z, _k=inner_power):
-            zz = np.asarray(z, dtype=float)
-            ys = branch_map.preimages(zz.ravel())
-            vals, ders = _transfer_power_with_derivative(
-                branch_map, pot, gval, gder, ys, _k)
-            weight = np.exp(pot(ys))
-            phi_p = pot.derivative(ys)
-            fp = np.asarray(branch_map.dlift(ys))
-            hy = np.asarray(h_field(ys))
-            term = weight * (ders + vals * phi_p) * (-hy / fp)
-            return np.sum(term, axis=0).reshape(zz.shape)
-
-        if i == 1:
-            total = total + inner(x)
-        else:
-            # apply L^{i-1} to the inner field by tree evaluation
-            ys = np.atleast_1d(x)
-            log_w = np.zeros_like(ys)
-            for _ in range(i - 1):
-                level = branch_map.preimages(ys)
-                log_w = (log_w[None, :] + pot(level)).ravel()
-                ys = level.ravel()
-            contrib = np.exp(log_w) * inner(ys)
-            total = total + np.sum(contrib.reshape(-1, np.atleast_1d(x).size), axis=0).reshape(x.shape)
-    return float(total) if total.ndim == 0 else total
+    ys, log_w, vel, d_log_w = preimage_tree(branch_map, pot, x, n, h_field)
+    return leaf_sum(np.exp(log_w) * (np.asarray(gder(ys)) * vel
+                                     + np.asarray(gval(ys)) * d_log_w))
 
 
 def _pressure_of(family, pot, s, disc, tol):
@@ -251,23 +201,15 @@ def d_pressure_d_dynamics(family: ParamFamily, pot: Potential, s0: float,
                           tol: float = 1e-12) -> ResponseReport:
     """Derivative of s -> P(f_s, phi) with H = d/ds f_s, plus its FD check.
 
-    analytic = -(1/lam) sum_j int e^{phi(y_j)} [h'(y_j) + h(y_j) phi'(y_j)]
-               H(y_j) / F'(y_j) d nu(x),  y_j the branch preimages of x.
+    analytic = (1/lam) int D(h) d nu, where D(h) = d_transfer_d_dynamics
+    of the eigenfunction h at the grid nodes.
     """
     if pot.smoothness_order < 1:
         raise SmoothnessError("pressure-in-f derivative needs a C^1 potential")
     branch_map = family.at(s0)
     h_field = family.direction(s0)
     triple = triple_at(OperatorSetup.of(branch_map, disc), pot, tol=tol)
-    x = _nodes(triple)
-    ys = triple.op.preimage_table
-    if ys is None:
-        ys = branch_map.preimages(x)
-    hprime = triple.h.derivative()
-    weight = np.exp(pot(ys))
-    bracket = np.asarray(hprime(ys)) + np.asarray(triple.h(ys)) * pot.derivative(ys)
-    field = -np.sum(weight * bracket * np.asarray(h_field(ys))
-                    / np.asarray(branch_map.dlift(ys)), axis=0)
+    field = d_transfer_d_dynamics(branch_map, pot, triple.h, h_field, triple.op.grid.nodes)
     analytic = float(triple.integrate_nu(field)) / triple.lam
 
     fd = central_difference(lambda e: _pressure_of(family, pot, s0 + e, disc, tol),
@@ -282,20 +224,16 @@ def d_maxentropy_expectation(family: ParamFamily, g, s0: float,
 
     The series sum_k int DLtil(Ltil^k P0 g) . H d mu at phi = 0 is linear
     in its summands, so it is summed by one resolvent solve:
-    analytic = int T(u) d mu with u = R P0 g and
-    T(w) = -(1/lam) sum_j w'(y_j) H(y_j) / F'(y_j).  The FD of int g d mu
-    rides along.
+    analytic = (1/lam) int D(u) d mu with u = R P0 g, where D(u) =
+    d_transfer_d_dynamics of u at phi = 0.  The FD of int g d mu rides
+    along.
     """
     pot0 = zero_potential()
     branch_map = family.at(s0)
     triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
-    ys = triple.op.preimage_table
-    if ys is None:
-        ys = branch_map.preimages(_nodes(triple))
     u = resolvent_solve(triple, triple.project_zero_mean(triple.sample(g)))
-    field = -np.sum(np.asarray(triple.op.grid_function(u).derivative()(ys))
-                    * np.asarray(family.direction(s0)(ys))
-                    / np.asarray(branch_map.dlift(ys)), axis=0) / triple.lam
+    field = d_transfer_d_dynamics(branch_map, pot0, triple.op.grid_function(u),
+                                  family.direction(s0), triple.op.grid.nodes) / triple.lam
     analytic = float(triple.integrate_mu(field))
 
     def expectation(s):

@@ -396,3 +396,21 @@ def test_readme_command_line_matches_the_schema(tmp_path):
         name: list(entry.spec) for name, entry in cli._FAMILIES.items()}
     assert _readme_table(section, "Potential forms") == {
         name: list(entry.spec) for name, entry in cli._FORMS.items()}
+
+
+@pytest.mark.parametrize("command", ["pressure", "spectrum", "equilibrium", "correlation",
+                                     "clt", "bifurcation-scan", "ldp", "response"])
+def test_every_eigensolve_honours_max_iter(tmp_path, capsys, command):
+    # MP alpha=0.5 needs far more than two power steps to converge
+    cfg = base_config(
+        map={"family": "manneville-pomeau", "alpha": 0.5},
+        discretization={"n": 362}, hypotheses={"enforce": False},
+        tolerances={"max_iter": 2}, output={"dir": str(tmp_path / "out")},
+        correlation={"obs_a": _TRIG, "obs_b": _TRIG},
+        clt={"observable": _TRIG},
+        scan={"values": [0.5, 0.6]},
+        ldp={"observable": _TRIG, "interval": [0.1, 0.3], "n_list": [5],
+             "n_samples": 100, "n_t": 5},
+        response={"derivative": "pressure-potential", "direction": _TRIG})
+    assert main([command, write_config(tmp_path, cfg)]) == EXIT_SOLVER
+    assert "no eigenvalue convergence in 2 iterations" in capsys.readouterr().err

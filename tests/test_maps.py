@@ -317,3 +317,16 @@ def test_hypothesis_report_roundtrips_to_dict():
     d = rep.as_dict()
     assert d["verdicts"]["P"] is True
     assert isinstance(d["region_a"], list)
+
+
+def test_trig_potential_phase_uses_longdouble_pi():
+    x = np.linspace(0.0, 1.0, 1001, dtype=np.longdouble)
+    pi_ld = 4 * np.arctan(np.longdouble(1))
+    got = trig_polynomial(cos_coeffs=[1.0])(x)
+    assert got.dtype == np.longdouble
+    assert np.max(np.abs(got - np.cos(2 * pi_ld * x))) <= 1e-18
+    slope = trig_polynomial(cos_coeffs=[1.0]).derivative(x)
+    assert np.max(np.abs(slope + 2 * pi_ld * np.sin(2 * pi_ld * x))) <= 1e-17
+    bump = perturbed_doubling(0.3).lift(x) - 2 * x
+    exact = np.where(x <= 0.5, 0.3 * 0.25 * np.sin(2 * pi_ld * x) ** 4, 0.0)
+    assert np.max(np.abs(bump - exact)) <= 1e-18

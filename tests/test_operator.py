@@ -248,7 +248,6 @@ def test_reused_setup_matches_fresh_build(scheme, interpolation, dtype):
     assert a.dtype == b.dtype
     if scheme == "collocation":
         assert np.array_equal(a, b)
-        assert np.array_equal(reused.preimage_table, fresh.preimage_table)
     else:
         assert np.array_equal(a != 0, b != 0)
         assert np.max(np.abs(a - b) / np.where(b != 0, np.abs(b), 1.0)) <= 1e-15

@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from circthermo import (Discretization, SmoothnessError, constant,
+from circthermo import (BranchMap, Discretization, ResourceLimitError,
+                        SmoothnessError, constant,
                         d_conformal_expectation, d_density_d_potential,
                         d_equilibrium_expectation, d_lambda_d_potential,
                         d_maxentropy_expectation, d_pressure_d_dynamics,
                         d_pressure_d_potential, d_transfer_d_dynamics,
                         d_transfer_n_d_dynamics, discretize, doubling,
                         grid_potential, leading_triple, log_derivative_weight,
-                        manneville_pomeau, perturbed_doubling,
+                        manneville_pomeau, OperatorSetup, perturbed_doubling,
                         perturbed_doubling_family,
                         translated_doubling_family, constant_family,
                         trig_polynomial, zero_potential)
@@ -272,6 +273,15 @@ def test_d_transfer_translated_closed_form():
         val = d_transfer_d_dynamics(fam.at(0.0), zero_potential(), g,
                                     fam.direction(0.0), x)
         assert val == pytest.approx(8 * np.pi * np.sin(2 * np.pi * x), abs=1e-12)
+    # L_s^n cos(2 pi 2^n .) = 2^n cos(2 pi (x - (2^(n+1) - 2) s)), so its
+    # derivative in s at 0 is 2^n 2 pi (2^(n+1) - 2) sin(2 pi x)
+    for n in range(1, 7):
+        g = trig_polynomial(cos_coeffs=[0.0] * (2 ** n - 1) + [1.0])
+        for x in (0.1, 0.37, 0.77):
+            val = d_transfer_n_d_dynamics(fam.at(0.0), zero_potential(), g,
+                                          fam.direction(0.0), x, n)
+            exact = 2 ** n * 2 * np.pi * (2 ** (n + 1) - 2) * np.sin(2 * np.pi * x)
+            assert val == pytest.approx(exact, rel=1e-12), (n, x)
     # cos(2 pi .) is annihilated identically along the family
     g1 = trig_polynomial(cos_coeffs=[1.0])
     val = d_transfer_d_dynamics(fam.at(0.0), zero_potential(), g1,
@@ -333,6 +343,34 @@ def test_d_transfer_n_matches_fd():
     assert abs(ana - fd) / max(1.0, abs(fd)) < 1e-5
 
 
+def test_d_transfer_n_walks_the_tree_once(monkeypatch):
+    # one forward sweep: one preimages call per level (the per-term chain rule
+    # made n^2)
+    calls = []
+    preimages = BranchMap.preimages
+
+    def counted(self, x):
+        calls.append(1)
+        return preimages(self, x)
+
+    monkeypatch.setattr(BranchMap, "preimages", counted)
+    fam = perturbed_doubling_family()
+    g = trig_polynomial(cos_coeffs=[0.0, 1.0])
+    for n in range(1, 7):
+        calls.clear()
+        d_transfer_n_d_dynamics(fam.at(0.1), zero_potential(), g, fam.direction(0.1),
+                                np.array([0.1, 0.6]), n)
+        assert len(calls) == n
+
+
+def test_d_transfer_n_past_the_leaf_guard_raises_resource_limit():
+    fam = translated_doubling_family()
+    g = trig_polynomial(cos_coeffs=[1.0])
+    with pytest.raises(ResourceLimitError):
+        d_transfer_n_d_dynamics(fam.at(0.0), zero_potential(), g, fam.direction(0.0),
+                                0.3, 25)
+
+
 def test_d_pressure_in_map_vanishes_at_zero_potential():
     fams = [(perturbed_doubling_family(), 0.1, "fourier"),
             (translated_doubling_family(), 0.2, "fourier"),
@@ -377,7 +415,7 @@ def test_d_maxentropy_translated_family_is_stationary():
 def _maxentropy_series(family, g, s0, disc, floor=1e-15, max_terms=5000):
     """sum_k int DLtil(Ltil^k P0 g) . H d mu, summed term by term."""
     tr = leading_triple(discretize(family.at(s0), zero_potential(), disc))
-    ys = tr.op.preimage_table
+    ys = OperatorSetup.of(family.at(s0), disc).points
     weight = (-np.asarray(family.direction(s0)(ys))
               / np.asarray(family.at(s0).dlift(ys)) / tr.lam)
     w = tr.project_zero_mean(np.asarray(g(tr.op.grid.nodes)))
