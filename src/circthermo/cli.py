@@ -368,13 +368,14 @@ def _fmt(value):
 
 
 def write_csv(path, header_cols, rows, comment=None):
+    """Rows of numbers, one per header column, each written as %.17g."""
+    line = ",".join(["%.17g"] * len(header_cols)) + "\n"
     with open(path, "w") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         fh.write(",".join(header_cols) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row) + "\n")
+            fh.write(line % tuple(row))
 
 
 def _jsonable(obj):
@@ -450,10 +451,14 @@ def _cmd_check_hypotheses(config, block, branch_map, pot, hyp):
     return {"passed": hyp.passed()}, []
 
 
+def _solver_limits(config):
+    """The tolerances block as the tol and max_iter of every eigensolve."""
+    return {"tol": config.tolerances["eig_tol"], "max_iter": config.tolerances["max_iter"]}
+
+
 def _triple(config, branch_map, pot):
     return triple_at(OperatorSetup.of(branch_map, config.discretization), pot,
-                     tol=config.tolerances["eig_tol"],
-                     max_iter=config.tolerances["max_iter"])
+                     **_solver_limits(config))
 
 
 def _cmd_pressure(config, block, branch_map, pot, hyp):
@@ -508,19 +513,20 @@ def _cmd_response(config, block, branch_map, pot, hyp):
         family = build_family(config.map)
         s0 = config.map[_float_param(config.map["family"])]
         if kind == "pressure-map":
-            rep = d_pressure_d_dynamics(family, pot, s0, disc, fd_step=eps)
+            rep = d_pressure_d_dynamics(family, pot, s0, disc, fd_step=eps,
+                                        **_solver_limits(config))
         else:
             g = build_potential(block["observable"], branch_map)
-            rep = d_maxentropy_expectation(family, g, s0, disc, fd_step=eps)
+            rep = d_maxentropy_expectation(family, g, s0, disc, fd_step=eps,
+                                           **_solver_limits(config))
         return {**rep.as_dict(), "derivative": kind}, []
 
     direction = build_potential(block["direction"], branch_map)
     # one setup serves the base triple and its two FD twins at +-eps
     setup = OperatorSetup.of(branch_map, disc)
-    tol, max_iter = config.tolerances["eig_tol"], config.tolerances["max_iter"]
-    triple = triple_at(setup, pot, tol=tol, max_iter=max_iter)
-    twins = {e: triple_at(setup, pot + e * direction, tol=tol, max_iter=max_iter)
-             for e in (eps, -eps)}
+    limits = _solver_limits(config)
+    triple = triple_at(setup, pot, **limits)
+    twins = {e: triple_at(setup, pot + e * direction, **limits) for e in (eps, -eps)}
     if kind == "lambda-potential":
         analytic = d_lambda_d_potential(branch_map, pot, direction, disc, triple=triple)
         fd = central_difference(lambda e: float(twins[e].lam), eps)
@@ -580,7 +586,7 @@ def _curve_and_rate(config, block, branch_map, pot):
     psi = build_potential(block["observable"], branch_map)
     curve = stats.free_energy(branch_map, pot, psi, t0=block["t0"],
                               n_t=block["n_t"], disc=config.discretization,
-                              hyp_aux=hypothesis_aux(config))
+                              hyp_aux=hypothesis_aux(config), **_solver_limits(config))
     return psi, curve, stats.rate_function(curve)
 
 
@@ -593,8 +599,8 @@ def _cmd_free_energy(config, block, branch_map, pot, hyp):
     write_csv(os.path.join(config.output_dir, "rate_function.csv"),
               ["s", "rate"], zip(rate.s_grid, rate.values),
               comment="Legendre rate function")
-    return {"t0": curve.t0, "convex": curve.convex,
-            "domain": list(curve.domain), "argmin": rate.argmin}, []
+    return {"t0": curve.t0, "convex": curve.convex, "nodes": len(curve.nodes),
+            "tail": curve.tail, "domain": list(curve.domain), "argmin": rate.argmin}, []
 
 
 def _cmd_ldp(config, block, branch_map, pot, hyp):
@@ -619,7 +625,8 @@ def _cmd_rate_scan(config, block, branch_map, pot, hyp):
     scan = stats.rate_continuity_scan(family, pot, psi, block["s_grid"],
                                       block["v_grid"], disc=config.discretization,
                                       t0=block["t0"], n_t=block["n_t"],
-                                      hyp_aux=hypothesis_aux(config))
+                                      hyp_aux=hypothesis_aux(config),
+                                      **_solver_limits(config))
     rows = [(v, s, scan.table[i, j]) for i, v in enumerate(scan.v_grid)
             for j, s in enumerate(scan.s_grid)]
     write_csv(os.path.join(config.output_dir, "rate_scan.csv"),

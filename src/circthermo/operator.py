@@ -24,7 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, ResourceLimitError
-from .maps import BranchMap, Potential, wrap
+from .maps import BranchMap, Potential, _pi, wrap
 
 TREE_LEAF_GUARD = 2 ** 24
 
@@ -73,7 +73,7 @@ def trig_interp_matrix(points, n, dtype=np.float64):
     pts = np.asarray(points, dtype=dtype).ravel()
     xk = np.arange(n, dtype=dtype) / np.asarray(n, dtype=dtype)
     w = np.where(np.arange(n) % 2 == 0, 1.0, -1.0).astype(dtype)
-    d = np.pi * (pts[:, None] - xk[None, :])
+    d = _pi(pts) * (pts[:, None] - xk[None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         kern = 1.0 / np.tan(d) if n % 2 == 0 else 1.0 / np.sin(d)
     num = kern * w
@@ -120,17 +120,17 @@ class GridFunction:
         """Nodewise derivative: spectral for fourier, centered differences else."""
         n = self.grid.n_cells
         v = self.values
+        dtype = np.result_type(v.dtype, np.float64)   # integer values differentiate in float
         if self.interpolation == "fourier":
-            cplx = np.iscomplexobj(v)
-            coeffs = np.fft.fft(np.asarray(v, dtype=complex if cplx else float))
+            # the FFT keeps extended precision (longdouble in, clongdouble out)
+            coeffs = np.fft.fft(np.asarray(v, dtype=dtype))
             k = np.fft.fftfreq(n, d=1.0 / n)
             if n % 2 == 0:
                 k[n // 2] = 0.0  # cosine Nyquist mode has zero derivative at nodes
-            dv = np.fft.ifft(coeffs * 2j * np.pi * k)
-            dv = dv if cplx else dv.real
+            dv = np.fft.ifft(coeffs * 2j * _pi(coeffs.real) * k)
+            dv = dv if np.iscomplexobj(v) else dv.real
         else:
             dv = (np.roll(v, -1) - np.roll(v, 1)) * (n / 2.0)
-        dtype = np.result_type(v.dtype, np.float64)   # integer values differentiate in float
         return GridFunction(self.grid, np.asarray(dv, dtype=dtype), self.interpolation)
 
     def copy_with(self, values):
@@ -190,10 +190,11 @@ class DiscretizedOperator:
                   f"map={self.branch_map.family_tag} "
                   f"interpolation={self.interpolation or 'cell'} "
                   f"potential={self.potential.describe()}")
+        line = ",".join(["%.17g"] * n) + "\n"
         with open(path, "w") as fh:
             fh.write(header + "\n")
             for row in np.asarray(self.matrix, dtype=float):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+                fh.write(line % tuple(row.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -191,14 +191,15 @@ def d_transfer_n_d_dynamics(branch_map: BranchMap, pot: Potential, g, h_field,
                                      + np.asarray(gval(ys)) * d_log_w))
 
 
-def _pressure_of(family, pot, s, disc, tol):
-    return math.log(triple_at(OperatorSetup.of(family.at(s), disc), pot, tol=tol).lam)
+def _pressure_of(family, pot, s, disc, tol, max_iter):
+    triple = triple_at(OperatorSetup.of(family.at(s), disc), pot, tol=tol, max_iter=max_iter)
+    return math.log(triple.lam)
 
 
 def d_pressure_d_dynamics(family: ParamFamily, pot: Potential, s0: float,
                           disc: Discretization = Discretization(),
                           fd_step: float = FD_DEFAULT_STEP,
-                          tol: float = 1e-12) -> ResponseReport:
+                          tol: float = 1e-12, max_iter: int = 100000) -> ResponseReport:
     """Derivative of s -> P(f_s, phi) with H = d/ds f_s, plus its FD check.
 
     analytic = (1/lam) int D(h) d nu, where D(h) = d_transfer_d_dynamics
@@ -208,18 +209,19 @@ def d_pressure_d_dynamics(family: ParamFamily, pot: Potential, s0: float,
         raise SmoothnessError("pressure-in-f derivative needs a C^1 potential")
     branch_map = family.at(s0)
     h_field = family.direction(s0)
-    triple = triple_at(OperatorSetup.of(branch_map, disc), pot, tol=tol)
+    triple = triple_at(OperatorSetup.of(branch_map, disc), pot, tol=tol, max_iter=max_iter)
     field = d_transfer_d_dynamics(branch_map, pot, triple.h, h_field, triple.op.grid.nodes)
     analytic = float(triple.integrate_nu(field)) / triple.lam
 
-    fd = central_difference(lambda e: _pressure_of(family, pot, s0 + e, disc, tol),
+    fd = central_difference(lambda e: _pressure_of(family, pot, s0 + e, disc, tol, max_iter),
                             fd_step)
     return ResponseReport(analytic_value=analytic, fd_value=fd, fd_step=fd_step)
 
 
 def d_maxentropy_expectation(family: ParamFamily, g, s0: float,
                              disc: Discretization = Discretization(),
-                             fd_step: float = FD_DEFAULT_STEP) -> ResponseReport:
+                             fd_step: float = FD_DEFAULT_STEP,
+                             tol: float = 1e-12, max_iter: int = 100000) -> ResponseReport:
     """Derivative of s -> int g d mu_{f_s} for the maximal entropy measure.
 
     The series sum_k int DLtil(Ltil^k P0 g) . H d mu at phi = 0 is linear
@@ -230,14 +232,14 @@ def d_maxentropy_expectation(family: ParamFamily, g, s0: float,
     """
     pot0 = zero_potential()
     branch_map = family.at(s0)
-    triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
+    triple = triple_at(OperatorSetup.of(branch_map, disc), pot0, tol=tol, max_iter=max_iter)
     u = resolvent_solve(triple, triple.project_zero_mean(triple.sample(g)))
     field = d_transfer_d_dynamics(branch_map, pot0, triple.op.grid_function(u),
                                   family.direction(s0), triple.op.grid.nodes) / triple.lam
     analytic = float(triple.integrate_mu(field))
 
     def expectation(s):
-        t = triple_at(OperatorSetup.of(family.at(s), disc), pot0)
+        t = triple_at(OperatorSetup.of(family.at(s), disc), pot0, tol=tol, max_iter=max_iter)
         return float(t.integrate_mu(t.sample(g)))
 
     fd = central_difference(lambda e: expectation(s0 + e), fd_step)

@@ -4,7 +4,10 @@ deviation probabilities, and a seeded Monte-Carlo local large-deviations
 experiment.
 
 Correlations are computed through the normalized operator (no orbit
-simulation); Monte-Carlo orbits use exact map evaluation so the deviation
+simulation).  A free-energy curve is the Chebyshev interpolant of the
+pressures at nested Chebyshev-Lobatto nodes, refined until its coefficient
+tail is negligible, and its rate function is the Legendre transform of that
+polynomial.  Monte-Carlo orbits use exact map evaluation so the deviation
 experiment stays independent of the discretization behind the rate
 function.  The Monte Carlo runs in cache-sized blocks of samples.  The
 finite-n probabilities invert the twisted operator's characteristic
@@ -15,18 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebfit, chebval
 
 from .errors import ConfigError, HypothesisError, SchemeQualityError, SolverError
 from .maps import BranchMap, HypothesisAux, ParamFamily, Potential, check_hypotheses
 from .operator import Discretization, OperatorSetup
 from .response import FD_DEFAULT_STEP, ResponseReport, central_difference
 from .spectral import SpectralTriple, resolvent_solve, triple_at
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 COBOUNDARY_TOL = 1e-8
 
@@ -139,26 +140,51 @@ def d_correlation_d_dynamics(family: ParamFamily, obs_a, obs_b, n: int,
 # Free energy and rate functions
 # ---------------------------------------------------------------------------
 
+# Chebyshev-Lobatto node counts, coarse to fine.  Each level halves the
+# angular spacing of the last, so its nodes include every earlier node.
+FREE_ENERGY_LEVELS = (9, 17, 33, 65, 129)
+# A level is accepted once its last two Chebyshev coefficients sum to at
+# most this bound times max(1, max |E| at the nodes).
+FREE_ENERGY_TAIL_TOL = 1e-10
+
+
 @dataclass
 class FreeEnergyCurve:
-    t_grid: np.ndarray
-    values: np.ndarray
-    t0: float
-    e_prime: np.ndarray
-    e_second: np.ndarray
-    convex: bool
-    spline: "CubicSpline" = field(repr=False)
+    """E(t) = P(phi + t psi) - P(phi) on [-t0, t0] as a Chebyshev interpolant.
 
-    def e(self, t):
-        return self.spline(t)
+    The pressures were solved at `nodes`, the ascending Chebyshev-Lobatto
+    nodes, and E there is `node_values`.  `coeffs` are the Chebyshev
+    coefficients of the interpolant in t / t0, and `tail`, the sum of the
+    last two, is its error bar.  The uniform table `t_grid`, `values`,
+    `e_prime`, `e_second` is read off the interpolant, and `convex` says
+    whether E'' >= -1e-10 on it.
+    """
+    t0: float
+    nodes: np.ndarray
+    node_values: np.ndarray
+    coeffs: np.ndarray
+    tail: float
+    t_grid: np.ndarray
+    values: np.ndarray = field(init=False)
+    e_prime: np.ndarray = field(init=False)
+    e_second: np.ndarray = field(init=False)
+    convex: bool = field(init=False)
+
+    def __post_init__(self):
+        self.values, self.e_prime, self.e_second = (self.e(self.t_grid, k) for k in range(3))
+        self.values[self.t_grid == 0.0] = 0.0       # E(0) = 0 by definition
+        self.convex = bool(np.all(self.e_second >= -1e-10))
+
+    def e(self, t, k=0):
+        """The k-th derivative of E at t."""
+        return chebval(np.asarray(t) / self.t0, chebder(self.coeffs, k, scl=1.0 / self.t0))
 
     def eprime(self, t):
-        return self.spline.derivative()(t)
+        return self.e(t, 1)
 
     @property
     def domain(self):
-        d1 = self.spline.derivative()
-        return float(d1(-self.t0)), float(d1(self.t0))
+        return float(self.e(-self.t0, 1)), float(self.e(self.t0, 1))
 
 
 def _auto_t0(branch_map, phi, psi, aux):
@@ -182,35 +208,59 @@ def free_energy(branch_map: BranchMap, phi: Potential, psi: Potential,
                 t0: Optional[float] = None, n_t: int = 41,
                 disc: Discretization = Discretization(),
                 hyp_aux: Optional[HypothesisAux] = None,
-                tol: float = 1e-12) -> FreeEnergyCurve:
+                tol: float = 1e-12, max_iter: int = 100000) -> FreeEnergyCurve:
     """Pressure-difference free energy t -> P(phi + t psi) - P(phi).
 
     Without an explicit t0, the largest radius on the geometric trial grid
     0.4^k whose endpoints pass the smallness checks is used.  An explicit
-    t0 is a caller override and is not re-certified.  The operator geometry
-    is set up once; each of the n_t pressures only reweights it.
-    """
-    from scipy.interpolate import CubicSpline
+    t0 is a caller override and is not re-certified.
 
+    E is analytic in t, so its Chebyshev interpolant converges
+    geometrically.  The pressures are solved at the Chebyshev-Lobatto
+    nodes t0 sin(pi (2j - m) / 2m), j = 0..m, whose middle node is exactly
+    0, for m + 1 = 9, 17, 33, ... in FREE_ENERGY_LEVELS; each level reuses
+    every pressure of the last.  The first level whose coefficient tail is
+    under FREE_ENERGY_TAIL_TOL is kept, and SchemeQualityError is raised
+    when none is.  The operator geometry is set up once; each pressure
+    only reweights it, and every eigensolve runs under tol and max_iter.
+
+    n_t (odd, >= 5) is the number of rows of the uniform table on
+    [-t0, t0] read off the interpolant; its middle row is t = 0.
+    """
     if n_t < 5 or n_t % 2 == 0:
         raise ConfigError(f"n_t must be odd and >= 5, got {n_t}")
     if t0 is None:
         t0 = _auto_t0(branch_map, phi, psi, hyp_aux or HypothesisAux())
+    if not t0 > 0.0:
+        raise ConfigError(f"t0 must be > 0, got {t0}")
+    setup = OperatorSetup.of(branch_map, disc)
+
+    def pressures(ts):
+        return [math.log(triple_at(setup, phi + float(t) * psi, tol=tol,
+                                   max_iter=max_iter).lam) for t in ts]
+
+    p = np.empty(0)
+    for n in FREE_ENERGY_LEVELS:
+        m = n - 1
+        x = np.sin(np.pi * np.arange(-m, m + 1, 2) / (2 * m))
+        level = np.empty(n)
+        level[::2] = p if p.size else pressures(t0 * x[::2])
+        level[1::2] = pressures(t0 * x[1::2])
+        p = level
+        values = p - p[m // 2]
+        coeffs = chebfit(x, values, m)
+        tail = float(abs(coeffs[-2]) + abs(coeffs[-1]))
+        bound = FREE_ENERGY_TAIL_TOL * max(1.0, float(np.max(np.abs(values))))
+        if tail <= bound:
+            break
+    else:
+        raise SchemeQualityError(
+            f"free energy unresolved by {n} Chebyshev nodes on [-{t0:g}, {t0:g}]: "
+            f"coefficient tail {tail:.2e} > {bound:.2e}; reduce t0")
     t_grid = np.linspace(-t0, t0, n_t)
     t_grid[n_t // 2] = 0.0
-    setup = OperatorSetup.of(branch_map, disc)
-    pressures = np.array([
-        math.log(triple_at(setup, phi + float(t) * psi, tol=tol).lam)
-        for t in t_grid])
-    values = pressures - pressures[n_t // 2]
-    spline = CubicSpline(t_grid, values)
-    e_prime = spline.derivative()(t_grid)
-    e_second = spline.derivative(2)(t_grid)
-    second_diffs = np.diff(values, 2)
-    convex = bool(np.all(second_diffs >= -1e-10))
-    return FreeEnergyCurve(t_grid=t_grid, values=values, t0=float(t0),
-                           e_prime=e_prime, e_second=e_second, convex=convex,
-                           spline=spline)
+    return FreeEnergyCurve(t0=float(t0), nodes=t0 * x, node_values=values,
+                           coeffs=coeffs, tail=tail, t_grid=t_grid)
 
 
 @dataclass
@@ -244,14 +294,13 @@ def legendre_sup(curve: FreeEnergyCurve, s):
     """sup_t { s t - E(t) } over [-t0, t0] and its maximizer, for each s.
 
     The maximizer solves E'(t) = s.  It is found by Newton steps on the
-    spline's derivative, using E'', each kept inside a bracket taken from
-    the slopes at the nodes and replaced by bisection when it leaves it.
+    interpolant's derivative, using E'', each kept inside a bracket taken
+    from the slopes on the table and replaced by bisection when it leaves it.
     Outside [E'(-t0), E'(t0)] the maximizer is clamped to -t0 or t0.
     Returns arrays shaped like s.
     """
     s = np.asarray(s, dtype=float)
     flat = s.ravel()
-    d1, d2 = curve.spline.derivative(), curve.spline.derivative(2)
     nodes = curve.t_grid
     # the running maximum keeps a sign change of E' - s inside each bracket
     slopes = np.maximum.accumulate(curve.e_prime)
@@ -260,18 +309,18 @@ def legendre_sup(curve: FreeEnergyCurve, s):
     t = 0.5 * (lo + hi)
     tol = 4.0 * np.finfo(float).eps * max(1.0, curve.t0)
     for _ in range(LEGENDRE_MAX_STEPS):
-        r = d1(t) - flat
+        r = curve.e(t, 1) - flat
         below = r < 0.0
         lo, hi = np.where(below, t, lo), np.where(below, hi, t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = t - r / d2(t)
+            newton = t - r / curve.e(t, 2)
         t_next = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
         done = np.all(np.abs(t_next - t) <= tol)
         t = t_next
         if done:
             break
     t = np.where(flat <= slopes[0], -curve.t0, np.where(flat >= slopes[-1], curve.t0, t))
-    val = flat * t - curve.spline(t)
+    val = flat * t - curve.e(t)
     if np.any(val < -1e-10):
         raise ConfigError(f"negative rate value {np.min(val):.3e}; curve not convex?")
     return np.maximum(val, 0.0).reshape(s.shape)[()], t.reshape(s.shape)[()]
@@ -562,12 +611,13 @@ def rate_continuity_scan(family: ParamFamily, phi: Potential, psi: Potential,
                          s_grid, v_grid,
                          disc: Discretization = Discretization(),
                          t0: Optional[float] = None, n_t: int = 21,
-                         hyp_aux: Optional[HypothesisAux] = None) -> RateScan:
+                         hyp_aux: Optional[HypothesisAux] = None,
+                         tol: float = 1e-12, max_iter: int = 100000) -> RateScan:
     """Table of rate functions I_{f_v}(s) over a map family.
 
     Every f_v must admit the requested s values inside its own rate
     domain; the common interval is intersected and an empty intersection
-    is an error.
+    is an error.  Every eigensolve runs under tol and max_iter.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     v_grid = np.asarray(v_grid, dtype=float)
@@ -575,7 +625,7 @@ def rate_continuity_scan(family: ParamFamily, phi: Potential, psi: Potential,
     j_lo, j_hi = -np.inf, np.inf
     for v in v_grid:
         curve = free_energy(family.at(float(v)), phi, psi, t0=t0, n_t=n_t,
-                            disc=disc, hyp_aux=hyp_aux)
+                            disc=disc, hyp_aux=hyp_aux, tol=tol, max_iter=max_iter)
         lo, hi = curve.domain
         j_lo, j_hi = max(j_lo, lo), min(j_hi, hi)
         curves.append(curve)

@@ -4,16 +4,19 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from circthermo import cli
+from circthermo import cli, doubling, zero_potential
 from circthermo.cli import (EXIT_CONFIG, EXIT_HYPOTHESES, EXIT_RESOURCE, EXIT_SOLVER,
                             SCAN_ROW_GUARD, main, parse_config, run)
 from circthermo.spectral import ARNOLDI_HANDOVER
 from circthermo.errors import ConfigError
+from circthermo.operator import DiscretizedOperator, Grid
 
 
 def base_config(**overrides):
@@ -398,12 +401,15 @@ def test_readme_command_line_matches_the_schema(tmp_path):
         name: list(entry.spec) for name, entry in cli._FORMS.items()}
 
 
-@pytest.mark.parametrize("command", ["pressure", "spectrum", "equilibrium", "correlation",
-                                     "clt", "bifurcation-scan", "ldp", "response"])
-def test_every_eigensolve_honours_max_iter(tmp_path, capsys, command):
-    # MP alpha=0.5 needs far more than two power steps to converge
-    cfg = base_config(
-        map={"family": "manneville-pomeau", "alpha": 0.5},
+# MP alpha=0.5 needs far more than two power steps to converge; the map scans
+# need a family with a map derivative, and perturbed doubling needs more than two
+_MP = {"family": "manneville-pomeau", "alpha": 0.5}
+_PD = {"family": "perturbed-doubling", "t": 0.1}
+
+
+def _max_iter_2_config(tmp_path, map_block=_MP, derivative="pressure-potential"):
+    return base_config(
+        map=map_block,
         discretization={"n": 362}, hypotheses={"enforce": False},
         tolerances={"max_iter": 2}, output={"dir": str(tmp_path / "out")},
         correlation={"obs_a": _TRIG, "obs_b": _TRIG},
@@ -411,6 +417,73 @@ def test_every_eigensolve_honours_max_iter(tmp_path, capsys, command):
         scan={"values": [0.5, 0.6]},
         ldp={"observable": _TRIG, "interval": [0.1, 0.3], "n_list": [5],
              "n_samples": 100, "n_t": 5},
-        response={"derivative": "pressure-potential", "direction": _TRIG})
+        free_energy={"observable": _TRIG, "t0": 0.1, "n_t": 5},
+        rate_scan={"observable": _TRIG, "s_grid": [0.0], "v_grid": [0.1], "t0": 0.1},
+        response={"derivative": derivative, "direction": _TRIG, "observable": _TRIG})
+
+
+@pytest.mark.parametrize("command", ["pressure", "spectrum", "equilibrium", "correlation",
+                                     "clt", "bifurcation-scan", "ldp", "response",
+                                     "free-energy", "rate-scan"])
+def test_every_eigensolve_honours_max_iter(tmp_path, capsys, command):
+    cfg = _max_iter_2_config(tmp_path, _PD if command == "rate-scan" else _MP)
     assert main([command, write_config(tmp_path, cfg)]) == EXIT_SOLVER
     assert "no eigenvalue convergence in 2 iterations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("derivative", ["pressure-map", "maxentropy-map"])
+def test_map_responses_honour_max_iter(tmp_path, capsys, derivative):
+    cfg = _max_iter_2_config(tmp_path, _PD, derivative)
+    assert main(["response", write_config(tmp_path, cfg)]) == EXIT_SOLVER
+    assert "no eigenvalue convergence in 2 iterations" in capsys.readouterr().err
+
+
+def test_free_energy_table_has_n_t_rows_and_an_exact_zero(tmp_path):
+    cfg = base_config(discretization={"n": 64, "interpolation": "fourier"},
+                      free_energy={"observable": _TRIG, "t0": 0.2, "n_t": 15},
+                      output={"dir": str(tmp_path / "out")})
+    assert main(["free-energy", write_config(tmp_path, cfg)]) == 0
+    lines = (tmp_path / "out" / "free_energy.csv").read_text().splitlines()
+    assert lines[1] == "t,e,e_prime,e_second"
+    rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+    assert len(rows) == 15
+    assert [row[:2] for row in rows if row[0] == 0.0] == [[0.0, 0.0]]
+    result = json.loads((tmp_path / "out" / "report.json").read_text())["result"]
+    assert result["nodes"] in cli.stats.FREE_ENERGY_LEVELS and 0.0 <= result["tail"] <= 1e-10
+
+
+def test_free_energy_command_leaves_scipy_interpolate_unimported(tmp_path):
+    cfg = base_config(discretization={"n": 64, "interpolation": "fourier"},
+                      free_energy={"observable": _TRIG, "t0": 0.2},
+                      output={"dir": str(tmp_path / "out")})
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    script = ("import sys; from circthermo.cli import main; "
+              f"code = main(['free-energy', {write_config(tmp_path, cfg)!r}]); "
+              "print('scipy.interpolate' in sys.modules); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
+
+
+def _reference_csv_lines(rows):
+    """The one-f-string-per-value formatting the writers must reproduce."""
+    return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+
+
+def test_csv_writers_match_per_value_formatting(tmp_path):
+    special = [-0.0, 5e-324, 1e-300, 123456789.0, np.nan, np.inf, -np.inf, 0.1, -2.5e17]
+    mat = np.array([special[i:] + special[:i] for i in range(len(special))])
+    op = DiscretizedOperator(mat, Grid(len(special)), "collocation", "fourier", doubling(),
+                             zero_potential())
+    op.export_csv(tmp_path / "operator.csv")
+    header, body = (tmp_path / "operator.csv").read_text().split("\n", 1)
+    assert header.startswith("# circthermo operator")
+    assert body == _reference_csv_lines(mat)
+    rows = [(i, *row) for i, row in enumerate(mat)]
+    cli.write_csv(tmp_path / "table.csv", ["n"] + [f"c{j}" for j in range(len(special))],
+                  rows)
+    assert (tmp_path / "table.csv").read_text().split("\n", 1)[1] == _reference_csv_lines(rows)

@@ -271,11 +271,11 @@ def test_free_energy_builds_cardinal_matrix_once(monkeypatch):
     # a sweep point equals the pressure difference of freshly built operators
     p0 = math.log(leading_triple(build_operator(
         doubling(), zero_potential(), Grid(64), "collocation", "fourier")).lam)
-    t = float(curve.t_grid[3])
+    t = float(curve.nodes[3])
     pt = math.log(leading_triple(build_operator(
         doubling(), zero_potential() + t * psi, Grid(64), "collocation",
         "fourier")).lam)
-    assert curve.values[3] == pt - p0
+    assert curve.node_values[3] == pt - p0
 
 
 def test_ulam_wrap_handling_translated_family():
@@ -308,3 +308,17 @@ def test_longdouble_operator_weights_below_float64(interpolation):
     op = setup.operator(log_derivative_weight(-1.0, linear_map(3)))
     ones_ld = np.ones(64, dtype=np.longdouble)
     assert np.max(np.abs(op.apply(ones_ld) - 1)) <= 1e-17
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="longdouble is float64 on this platform")
+def test_longdouble_fourier_interpolant_and_derivative_keep_longdouble():
+    ld = np.longdouble
+    two_pi = 8 * np.arctan(ld(1))
+    x = np.arange(16, dtype=ld) / 16
+    f = GridFunction(Grid(16), np.cos(two_pi * x), "fourier")
+    pts = np.linspace(ld(0), ld(1), 101, dtype=ld) + ld(1) / 7
+    assert np.max(np.abs(f(pts) - np.cos(two_pi * pts))) <= 1e-18
+    df = f.derivative()
+    assert df.values.dtype == ld
+    assert np.max(np.abs(df.values + two_pi * np.sin(two_pi * x))) <= 1e-17

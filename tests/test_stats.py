@@ -134,7 +134,7 @@ def test_clt_ulam_samples_the_observable_at_cell_midpoints():
 def test_clt_variance_matches_free_energy_curvature():
     curve = free_energy(doubling(), zero_potential(), PSI_COS, disc=DISC_F)
     clt = clt_parameters(doubling(), zero_potential(), cos1, DISC_F)
-    e2 = float(curve.spline.derivative(2)(0.0))
+    e2 = float(curve.e(0.0, 2))
     assert abs(clt.variance - e2) < 1e-4
 
 
@@ -213,7 +213,7 @@ def test_rate_function_duality_identity():
     for t_star in curve.t_grid[3:-3:6]:
         s_star = float(curve.eprime(t_star))
         lhs = float(rate(np.array([s_star]))[0])
-        rhs = t_star * s_star - float(curve.spline(t_star))
+        rhs = t_star * s_star - float(curve.e(t_star))
         assert abs(lhs - rhs) < 1e-8
 
 
@@ -225,7 +225,49 @@ def test_legendre_involution_recovers_free_energy():
     for t in curve.t_grid[8:-8:5]:
         ss = np.linspace(rate.s_grid[0], rate.s_grid[-1], 600)
         back = float(np.max(t * ss - ispline(ss)))
-        assert abs(back - float(curve.spline(t))) < 1e-6
+        assert abs(back - float(curve.e(t))) < 1e-6
+
+
+def _direct_free_energy(disc, ts):
+    """E(t) = P(t psi) - P(0) for doubling, one fresh eigensolve per t."""
+    setup = OperatorSetup.of(doubling(), disc)
+    p = [math.log(triple_at(setup, zero_potential() + float(t) * PSI_COS).lam)
+         for t in np.concatenate(([0.0], ts))]
+    return np.array(p[1:]) - p[0]
+
+
+def test_free_energy_matches_direct_pressures_off_the_nodes():
+    curve = free_energy(doubling(), zero_potential(), PSI_COS, t0=0.2, disc=DISC_F)
+    ts = np.linspace(-0.2, 0.2, 202)[1:-1]
+    assert not np.isin(ts, curve.nodes).any()
+    err = np.max(np.abs(curve.e(ts) - _direct_free_energy(DISC_F, ts)))
+    assert err <= 1e-12, err
+
+
+def test_free_energy_solves_each_node_once(monkeypatch):
+    ts = []
+    original = stats.triple_at
+
+    def counted(setup, pot, **kwargs):
+        ts.append(float(pot(np.zeros(1))[0]))        # phi + t cos 2 pi x at x = 0 is t
+        return original(setup, pot, **kwargs)
+
+    monkeypatch.setattr(stats, "triple_at", counted)
+    curve = free_energy(doubling(), zero_potential(), PSI_COS, t0=0.2, disc=DISC_F)
+    # 9 nodes, then the 8 that 17 adds: no pressure is solved twice
+    assert len(ts) == len(set(ts)) == len(curve.nodes) == 17
+    np.testing.assert_array_equal(sorted(ts), curve.nodes)
+    assert curve.nodes[8] == 0.0 and curve.node_values[8] == 0.0
+    tail = abs(curve.coeffs[-2]) + abs(curve.coeffs[-1])
+    assert curve.tail == tail
+    assert 0.0 < tail <= stats.FREE_ENERGY_TAIL_TOL * max(1.0, np.max(np.abs(curve.node_values)))
+
+
+def test_free_energy_unresolved_raises_naming_the_tail(monkeypatch):
+    monkeypatch.setattr(stats, "FREE_ENERGY_LEVELS", (9, 17))
+    monkeypatch.setattr(stats, "FREE_ENERGY_TAIL_TOL", 1e-30)
+    with pytest.raises(SchemeQualityError, match=r"17 Chebyshev nodes.*tail"):
+        free_energy(doubling(), zero_potential(), PSI_COS, t0=0.2, disc=DISC_F)
 
 
 def test_rate_function_rejects_nonconvex():
@@ -503,12 +545,12 @@ def _ternary_legendre(curve, s, iters=200):
             break
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        if s * m1 - curve.spline(m1) < s * m2 - curve.spline(m2):
+        if s * m1 - curve.e(m1) < s * m2 - curve.e(m2):
             lo = m1
         else:
             hi = m2
     t_star = 0.5 * (lo + hi)
-    return float(s * t_star - curve.spline(t_star)), t_star
+    return float(s * t_star - curve.e(t_star)), t_star
 
 
 @pytest.mark.parametrize("t0, n", [(1.2, 256), (0.2, 128)])
