@@ -4,7 +4,9 @@ The circle is modelled as R/Z with fundamental domain [0, 1).  A degree-d
 covering map is stored through its monotone lift F: [0, 1] -> R with
 F(1) = F(0) + d; branch k is the restriction of F to [b_k, b_{k+1}] where
 F(b_k) = F(0) + k, so every circle point has exactly one preimage per branch
-and the branches are indexed in circle order.
+and the branches are indexed in circle order.  The branches are inverted by
+monotone_root, the one bracketed Newton solver, which also finds periodic
+points and Legendre maximizers.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from .errors import ConfigError, SmoothnessError, SolverError
 
 CIRCLE_DIAMETER = 0.5
 
-# Root-finder budget: safeguarded Newton to the residual target, with an
-# iteration cap per point.
+# monotone_root's default residual target and its iteration cap per point.
 _NEWTON_RESIDUAL = 1e-12
 _MAX_ITER = 100
 
@@ -34,6 +35,45 @@ def circle_distance(x, y):
     """d(x, y) = min(|x - y|, 1 - |x - y|) on R/Z."""
     d = np.abs(wrap(x) - wrap(y))
     return np.minimum(d, 1.0 - d)
+
+
+def monotone_root(fn, dfn, u, lo, hi, flo, fhi, tol=_NEWTON_RESIDUAL, describe=None):
+    """Solve fn(y) = u for increasing fn on brackets [lo, hi] where
+    fn(lo) = flo and fn(hi) = fhi; dfn is fn'.
+
+    All of u, lo, hi, flo, fhi broadcast together.  Each point starts at
+    the chord of fn across its bracket (the exact root when fn is affine)
+    and takes safeguarded Newton steps to residual tol: the residual's sign
+    shrinks the bracket, and a step that leaves it bisects instead.  Only
+    unconverged points iterate, so each root depends only on its own target
+    and bracket, and equal targets give bit-equal roots.  A point still
+    above tol after _MAX_ITER steps raises SolverError naming the worst
+    point's target u, as describe(u) when describe is given.
+    """
+    u, lo, hi, flo, fhi = np.broadcast_arrays(u, lo, hi, flo, fhi)
+    shape = u.shape
+    u, lo, hi, flo, fhi = (np.asarray(a, dtype=float).ravel()
+                           for a in (u, lo, hi, flo, fhi))
+    y = np.clip(lo + (u - flo) * ((hi - lo) / (fhi - flo)), lo, hi)
+    resid = np.asarray(fn(y)) - u
+    todo = np.flatnonzero(~(np.abs(resid) <= tol))
+    yt, rt, lo, hi, u = (a[todo] for a in (y, resid, lo, hi, u))
+    for _ in range(_MAX_ITER):
+        if todo.size == 0:
+            return y.reshape(shape)
+        lo = np.where(rt < 0.0, yt, lo)
+        hi = np.where(rt > 0.0, yt, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):   # a zero slope bisects
+            step = yt - rt / np.asarray(dfn(yt))
+        yt = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        rt = np.asarray(fn(yt)) - u
+        y[todo] = yt
+        left = ~(np.abs(rt) <= tol)
+        todo, yt, rt, lo, hi, u = (a[left] for a in (todo, yt, rt, lo, hi, u))
+    worst = int(np.argmax(np.abs(rt)))
+    what = describe(u[worst]) if describe else f"target {u[worst]:.17g}"
+    raise SolverError(f"root find failed on {what}: residual {abs(rt[worst]):.3e} "
+                      f"after {_MAX_ITER} iterations")
 
 
 class BranchMap:
@@ -91,40 +131,12 @@ class BranchMap:
 
     # -- inverse branches ---------------------------------------------------
 
-    def _invert_lift(self, u, lo, hi, flo, fhi):
-        """Solve F(y) = u on brackets [lo, hi] where F(lo) = flo and F(hi) = fhi.
+    def _branch_of(self, u):
+        return f"inverse branch {int(np.floor(u - self._lift0))}"
 
-        All arguments broadcast together.  Each point starts at the chord of
-        the lift across its bracket (the exact root on affine lifts) and
-        takes safeguarded Newton steps to residual 1e-12: the residual's sign
-        shrinks the bracket, and a step that leaves it bisects instead.  Only
-        unconverged points iterate, so each root depends only on its own
-        target and bracket, and equal targets give bit-equal roots.
-        """
-        u, lo, hi, flo, fhi = np.broadcast_arrays(u, lo, hi, flo, fhi)
-        shape = u.shape
-        u, lo, hi, flo, fhi = (np.asarray(a, dtype=float).ravel()
-                               for a in (u, lo, hi, flo, fhi))
-        y = np.clip(lo + (u - flo) * ((hi - lo) / (fhi - flo)), lo, hi)
-        resid = np.asarray(self.lift(y)) - u
-        todo = np.flatnonzero(~(np.abs(resid) <= _NEWTON_RESIDUAL))
-        yt, rt, lo, hi, u = (a[todo] for a in (y, resid, lo, hi, u))
-        for _ in range(_MAX_ITER):
-            if todo.size == 0:
-                return y.reshape(shape)
-            lo = np.where(rt < 0.0, yt, lo)
-            hi = np.where(rt > 0.0, yt, hi)
-            step = yt - rt / np.asarray(self.dlift(yt))
-            yt = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-            rt = np.asarray(self.lift(yt)) - u
-            y[todo] = yt
-            left = ~(np.abs(rt) <= _NEWTON_RESIDUAL)
-            todo, yt, rt, lo, hi, u = (a[left] for a in (todo, yt, rt, lo, hi, u))
-        worst = int(np.argmax(np.abs(rt)))
-        raise SolverError(
-            f"inverse-branch root find failed on branch "
-            f"{int(np.floor(u[worst] - self._lift0))}: residual "
-            f"{abs(rt[worst]):.3e} after {_MAX_ITER} iterations")
+    def _invert_lift(self, u, lo, hi, flo, fhi):
+        """Solve F(y) = u on brackets [lo, hi] where F(lo) = flo and F(hi) = fhi."""
+        return monotone_root(self.lift, self.dlift, u, lo, hi, flo, fhi, describe=self._branch_of)
 
     def _compute_branch_bounds(self):
         ks = np.arange(1, self.degree)
@@ -137,12 +149,14 @@ class BranchMap:
 
         The root lies in branch k's domain [b_k, b_{k+1}] and solves
         F(y) = x + m + k with the integer m chosen so that F(0) <= x + m <
-        F(0) + 1.
+        F(0) + 1.  It calls monotone_root directly rather than through
+        _invert_lift, so the (d, N) target array is freed as soon as the
+        solver has taken the unconverged points out of it.
         """
         x, k = wrap(np.asarray(x, dtype=float)), np.asarray(k)
         b, flo = self.branch_bounds, self._lift0 + k
-        return self._invert_lift(x + np.ceil(self._lift0 - x) + k,
-                                 b[k], b[k + 1], flo, flo + 1.0)
+        return monotone_root(self.lift, self.dlift, x + np.ceil(self._lift0 - x) + k,
+                             b[k], b[k + 1], flo, flo + 1.0, describe=self._branch_of)
 
     def preimages(self, x):
         """All d preimages of x, sorted by branch index.

@@ -29,6 +29,8 @@ from .operator import DiscretizedOperator, GridFunction, OperatorSetup
 NEGATIVE_MASS_LIMIT = 1e-8
 RESOLVENT_RESIDUAL_TOL = 1e-10
 ARNOLDI_HANDOVER = 64   # float64 power steps before the Arnoldi handover
+GAP_ITERATIONS = 400    # deflated power steps in gap_estimate
+GAP_SEED = 20250408     # Philox key of gap_estimate's random start
 
 
 @dataclass
@@ -216,8 +218,7 @@ def triple_at(setup: OperatorSetup, pot: Potential, tol: float = 1e-12,
     return leading_triple(setup.operator(pot), tol=tol, max_iter=max_iter)
 
 
-def gap_estimate(op: DiscretizedOperator, triple: SpectralTriple,
-                 n_iter: int = 400, seed: int = 20250408) -> float:
+def gap_estimate(op: DiscretizedOperator, triple: SpectralTriple) -> float:
     """Estimate tau = |lambda_2| / lambda_1 by deflated power iteration.
 
     The leading pair is removed by the rank-one deflation
@@ -232,7 +233,7 @@ def gap_estimate(op: DiscretizedOperator, triple: SpectralTriple,
     lam = float(triple.lam)
     nu_h = nu / (hv @ nu)
     n = op.grid.n_cells
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=GAP_SEED))
     v = rng.standard_normal(n)
     v = v - (nu @ v) * hv
     norm = np.linalg.norm(v)
@@ -243,7 +244,7 @@ def gap_estimate(op: DiscretizedOperator, triple: SpectralTriple,
     logs = []
     floor = 1e-14 * abs(lam)
     collapsed = None
-    for _ in range(n_iter):
+    for _ in range(GAP_ITERATIONS):
         v = mat @ v - lam * (nu_h @ v) * hv
         v = v - (nu @ v) * hv        # keep roundoff out of the leading direction
         r = np.linalg.norm(v)

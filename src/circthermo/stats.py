@@ -24,7 +24,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebfit, chebval
 
 from .errors import ConfigError, HypothesisError, SchemeQualityError, SolverError
-from .maps import BranchMap, HypothesisAux, ParamFamily, Potential, check_hypotheses
+from .maps import (BranchMap, HypothesisAux, ParamFamily, Potential, check_hypotheses,
+                   monotone_root)
 from .operator import Discretization, OperatorSetup
 from .response import FD_DEFAULT_STEP, ResponseReport, central_difference
 from .spectral import SpectralTriple, resolvent_solve, triple_at
@@ -42,9 +43,6 @@ class CorrelationSeries:
     tau_fit: Optional[float]
     fit_residual: Optional[float]
     note: Optional[str] = None
-
-    def __getitem__(self, n):
-        return self.values[n]
 
 
 def correlation(branch_map: BranchMap, pot: Potential, obs_a, obs_b,
@@ -193,9 +191,7 @@ def _auto_t0(branch_map, phi, psi, aux):
         t = 0.4 ** k
         rep_p = check_hypotheses(branch_map, phi + t * psi, aux)
         rep_m = check_hypotheses(branch_map, phi + (-t) * psi, aux)
-        ok = all(((r.verdicts.get("P") or r.verdicts.get("P'")) and
-                  r.verdicts["H1"] and r.verdicts["H2"]) for r in (rep_p, rep_m))
-        if ok:
+        if rep_p.passed() and rep_m.passed():
             return t
         tried.append((t, rep_p.vep_value, rep_p.vepp_value))
     t, vep, vepp = tried[-1]
@@ -286,16 +282,12 @@ class RateFunction:
         return float(legendre_sup(self.curve, s)[0])
 
 
-# A bisection step halves the bracket, so 100 steps reach any float64 width.
-LEGENDRE_MAX_STEPS = 100
-
-
 def legendre_sup(curve: FreeEnergyCurve, s):
     """sup_t { s t - E(t) } over [-t0, t0] and its maximizer, for each s.
 
-    The maximizer solves E'(t) = s.  It is found by Newton steps on the
-    interpolant's derivative, using E'', each kept inside a bracket taken
-    from the slopes on the table and replaced by bisection when it leaves it.
+    The maximizer solves E'(t) = s on the interpolant.  One monotone_root
+    solve, with E'' as the derivative, finds it inside a bracket taken from
+    the slopes on the table, to a residual of 64 ulps of the largest slope.
     Outside [E'(-t0), E'(t0)] the maximizer is clamped to -t0 or t0.
     Returns arrays shaped like s.
     """
@@ -304,22 +296,13 @@ def legendre_sup(curve: FreeEnergyCurve, s):
     nodes = curve.t_grid
     # the running maximum keeps a sign change of E' - s inside each bracket
     slopes = np.maximum.accumulate(curve.e_prime)
-    i = np.clip(np.searchsorted(slopes, flat), 1, len(nodes) - 1)
-    lo, hi = nodes[i - 1], nodes[i]
-    t = 0.5 * (lo + hi)
-    tol = 4.0 * np.finfo(float).eps * max(1.0, curve.t0)
-    for _ in range(LEGENDRE_MAX_STEPS):
-        r = curve.e(t, 1) - flat
-        below = r < 0.0
-        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = t - r / curve.e(t, 2)
-        t_next = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
-        done = np.all(np.abs(t_next - t) <= tol)
-        t = t_next
-        if done:
-            break
-    t = np.where(flat <= slopes[0], -curve.t0, np.where(flat >= slopes[-1], curve.t0, t))
+    t = np.where(flat <= slopes[0], -curve.t0, curve.t0)
+    inside = np.flatnonzero((flat > slopes[0]) & (flat < slopes[-1]))
+    i = np.searchsorted(slopes, flat[inside])
+    tol = 64.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(slopes))))
+    t[inside] = monotone_root(curve.eprime, lambda x: curve.e(x, 2), flat[inside],
+                              nodes[i - 1], nodes[i], slopes[i - 1], slopes[i], tol=tol,
+                              describe=lambda v: f"E'(t) = {v:.17g}")
     val = flat * t - curve.e(t)
     if np.any(val < -1e-10):
         raise ConfigError(f"negative rate value {np.min(val):.3e}; curve not convex?")

@@ -3,7 +3,9 @@ brute-force pressure oracles (preimage tree and periodic-orbit sums).
 
 The spectral route reads the pressure off the leading eigenvalue of a
 discretized operator; the oracles never discretize and serve as
-independent cross-checks.
+independent cross-checks.  The periodic-orbit oracle sums over exactly the
+d^n - 1 fixed points of f^n, found by the shared solver maps.monotone_root
+as the roots of F^n(x) - x = k on the lift.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ResourceLimitError
-from .maps import BranchMap, Potential, circle_distance
+from .maps import BranchMap, Potential, monotone_root
 from .operator import (Discretization, OperatorSetup, TREE_LEAF_GUARD,
                        apply_transfer_tree)
 from .spectral import SpectralTriple, triple_at
@@ -63,69 +65,51 @@ def pressure_oracle_tree(branch_map: BranchMap, pot: Potential, x0: float,
     return math.log(value) / n
 
 
-def pressure_oracle_periodic(branch_map: BranchMap, pot: Potential, n: int,
-                             tol: float = 1e-12, max_sweeps: int = 60):
-    """(1/n) log of the Birkhoff-weighted sum over fixed points of f^n.
+def pressure_oracle_periodic(branch_map: BranchMap, pot: Potential, n: int):
+    """(1/n) log of the Birkhoff-weighted sum over the fixed points of f^n.
 
-    Periodic points are found as fixed points of each n-fold inverse-branch
-    composition (d^n symbolic codes); the compositions contract where the
-    map expands spacewise, so the iteration converges off the neutral
-    region.  Codes that fail to converge are skipped and counted (the
-    branch-endpoint orbit can oscillate across the seam by rounding; its
-    point is supplied by the mirror code).  Coincident representatives
-    are merged before summing.
+    Extend the lift by F(x + 1) = F(x) + d.  The fixed points of f^n in
+    [0, 1) are then the roots of G(x) = F^n(x) - x = k for the d^n - 1
+    integers k in [G(0), G(1)), where G(1) = G(0) + d^n - 1, and they are
+    found by one monotone_root solve on [0, 1].  Every point is found
+    exactly once: the seam 0 ~ 1 belongs to the lowest k only, and a root
+    that does not converge raises SolverError.  The residual target scales
+    with d^n, the size of G.  G is increasing where (f^n)' > 1; a map that
+    contracts somewhere may have more fixed points, and one per k is kept.
 
-    Returns (value, skipped_codes).
+    Returns (value, skipped); skipped is always 0, kept for callers that
+    read the pair.
     """
+    if n < 1:
+        raise ConfigError(f"period n must be >= 1, got {n}")
     d = branch_map.degree
-    n_codes = d ** n
-    if n_codes > TREE_LEAF_GUARD:
+    if d ** n > TREE_LEAF_GUARD:
         raise ResourceLimitError(
-            f"{n_codes} periodic codes exceed the {TREE_LEAF_GUARD} guard")
-    idx = np.arange(n_codes)
-    digits = np.empty((n, n_codes), dtype=np.int64)
-    rem = idx.copy()
-    for k in range(n):
-        digits[k] = rem % d
-        rem //= d
+            f"d^n = {d ** n} exceeds the {TREE_LEAF_GUARD} periodic-point guard")
 
-    y = np.full(n_codes, 0.5)
-    active = np.arange(n_codes)
-    for _ in range(max_sweeps):
-        if active.size == 0:
-            break
-        ya = y[active]
-        for k in range(n):
-            ya = branch_map.invert_branch(digits[k, active], ya)
-        moved = circle_distance(ya, y[active])
-        y[active] = ya
-        active = active[moved >= tol]
-    skipped = int(active.size)
-    converged = np.ones(n_codes, dtype=bool)
-    converged[active] = False
-    y = y[converged]
-    if y.size == 0:
-        raise ConfigError("no periodic codes converged")
+    def lifted_orbit(x):   # F^j(x) mod 1 for j < n, and F^n(x) on the extended lift
+        points = []
+        for _ in range(n):
+            m = np.floor(x)
+            points.append(x - m)
+            x = np.asarray(branch_map.lift(points[-1])) + d * m
+        return points, x
 
-    # merge the duplicate arising from the wrap point 0 ~ 1 and any
-    # coincident representatives
-    y = np.mod(y, 1.0)
-    order = np.argsort(y)
-    ys = y[order]
-    keep = np.ones(ys.size, dtype=bool)
-    keep[1:] = np.diff(ys) > 1e-9
-    if ys.size > 1 and circle_distance(ys[0], ys[-1]) <= 1e-9:
-        keep[-1] = False
-    ys = ys[keep]
+    def g(x):
+        return lifted_orbit(x)[1] - x
 
-    s = np.zeros_like(ys)
-    z = ys.copy()
-    for _ in range(n):
-        s += pot(z)
-        z = branch_map(z)
+    def dg(x):
+        return np.prod([branch_map.dlift(y) for y in lifted_orbit(x)[0]], axis=0) - 1.0
+
+    g0 = float(g(np.zeros(1))[0])
+    ks = math.ceil(g0) + np.arange(d ** n - 1, dtype=float)
+    roots = monotone_root(g, dg, ks, 0.0, 1.0, g0, g0 + d ** n - 1,
+                          tol=64.0 * np.finfo(float).eps * d ** n,
+                          describe=lambda k: f"the period-{n} point with F^n(x) - x = {k:.0f}")
+    s = np.sum([pot(y) for y in lifted_orbit(roots)[0]], axis=0)
     m = float(np.max(s))
     value = (m + math.log(float(np.sum(np.exp(s - m))))) / n
-    return value, skipped
+    return value, 0
 
 
 def equilibrium_state(branch_map: BranchMap, pot: Potential,

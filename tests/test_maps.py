@@ -8,7 +8,7 @@ from circthermo import (BranchMap, ConfigError, HypothesisAux, SolverError,
                         grid_potential, linear_map, log_derivative_weight,
                         manneville_pomeau, perturbed_doubling, translated_doubling,
                         trig_polynomial, wrap, zero_potential)
-from circthermo.maps import smallness_values
+from circthermo.maps import monotone_root, smallness_values
 
 from conftest import builtin_maps
 
@@ -136,6 +136,14 @@ def test_lift_with_jump_raises_solver_error():
     assert abs(bmap.invert_branch(0, 0.2) * 1.9 - 0.2) < 1e-12
     with pytest.raises(SolverError, match="branch 0"):
         bmap.invert_branch(0, 0.62)   # F(0.3) = 0.57 and F(0.3+) = 0.67
+
+
+def test_monotone_root_solves_each_target_and_names_a_failure():
+    u = np.array([1e-3, 0.5, 7.9])
+    y = monotone_root(lambda y: y ** 3, lambda y: 3.0 * y ** 2, u, 0.0, 2.0, 0.0, 8.0)
+    assert np.max(np.abs(y ** 3 - u)) <= 1e-12
+    with pytest.raises(SolverError, match="target 0.5:"):   # no root in [1, 2]
+        monotone_root(lambda y: y ** 3, lambda y: 3.0 * y ** 2, 0.5, 1.0, 2.0, 1.0, 8.0)
 
 
 def test_wrap_is_bit_identical_to_mod():

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from circthermo import (Discretization, constant, discretize, doubling,
+from circthermo import (ConfigError, Discretization, constant, discretize, doubling,
                         equilibrium_state, leading_triple, linear_map,
                         log_derivative_weight, manneville_pomeau,
                         pressure, pressure_oracle_periodic,
-                        pressure_oracle_tree, trig_polynomial, zero_potential)
+                        pressure_oracle_tree, translated_doubling,
+                        trig_polynomial, zero_potential)
 
 from conftest import builtin_maps
 
@@ -81,7 +82,30 @@ def test_periodic_oracle_matches_spectral():
     val, skipped = pressure_oracle_periodic(doubling(), pot, 16)
     ps = pressure(doubling(), pot, Discretization(n=1024))
     assert abs(val - ps) < 0.02
-    assert skipped <= 1          # the seam orbit may oscillate across 0 ~ 1
+    assert skipped == 0
+
+
+@pytest.mark.parametrize("bmap", builtin_maps() + [manneville_pomeau(0.5)],
+                         ids=lambda m: f"{m.family_tag}{list(m.family_params.values())}")
+def test_periodic_oracle_counts_every_fixed_point(bmap):
+    # d^n - 1 points with unit weights; among them the seam points of the
+    # translated map, whose F(0) = 0.6 is off the integers, and the neutral
+    # fixed point x = 0 of Manneville-Pomeau
+    d = bmap.degree
+    n = 12 if d == 2 else 8
+    val, skipped = pressure_oracle_periodic(bmap, zero_potential(), n)
+    assert abs(val - math.log(d ** n - 1) / n) <= 1e-14
+    assert skipped == 0
+
+
+def test_periodic_oracle_constant_shift_on_translated_doubling():
+    val, _ = pressure_oracle_periodic(translated_doubling(0.3), constant(0.25), 12)
+    assert abs(val - (math.log(2 ** 12 - 1) / 12 + 0.25)) <= 1e-14
+
+
+def test_periodic_oracle_rejects_period_zero():
+    with pytest.raises(ConfigError, match="period"):
+        pressure_oracle_periodic(doubling(), zero_potential(), 0)
 
 
 def test_three_pressure_routes_agree_on_builtin_families():
