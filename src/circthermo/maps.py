@@ -49,14 +49,26 @@ def monotone_root(fn, dfn, u, lo, hi, flo, fhi, tol=_NEWTON_RESIDUAL, describe=N
     and bracket, and equal targets give bit-equal roots.  A point still
     above tol after _MAX_ITER steps raises SolverError naming the worst
     point's target u, as describe(u) when describe is given.
+
+    With dfn None, fn(y) returns the pair (fn(y), slope), where slope(i)
+    is fn' at y[i]: a caller whose slope reuses the work of its value
+    passes it this way.  Either way the slope is taken only at the points
+    of the last fn call that are still unconverged.
     """
+    def evaluate(y, u):
+        if dfn is None:
+            value, slope = fn(y)
+        else:
+            value, slope = fn(y), lambda i: dfn(y[i])
+        return np.asarray(value) - u, slope
+
     u, lo, hi, flo, fhi = np.broadcast_arrays(u, lo, hi, flo, fhi)
     shape = u.shape
     u, lo, hi, flo, fhi = (np.asarray(a, dtype=float).ravel()
                            for a in (u, lo, hi, flo, fhi))
     y = np.clip(lo + (u - flo) * ((hi - lo) / (fhi - flo)), lo, hi)
-    resid = np.asarray(fn(y)) - u
-    todo = np.flatnonzero(~(np.abs(resid) <= tol))
+    resid, slope = evaluate(y, u)
+    left = todo = np.flatnonzero(~(np.abs(resid) <= tol))
     yt, rt, lo, hi, u = (a[todo] for a in (y, resid, lo, hi, u))
     for _ in range(_MAX_ITER):
         if todo.size == 0:
@@ -64,9 +76,9 @@ def monotone_root(fn, dfn, u, lo, hi, flo, fhi, tol=_NEWTON_RESIDUAL, describe=N
         lo = np.where(rt < 0.0, yt, lo)
         hi = np.where(rt > 0.0, yt, hi)
         with np.errstate(divide="ignore", invalid="ignore"):   # a zero slope bisects
-            step = yt - rt / np.asarray(dfn(yt))
+            step = yt - rt / np.asarray(slope(left))
         yt = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-        rt = np.asarray(fn(yt)) - u
+        rt, slope = evaluate(yt, u)
         y[todo] = yt
         left = ~(np.abs(rt) <= tol)
         todo, yt, rt, lo, hi, u = (a[left] for a in (todo, yt, rt, lo, hi, u))

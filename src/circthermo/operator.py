@@ -16,7 +16,6 @@ float64; Fourier collocation and extended precision are stored dense.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -330,7 +329,7 @@ class OperatorSetup:
             k = np.minimum(np.floor(u - c0), d - 1).astype(int)
             return branch_map._invert_lift(u, b[k], b[k + 1], c0 + k, c0 + k + 1)
 
-        rows, cols, mids, widths = [], [], [], []
+        rows, cols, los, his = [], [], [], []
         x_left = self.grid.nodes
         x_right = np.append(x_left[1:], 1.0)
         m_base = np.ceil(c0 - x_right)
@@ -338,27 +337,30 @@ class OperatorSetup:
             m = m_base + r
             u_lo = np.clip(x_left + m, c0, c0 + d)
             u_hi = np.clip(x_right + m, c0, c0 + d)
-            keep = u_hi - u_lo > 0.0
-            if not np.any(keep):
+            keep = np.flatnonzero(u_hi - u_lo > 0.0)
+            if not keep.size:
                 continue
-            y_lo, y_hi = invert(u_lo[keep]), invert(u_hi[keep])
-            for i, p, q in zip(np.nonzero(keep)[0], y_lo, y_hi):
-                j = int(math.floor(p * n))
-                while j / n < q:
-                    lo = max(p, j / n)
-                    hi = min(q, (j + 1) / n)
-                    width = hi - lo
-                    if width >= 1e-14:
-                        rows.append(i)
-                        cols.append(j % n)
-                        mids.append(0.5 * (lo + hi))
-                        widths.append(width)
-                    elif width > 0.0:
-                        self.dropped_entries += 1
-                    j += 1
-        self.points = np.array(mids, dtype=np.float64)
-        self._rows, self._cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
-        self._factors = np.asarray(branch_map.dlift(self.points)) * np.array(widths) * n
+            p, q = invert(u_lo[keep]), invert(u_hi[keep])
+            # arc [p, q] meets the cells j0, j0 + 1, ... with j / n < q.  The
+            # candidates run to ceil(q n), which is at least the last such
+            # cell however q n rounds; a candidate past it gives an empty piece
+            j0 = np.floor(p * n).astype(int)
+            count = np.maximum(np.ceil(q * n).astype(int) - j0 + 1, 0)
+            arc = np.repeat(np.arange(keep.size), count)
+            j = j0[arc] + np.arange(arc.size) - np.repeat(np.cumsum(count) - count, count)
+            lo = np.maximum(p[arc], j / n)
+            hi = np.minimum(q[arc], (j + 1) / n)
+            width = hi - lo
+            self.dropped_entries += int(np.count_nonzero((width > 0.0) & (width < 1e-14)))
+            piece = width >= 1e-14
+            rows.append(keep[arc[piece]])
+            cols.append(j[piece] % n)
+            los.append(lo[piece])
+            his.append(hi[piece])
+        lo, hi = np.concatenate(los), np.concatenate(his)
+        self.points = 0.5 * (lo + hi)
+        self._rows, self._cols = np.concatenate(rows), np.concatenate(cols)
+        self._factors = np.asarray(branch_map.dlift(self.points)) * (hi - lo) * n
 
     def operator(self, pot: Potential) -> DiscretizedOperator:
         """The transfer matrix weighted by e^{pot}, from the stored geometry."""

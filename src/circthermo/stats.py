@@ -11,7 +11,10 @@ polynomial.  Monte-Carlo orbits use exact map evaluation so the deviation
 experiment stays independent of the discretization behind the rate
 function.  The Monte Carlo runs in cache-sized blocks of samples.  The
 finite-n probabilities invert the twisted operator's characteristic
-function; a twist shared by several n is iterated once for all of them.
+function; a twist shared by several n is iterated once for all of them,
+and only until its iterate lies along the twisted operator's leading
+eigenvector, after which every later moment is that eigenvalue's power
+(Nagaev-Guivarc'h; Hennion-Herve, LNM 1766).
 """
 
 from __future__ import annotations
@@ -451,6 +454,11 @@ def ldp_monte_carlo(branch_map: BranchMap, pot: Potential, psi,
 # characteristic function decays.
 FOURIER_MODES = 200
 TWIST_RESOLUTION_TOL = 1e-8
+# Every RETIRE_CHECK_PERIOD steps, a twist column whose iterate f satisfies
+# |L f - rho f| <= RETIRE_TOL |L f| (sup norms) stops iterating.
+RETIRE_CHECK_PERIOD = 8
+RETIRE_TOL = 64.0 * np.finfo(float).eps
+LOG2 = math.log(2.0)
 
 
 @dataclass
@@ -458,6 +466,7 @@ class DeviationProbability:
     interval: tuple
     tilt: float                   # real part t of every z_k
     rates: dict                   # n -> (1/n) log mu(S_n/n in [a, b])
+    column_steps: int             # twist-column applications of the operator
 
 
 def _twist_key(k, n):
@@ -494,6 +503,19 @@ def deviation_probability(branch_map: BranchMap, pot: Potential, psi,
     modes off the shared columns.  Each step renormalizes every column by
     a power of two and carries the exponent, so a column's iterate does
     not depend on the columns beside it.
+
+    Every RETIRE_CHECK_PERIOD steps, each column's step f_m -> f_{m+1}
+    gives rho = nu f_{m+1} / nu f_m.  A column with
+    |f_{m+1} - rho f_m| <= RETIRE_TOL |f_{m+1}| (sup norms) lies along the
+    leading eigenvector of its twisted operator to rounding, so every later
+    step only multiplies it by the eigenvalue rho.  It retires, and each
+    later n reads log nu F_n = log nu F_m + (n - m) log rho, with the
+    carried exponent folded into both logs so nothing overflows.  The part
+    of f_m off the eigenvector is of the order of the residual and shrinks
+    relative to it at every later step, so the extrapolation is exact to
+    rounding.  A column that never meets the residual, such as a
+    high-frequency twist of a small n, is iterated to its last n.
+    `column_steps` counts the column applications made.
 
     Raises SchemeQualityError when the grid cannot resolve the twist
     e^{z psi} at the outermost mode of some n, and SolverError when the
@@ -539,27 +561,58 @@ def deviation_probability(branch_map: BranchMap, pot: Potential, psi,
                 f"omega={w_top:.3g} (n={n}): interpolation error {err:.2e} "
                 f"> {TWIST_RESOLUTION_TOL:g}; refine the grid")
 
+    # live[j] is the column whose iterate 2^exponent[j] f[:, j] is still
+    # applied; a retired column c reads its moment at every later n as
+    # log nu F_n = log_base[c] + (n - base[c]) log_rho[c]
+    live = np.arange(len(keys))
     twist = np.exp(np.outer(pv, tilt + 1j * omega))
     f = np.repeat(hv[:, None], len(keys), axis=1).astype(complex)
-    exponent = np.zeros(len(keys), dtype=int)      # column j carries 2^exponent[j]
+    exponent = np.zeros(len(keys), dtype=int)
+    base = np.full(len(keys), -1)
+    log_base = np.zeros(len(keys), dtype=complex)
+    log_rho = np.zeros(len(keys), dtype=complex)
     log_lam = math.log(float(triple.lam))
+    column_steps = 0
     rates = {}
     step = 0
     for n in n_sorted:
         while step < n:
-            live = int(np.count_nonzero(last_n > step))
-            twist, exponent = twist[:, :live], exponent[:live]
+            keep = (last_n[live] > step) & (base[live] < 0)
+            if not np.all(keep):
+                live, exponent = live[keep], exponent[keep]
+                f, twist = (np.compress(keep, a, axis=1) for a in (f, twist))
+            if not live.size:
+                break
+            prev = f
             # real matrix on the interleaved (re, im) columns of the product
-            fr = triple.op.apply((twist * f[:, :live]).view(float))
-            e = np.frexp(np.abs(fr).max(axis=0).reshape(live, 2).max(axis=1))[1]
+            fr = triple.op.apply((twist * f).view(float))
+            e = np.frexp(np.abs(fr).max(axis=0).reshape(live.size, 2).max(axis=1))[1]
             fr *= np.repeat(np.ldexp(1.0, -e), 2)
             f = fr.view(complex)
             exponent = exponent + e
+            column_steps += live.size
             step += 1
+            if step % RETIRE_CHECK_PERIOD == 0:
+                nu_f = nu @ f
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    rho = nu_f / (nu @ prev)
+                    resid = np.abs(f - rho * prev).max(axis=0) / np.abs(f).max(axis=0)
+                done = resid <= RETIRE_TOL
+                c = live[done]
+                base[c] = step
+                log_base[c] = np.log(nu_f[done]) + exponent[done] * LOG2
+                log_rho[c] = np.log(rho[done]) + e[done] * LOG2
+        step = n
 
         idx = modes[n]
-        e_top = int(exponent[idx].max())
-        moments = (nu @ f[:, idx]) * np.ldexp(1.0, exponent[idx] - e_top)
+        retired = base[idx] >= 0
+        r = idx[retired]
+        log_retired = log_base[r] + (n - base[r]) * log_rho[r]
+        pos = np.searchsorted(live, idx[~retired])
+        e_top = int(np.concatenate((exponent[pos], np.round(log_retired.real / LOG2))).max())
+        moments = np.empty(len(idx), dtype=complex)
+        moments[~retired] = (nu @ f[:, pos]) * np.ldexp(1.0, exponent[pos] - e_top)
+        moments[retired] = np.exp(log_retired - e_top * LOG2)
         # g_k with the common factor e^{-t n a} taken out
         z = tilt + 1j * omega[idx]
         lo, width = n * a, n * (b - a)
@@ -573,9 +626,10 @@ def deviation_probability(branch_map: BranchMap, pot: Potential, psi,
             raise SolverError(
                 f"Fourier inversion at n={n} gave a nonpositive probability "
                 f"({total:.3e}): truncation or discretization error dominates")
-        rates[n] = (e_top * math.log(2.0) - n * log_lam - tilt * lo
+        rates[n] = (e_top * LOG2 - n * log_lam - tilt * lo
                     + math.log(total)) / n
-    return DeviationProbability(interval=(a, b), tilt=tilt, rates=rates)
+    return DeviationProbability(interval=(a, b), tilt=tilt, rates=rates,
+                                column_steps=column_steps)
 
 
 # ---------------------------------------------------------------------------

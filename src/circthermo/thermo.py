@@ -95,15 +95,14 @@ def pressure_oracle_periodic(branch_map: BranchMap, pot: Potential, n: int):
             x = np.asarray(branch_map.lift(points[-1])) + d * m
         return points, x
 
-    def g(x):
-        return lifted_orbit(x)[1] - x
+    def g(x):   # G(x), and G' at x[i] from the same orbit
+        points, end = lifted_orbit(x)
+        return end - x, lambda i: np.prod([branch_map.dlift(y[i]) for y in points],
+                                          axis=0) - 1.0
 
-    def dg(x):
-        return np.prod([branch_map.dlift(y) for y in lifted_orbit(x)[0]], axis=0) - 1.0
-
-    g0 = float(g(np.zeros(1))[0])
+    g0 = float(lifted_orbit(np.zeros(1))[1][0])
     ks = math.ceil(g0) + np.arange(d ** n - 1, dtype=float)
-    roots = monotone_root(g, dg, ks, 0.0, 1.0, g0, g0 + d ** n - 1,
+    roots = monotone_root(g, None, ks, 0.0, 1.0, g0, g0 + d ** n - 1,
                           tol=64.0 * np.finfo(float).eps * d ** n,
                           describe=lambda k: f"the period-{n} point with F^n(x) - x = {k:.0f}")
     s = np.sum([pot(y) for y in lifted_orbit(roots)[0]], axis=0)

@@ -287,6 +287,52 @@ def test_ulam_wrap_handling_translated_family():
     assert float(tr.lam) == pytest.approx(2.0, abs=1e-6)
 
 
+def _ulam_pieces_by_cell_loop(bmap, n):
+    """Ulam arc pieces, one preimage arc and one cell at a time, in the
+    order (r, i, j): rows, cols, midpoints, widths and the dropped count."""
+    d, c0, b = bmap.degree, bmap._lift0, bmap.branch_bounds
+
+    def invert(u):
+        k = np.minimum(np.floor(u - c0), d - 1).astype(int)
+        return bmap._invert_lift(u, b[k], b[k + 1], c0 + k, c0 + k + 1)
+
+    rows, cols, mids, widths, dropped = [], [], [], [], 0
+    x_left = np.arange(n) / n
+    x_right = np.append(x_left[1:], 1.0)
+    for r in range(d + 1):
+        m = np.ceil(c0 - x_right) + r
+        u_lo, u_hi = (np.clip(x + m, c0, c0 + d) for x in (x_left, x_right))
+        keep = u_hi - u_lo > 0.0
+        if not np.any(keep):
+            continue
+        for i, p, q in zip(np.nonzero(keep)[0], invert(u_lo[keep]), invert(u_hi[keep])):
+            j = math.floor(p * n)
+            while j / n < q:
+                lo, hi = max(p, j / n), min(q, (j + 1) / n)
+                if hi - lo >= 1e-14:
+                    rows.append(i)
+                    cols.append(j % n)
+                    mids.append(0.5 * (lo + hi))
+                    widths.append(hi - lo)
+                elif hi - lo > 0.0:
+                    dropped += 1
+                j += 1
+    return np.array(rows), np.array(cols), np.array(mids), np.array(widths), dropped
+
+
+@pytest.mark.parametrize("bmap", builtin_maps() + [manneville_pomeau(0.5)],
+                         ids=lambda m: f"{m.family_tag}{m.family_params}")
+def test_ulam_setup_matches_cell_loop_bit_for_bit(bmap):
+    for n in (64, 257):
+        setup = OperatorSetup(bmap, Grid(n), "ulam")
+        rows, cols, mids, widths, dropped = _ulam_pieces_by_cell_loop(bmap, n)
+        assert setup.dropped_entries == dropped
+        assert np.array_equal(setup._rows, rows)
+        assert np.array_equal(setup._cols, cols)
+        assert np.array_equal(setup.points, mids)
+        assert np.array_equal(setup._factors, np.asarray(bmap.dlift(mids)) * widths * n)
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="longdouble is float64 on this platform")
 def test_longdouble_collocation_preimages_polish_below_float64():

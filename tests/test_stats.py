@@ -471,6 +471,28 @@ def test_shared_twists_match_per_n_iteration(deviation_case, n_list):
         assert abs(dp.rates[n] - twin[n]) <= 1e-12, n
 
 
+BENCH_N_LIST = [10, 15, 20, 25, 30, 60, 120, 240, 480]
+# column applications when every distinct twist runs to its last n
+FULL_COLUMN_STEPS = 149_620
+
+
+def test_converged_twist_columns_retire(deviation_case):
+    fmap, pot, rate = deviation_case
+    dp = deviation_probability(fmap, pot, PSI_COS, (0.25, 0.45), BENCH_N_LIST, rate)
+    assert dp.column_steps <= 0.45 * FULL_COLUMN_STEPS
+    again = deviation_probability(fmap, pot, PSI_COS, (0.25, 0.45), BENCH_N_LIST, rate)
+    assert again.column_steps == dp.column_steps
+    assert again.rates == dp.rates
+
+
+def test_retired_twist_columns_extrapolate_to_rounding(deviation_case):
+    fmap, pot, rate = deviation_case
+    dp = deviation_probability(fmap, pot, PSI_COS, (0.25, 0.45), BENCH_N_LIST, rate)
+    twin = _per_n_deviation_rates(fmap, pot, PSI_COS, (0.25, 0.45), BENCH_N_LIST, dp.tilt)
+    for n in BENCH_N_LIST:
+        assert abs(dp.rates[n] - twin[n]) <= 1e-14, n
+
+
 def _unblocked_monte_carlo(branch_map, psi, interval, n_list, n_samples, seed, triple,
                            n_batches=20):
     """One full-length draw and orbit array: hits and batch-means CI per n."""
