@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -197,6 +198,29 @@ def _pi(x):
     return np.pi if x.dtype == np.float64 else 4 * np.arctan(np.ones((), x.dtype))
 
 
+def _cos_sin_2pi(y):
+    """(cos 2 pi y, sin 2 pi y) in y's dtype, from one tangent of the reduced phase.
+
+    r = y - rint(y) is exact and lies in [-1/2, 1/2], so the pair is exactly
+    periodic in y and t = tan(pi r) is finite; cos and sin follow from the
+    half-angle identities (1 - t^2)/(1 + t^2) and 2t/(1 + t^2).  numpy's
+    float64 tan is vectorised where its cos and sin are scalar libm calls,
+    and the reduction drops the argument error of forming 2 pi y.
+    """
+    y = np.asarray(y)
+    t = np.rint(y, out=np.empty_like(y))
+    np.subtract(y, t, out=t)
+    t *= _pi(t)
+    np.tan(t, out=t)
+    c = np.square(t, out=np.empty_like(t))
+    s = np.add(c, 1.0, out=np.empty_like(t))
+    np.subtract(1.0, c, out=c)
+    c /= s
+    t += t
+    np.divide(t, s, out=s)
+    return c, s
+
+
 def linear_map(degree: int) -> BranchMap:
     """x -> degree * x (mod 1)."""
     d = float(degree)
@@ -257,24 +281,20 @@ def manneville_pomeau(alpha: float) -> BranchMap:
 def _pitchfork_bump(x):
     # sin^4 localized in the branch domain [0, 1/2]; C^2 across both endpoints.
     x = _floating(x)
-    s = np.sin(2.0 * _pi(x) * x)
+    s = _cos_sin_2pi(x)[1]
     return np.where(x <= 0.5, 0.25 * s ** 4, 0.0)
 
 
 def _pitchfork_bump_d1(x):
     x = _floating(x)
-    pi = _pi(x)
-    s = np.sin(2.0 * pi * x)
-    c = np.cos(2.0 * pi * x)
-    return np.where(x <= 0.5, 2.0 * pi * s ** 3 * c, 0.0)
+    c, s = _cos_sin_2pi(x)
+    return np.where(x <= 0.5, 2.0 * _pi(x) * s ** 3 * c, 0.0)
 
 
 def _pitchfork_bump_d2(x):
     x = _floating(x)
-    pi = _pi(x)
-    s = np.sin(2.0 * pi * x)
-    c = np.cos(2.0 * pi * x)
-    return np.where(x <= 0.5, 4.0 * pi ** 2 * s ** 2 * (3.0 * c ** 2 - s ** 2), 0.0)
+    c, s = _cos_sin_2pi(x)
+    return np.where(x <= 0.5, 4.0 * _pi(x) ** 2 * s ** 2 * (3.0 * c ** 2 - s ** 2), 0.0)
 
 
 def perturbed_doubling(t: float) -> BranchMap:
@@ -379,26 +399,29 @@ class Potential:
 
     def __call__(self, x):
         x = _floating(x)
-        pi = _pi(x)
         out = np.zeros_like(x)
         for term in self.terms:
             kind = term[0]
             if kind == "const":
-                out = out + term[1]
+                if term[1] != 0.0:
+                    out += term[1]
             elif kind == "trig":
                 _, c0, ac, bc = term
-                out = out + c0
-                for k, a in enumerate(ac, start=1):
+                if c0 != 0.0:
+                    out += c0
+                for k, a, b in _harmonics(ac, bc):
+                    c, s = _cos_sin_2pi(x if k == 1 else k * x)
                     if a != 0.0:
-                        out = out + a * np.cos(2.0 * pi * k * x)
-                for k, b in enumerate(bc, start=1):
+                        c *= a
+                        out += c
                     if b != 0.0:
-                        out = out + b * np.sin(2.0 * pi * k * x)
+                        s *= b
+                        out += s
             elif kind == "logderiv":
                 _, c, bmap = term
-                out = out + c * np.log(bmap.dlift(wrap(x)))
+                out += c * np.log(bmap.dlift(wrap(x)))
             elif kind == "grid":
-                out = out + _grid_function(term)(x)
+                out += _grid_function(term)(x)
             else:
                 raise ConfigError(f"unknown potential term {kind!r}")
         return out
@@ -416,22 +439,24 @@ class Potential:
             if kind == "const":
                 continue
             if kind == "trig":
-                _, c0, ac, bc = term
-                for k, a in enumerate(ac, start=1):
-                    if a != 0.0:
-                        out = out - a * 2.0 * pi * k * np.sin(2.0 * pi * k * x)
-                for k, b in enumerate(bc, start=1):
+                # d/dx (a cos + b sin)(2 pi k x) = 2 pi k (b cos - a sin)
+                for k, a, b in _harmonics(term[2], term[3]):
+                    c, s = _cos_sin_2pi(x if k == 1 else k * x)
                     if b != 0.0:
-                        out = out + b * 2.0 * pi * k * np.cos(2.0 * pi * k * x)
+                        c *= b * 2.0 * pi * k
+                        out += c
+                    if a != 0.0:
+                        s *= a * 2.0 * pi * k
+                        out -= s
             elif kind == "logderiv":
                 _, c, bmap = term
                 y = wrap(x)
-                out = out + c * bmap.second_derivative(y) / bmap.dlift(y)
+                out += c * bmap.second_derivative(y) / bmap.dlift(y)
             elif kind == "grid":
                 if term[2] != "fourier":
                     raise SmoothnessError(
                         "grid potential with linear interpolation has no derivative")
-                out = out + _grid_function(term).derivative()(x)
+                out += _grid_function(term).derivative()(x)
         return out
 
     def __add__(self, other):
@@ -491,6 +516,12 @@ class Potential:
             elif kind == "grid":
                 parts.append(f"grid[{len(term[1])}]")
         return "+".join(parts) if parts else "const(0)"
+
+
+def _harmonics(cos_coeffs, sin_coeffs):
+    """(k, a_k, b_k) for each k >= 1 where a_k or b_k is nonzero."""
+    pairs = zip_longest(cos_coeffs, sin_coeffs, fillvalue=0.0)
+    return [(k, a, b) for k, (a, b) in enumerate(pairs, start=1) if a != 0.0 or b != 0.0]
 
 
 def _grid_function(term):

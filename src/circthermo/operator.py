@@ -72,19 +72,18 @@ def trig_interp_matrix(points, n, dtype=np.float64):
     pts = np.asarray(points, dtype=dtype).ravel()
     xk = np.arange(n, dtype=dtype) / np.asarray(n, dtype=dtype)
     w = np.where(np.arange(n) % 2 == 0, 1.0, -1.0).astype(dtype)
-    d = _pi(pts) * (pts[:, None] - xk[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kern = 1.0 / np.tan(d) if n % 2 == 0 else 1.0 / np.sin(d)
-    num = kern * w
-    denom = num.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        t = num / denom[:, None]
-    bad = ~np.all(np.isfinite(t), axis=1)
-    if np.any(bad):
-        # point coincides with a node: exact one-hot row
-        for p in np.nonzero(bad)[0]:
-            t[p] = 0.0
-            t[p, int(np.argmin(np.abs(d[p])))] = 1.0
+    t = np.subtract(pts[:, None], xk[None, :])
+    t *= _pi(pts)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        (np.tan if n % 2 == 0 else np.sin)(t, out=t)
+        np.divide(w, t, out=t)
+        denom = t.sum(axis=1)
+        t /= denom[:, None]
+    # a point on a node (or within underflow of one) makes its denominator
+    # infinite: exact one-hot row
+    on_node = np.flatnonzero(~np.isfinite(denom))
+    t[on_node] = 0.0
+    t[on_node, np.argmin(np.abs(pts[on_node, None] - xk), axis=1)] = 1.0
     return t
 
 

@@ -343,9 +343,10 @@ def _deviation_interval(interval, rate):
     return a, b
 
 
-# Monte-Carlo samples per block: a float64 array of a block is 128 KB, so
-# the block's working arrays stay inside one core's L2 cache.
-MC_BLOCK = 2 ** 14
+# Monte-Carlo samples per block: a float64 array of a block is 64 KiB, below
+# glibc's default 128 KiB mmap threshold, so the temporaries of each step are
+# reused from the heap instead of being mapped and page-faulted afresh.
+MC_BLOCK = 2 ** 13
 
 
 @dataclass

@@ -8,7 +8,7 @@ from circthermo import (BranchMap, ConfigError, HypothesisAux, SolverError,
                         grid_potential, linear_map, log_derivative_weight,
                         manneville_pomeau, perturbed_doubling, translated_doubling,
                         trig_polynomial, wrap, zero_potential)
-from circthermo.maps import monotone_root, smallness_values
+from circthermo.maps import _cos_sin_2pi, monotone_root, smallness_values
 
 from conftest import builtin_maps
 
@@ -338,3 +338,44 @@ def test_trig_potential_phase_uses_longdouble_pi():
     bump = perturbed_doubling(0.3).lift(x) - 2 * x
     exact = np.where(x <= 0.5, 0.3 * 0.25 * np.sin(2 * pi_ld * x) ** 4, 0.0)
     assert np.max(np.abs(bump - exact)) <= 1e-18
+
+
+PI_LD = 4 * np.arctan(np.longdouble(1))
+
+
+def _worst_cos_sin_error(y):
+    c, s = _cos_sin_2pi(y)
+    phase = 2 * PI_LD * y.astype(np.longdouble)
+    return max(np.max(np.abs(c - np.cos(phase))), np.max(np.abs(s - np.sin(phase))))
+
+
+def test_cos_sin_2pi_accuracy_in_float64():
+    # the float64 phase y itself is the argument; the reference is longdouble
+    x = np.arange(2 ** 15) / 2 ** 15 + 1e-6 * np.sin(np.arange(2 ** 15))
+    x = x[(x >= 0.0) & (x < 1.0)]
+    for k in range(1, 9):
+        assert _worst_cos_sin_error(k * x) <= 4.5e-16, k
+        assert _worst_cos_sin_error(-k * x) <= 4.5e-16, k
+    y = np.linspace(-64.0, 64.0, 200_001) + 1e-7
+    assert _worst_cos_sin_error(y) <= 4.5e-16
+    assert _cos_sin_2pi(y)[0].dtype == np.float64
+
+
+def test_cos_sin_2pi_special_points():
+    c, s = _cos_sin_2pi(np.array([0.0, 0.25, 0.5, 0.75]))
+    assert np.max(np.abs(c - [1.0, 0.0, -1.0, 0.0])) <= 2.3e-16
+    assert np.max(np.abs(s - [0.0, 1.0, 0.0, -1.0])) <= 2.3e-16
+    c0, s0 = _cos_sin_2pi(0.3)            # a scalar phase gives 0-d arrays
+    assert abs(c0 - np.cos(2 * np.pi * 0.3)) <= 4.5e-16 and s0.shape == ()
+
+
+@pytest.mark.parametrize("pot", [
+    trig_polynomial(cos_coeffs=[1.0]),
+    trig_polynomial(cos_coeffs=[0.3, 0.0, -0.2], sin_coeffs=[0.0, 0.4], const_term=0.1),
+], ids=["cos", "mixed"])
+def test_trig_potential_is_exactly_periodic(pot):
+    x = np.arange(0, 2 ** 20, 37) / 2 ** 20
+    value, slope = pot(x), pot.derivative(x)
+    for m in (-3, 1, 5):
+        np.testing.assert_array_equal(pot(x + m), value)
+        np.testing.assert_array_equal(pot.derivative(x + m), slope)

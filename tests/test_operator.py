@@ -13,8 +13,8 @@ from circthermo import (Discretization, Grid, GridFunction, OperatorSetup,
                         ResourceLimitError, apply_transfer_point,
                         apply_transfer_tree, build_operator, constant,
                         doubling, free_energy, linear_map, log_derivative_weight,
-                        manneville_pomeau, translated_doubling,
-                        trig_polynomial, zero_potential)
+                        manneville_pomeau, perturbed_doubling,
+                        translated_doubling, trig_polynomial, zero_potential)
 from circthermo.operator import trig_interp_matrix
 from circthermo.spectral import leading_triple
 
@@ -205,6 +205,44 @@ def test_trig_cardinal_rows_sum_to_one():
     # exact one-hot on a node
     t_node = trig_interp_matrix(np.array([3.0 / 16.0]), 16)
     assert t_node[0, 3] == pytest.approx(1.0, abs=1e-12)
+
+
+def _trig_interp_matrix_row_loop(points, n, dtype=np.float64):
+    """The cardinal matrix as it was built before the in-place kernel: the reference."""
+    pts = np.asarray(points, dtype=dtype).ravel()
+    xk = np.arange(n, dtype=dtype) / np.asarray(n, dtype=dtype)
+    w = np.where(np.arange(n) % 2 == 0, 1.0, -1.0).astype(dtype)
+    pi = np.pi if pts.dtype == np.float64 else 4 * np.arctan(np.ones((), pts.dtype))
+    d = pi * (pts[:, None] - xk[None, :])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        kern = 1.0 / np.tan(d) if n % 2 == 0 else 1.0 / np.sin(d)
+    num = kern * w
+    denom = num.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        t = num / denom[:, None]
+    bad = ~np.all(np.isfinite(t), axis=1)
+    for p in np.nonzero(bad)[0]:
+        t[p] = 0.0
+        t[p, int(np.argmin(np.abs(d[p])))] = 1.0
+    return t
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("n", [16, 17, 64, 65])
+def test_trig_interp_matrix_matches_row_loop_bit_for_bit(n, dtype):
+    rng = np.random.default_rng(n)
+    nodes = np.arange(n) / n
+    pts = np.concatenate([
+        rng.random(200),
+        nodes[::3],                              # on a node: one-hot rows
+        nodes[1::5] + 1e-17, [1e-310, 0.0, 1.0 - 2.0 ** -53],
+        perturbed_doubling(0.1).preimages(nodes).ravel(),
+    ]).astype(dtype)
+    got = trig_interp_matrix(pts, n, dtype)
+    assert got.dtype == dtype
+    ref = _trig_interp_matrix_row_loop(pts, n, dtype)
+    assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+    assert np.count_nonzero(np.max(got, axis=1) == 1.0) >= len(nodes[::3])
 
 
 def test_fourier_differentiation_matches_trig():

@@ -542,6 +542,24 @@ def test_blocked_monte_carlo_matches_one_pass(n_samples, interval):
     np.testing.assert_equal(exp.ci95, ci95)
 
 
+def test_monte_carlo_block_size_moves_no_hit(monkeypatch):
+    rate, disc = _doubling_rate_setup(n=256)
+    triple = triple_at(OperatorSetup.of(doubling(), disc), zero_potential())
+    runs = []
+    for block in (2 ** 12, 2 ** 13, 2 ** 14):
+        monkeypatch.setattr(stats, "MC_BLOCK", block)
+        exp = ldp_monte_carlo(doubling(), zero_potential(), PSI_COS, (0.25, 0.45),
+                              [5, 10, 20], 50_000, 29, rate, triple=triple)
+        runs.append((exp.hits, exp.ci95))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_monte_carlo_block_arrays_stay_below_the_mmap_threshold():
+    assert MC_BLOCK * 8 < 2 ** 17, (
+        "a float64 block array must stay below glibc's default 128 KiB "
+        "M_MMAP_THRESHOLD, or each step's temporaries may be mapped afresh")
+
+
 def test_monte_carlo_memory_stays_within_blocks():
     rate, disc = _doubling_rate_setup(n=256)
     triple = triple_at(OperatorSetup.of(doubling(), disc), zero_potential())
