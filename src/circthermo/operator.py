@@ -12,20 +12,24 @@ Both are assembled through an OperatorSetup, which computes the
 map-and-grid geometry once and reweights it for each potential.
 The local stencils (linear collocation and Ulam) are stored in CSR form in
 float64; Fourier collocation and extended precision are stored dense.
+scipy.sparse is imported where the first CSR matrix is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigError, ResourceLimitError
 from .maps import BranchMap, Potential, _pi, wrap
 
+if TYPE_CHECKING:
+    from scipy import sparse
+
 TREE_LEAF_GUARD = 2 ** 24
+CSV_BLOCK_BYTES = 2 ** 20   # bytes of dense rows a CSR export holds at a time
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,7 @@ class DiscretizedOperator:
 
     @property
     def matrix(self) -> np.ndarray:
-        if not sparse.issparse(self.storage):
+        if isinstance(self.storage, np.ndarray):
             return self.storage
         if self._dense is None:
             self._dense = self.storage.toarray()
@@ -168,7 +172,7 @@ class DiscretizedOperator:
         return self.storage @ np.asarray(values)
 
     def apply_left(self, weights):
-        if not sparse.issparse(self.storage):
+        if isinstance(self.storage, np.ndarray):
             return np.asarray(weights) @ self.storage
         if self._left is None:
             self._left = self.storage.T.tocsr()
@@ -182,7 +186,11 @@ class DiscretizedOperator:
         return np.asarray(self.storage.sum(axis=1)).ravel()
 
     def export_csv(self, path):
-        """Dense text dump with a header naming scheme, N, and the map tag."""
+        """Dense text dump with a header naming scheme, N, and the map tag.
+
+        CSR storage is written a block of rows at a time; the dense matrix
+        is neither built nor cached.
+        """
         n = self.grid.n_cells
         header = (f"# circthermo operator scheme={self.scheme} N={n} "
                   f"map={self.branch_map.family_tag} "
@@ -191,8 +199,14 @@ class DiscretizedOperator:
         line = ",".join(["%.17g"] * n) + "\n"
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            for row in np.asarray(self.matrix, dtype=float):
-                fh.write(line % tuple(row.tolist()))
+            if isinstance(self.storage, np.ndarray):
+                blocks = [self.storage]
+            else:
+                step = max(1, CSV_BLOCK_BYTES // (8 * n))
+                blocks = (self.storage[i:i + step].toarray() for i in range(0, n, step))
+            for block in blocks:
+                for row in np.asarray(block, dtype=float):
+                    fh.write(line % tuple(row.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +412,12 @@ def discretize(branch_map, pot, disc: Discretization, dtype=np.float64):
 def _from_triplets(rows, cols, vals, n, dtype):
     """Sum a local stencil's (row, col, value) triplets into an N x N matrix.
 
-    Duplicates are summed.  CSR in float64; extended precision stays dense.
+    Duplicates are summed, in triplet order.  CSR in float64; extended
+    precision stays dense and needs no scipy.
     """
-    coo = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=dtype)
-    return coo.tocsr() if np.dtype(dtype) == np.float64 else coo.toarray()
+    if np.dtype(dtype) != np.float64:
+        mat = np.zeros((n, n), dtype=dtype)
+        np.add.at(mat, (rows, cols), vals)
+        return mat
+    from scipy import sparse
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=dtype).tocsr()

@@ -452,21 +452,65 @@ def test_free_energy_table_has_n_t_rows_and_an_exact_zero(tmp_path):
     assert result["nodes"] in cli.stats.FREE_ENERGY_LEVELS and 0.0 <= result["tail"] <= 1e-10
 
 
-def test_free_energy_command_leaves_scipy_interpolate_unimported(tmp_path):
-    cfg = base_config(discretization={"n": 64, "interpolation": "fourier"},
-                      free_energy={"observable": _TRIG, "t0": 0.2},
-                      output={"dir": str(tmp_path / "out")})
+def _fresh_python(script):
+    """Run `script` in a fresh interpreter that imports circthermo from src/."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    script = ("import sys; from circthermo.cli import main; "
-              f"code = main(['free-energy', {write_config(tmp_path, cfg)!r}]); "
-              "print('scipy.interpolate' in sys.modules); sys.exit(code)")
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def _fresh_cli(command, config_path, probe):
+    """`main([command, config_path])` in a fresh interpreter that then prints `probe`."""
+    return _fresh_python("import sys; from circthermo.cli import main; "
+                         f"code = main([{command!r}, {config_path!r}]); "
+                         f"print({probe}); sys.exit(code)")
+
+
+# the names of the scipy modules a process has loaded, space-separated
+_SCIPY_LOADED = "' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def test_free_energy_command_leaves_scipy_interpolate_unimported(tmp_path):
+    cfg = base_config(discretization={"n": 64, "interpolation": "fourier"},
+                      free_energy={"observable": _TRIG, "t0": 0.2},
+                      output={"dir": str(tmp_path / "out")})
+    proc = _fresh_cli("free-energy", write_config(tmp_path, cfg),
+                      "'scipy.interpolate' in sys.modules")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "False"
+
+
+def test_import_loads_no_scipy():
+    proc = _fresh_python(f"import sys, circthermo, circthermo.cli; print({_SCIPY_LOADED})")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("command,block", [
+    ("pressure", {}),
+    ("free-energy", {"free_energy": {"observable": _TRIG, "t0": 0.2}}),
+])
+def test_fourier_commands_load_no_scipy(tmp_path, command, block):
+    cfg = base_config(discretization={"n": 64, "interpolation": "fourier"},
+                      output={"dir": str(tmp_path / "out")}, **block)
+    proc = _fresh_cli(command, write_config(tmp_path, cfg), _SCIPY_LOADED)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("command,interpolation,block,needs", [
+    ("pressure", "linear", {}, "scipy.sparse"),                 # CSR assembly
+    ("clt", "fourier", {"clt": {"observable": _TRIG}}, "scipy.linalg"),   # dense LU
+])
+def test_csr_and_lu_commands_load_scipy(tmp_path, command, interpolation, block, needs):
+    cfg = base_config(discretization={"n": 64, "interpolation": interpolation},
+                      output={"dir": str(tmp_path / "out")}, **block)
+    proc = _fresh_cli(command, write_config(tmp_path, cfg), _SCIPY_LOADED)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert needs in proc.stdout.split()
 
 
 def _reference_csv_lines(rows):

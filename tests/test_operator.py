@@ -263,6 +263,33 @@ def test_operator_csv_export_roundtrip(tmp_path):
     assert np.array_equal(data, np.asarray(op.matrix, dtype=float))
 
 
+@pytest.mark.parametrize("block_rows", [None, 5])
+@pytest.mark.parametrize("scheme", ["collocation", "ulam"])
+def test_csr_export_matches_dense_rows_and_caches_no_dense_copy(tmp_path, monkeypatch,
+                                                                 scheme, block_rows):
+    n = 96
+    op = build_operator(perturbed_doubling(0.1), trig_polynomial(cos_coeffs=[0.3]),
+                        Grid(n), scheme, "linear")
+    assert sparse.issparse(op.storage)
+    if block_rows is not None:     # 20 blocks, the last one short
+        monkeypatch.setattr(ct_operator, "CSV_BLOCK_BYTES", 8 * n * block_rows)
+    op.export_csv(tmp_path / "operator.csv")
+    body = (tmp_path / "operator.csv").read_text().split("\n", 1)[1]
+    assert body == "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                           for row in op.storage.toarray())
+    assert op._dense is None
+
+
+def test_extended_precision_triplets_sum_like_scipy():
+    setup = OperatorSetup(manneville_pomeau(0.5), Grid(96), dtype=np.longdouble)
+    rows, cols = np.tile(setup._rows, 3), np.tile(setup._cols, 3)   # summed in order
+    vals = np.linspace(0.1, 2.0, rows.size, dtype=np.longdouble) / 3
+    got = ct_operator._from_triplets(rows, cols, vals, 96, np.longdouble)
+    ref = sparse.coo_matrix((vals, (rows, cols)), shape=(96, 96),
+                            dtype=np.longdouble).toarray()
+    assert got.dtype == np.longdouble and got.tobytes() == ref.tobytes()
+
+
 def _dense(op):
     return op.storage.toarray() if sparse.issparse(op.storage) else op.storage
 

@@ -270,6 +270,46 @@ def test_sparse_path_allocates_no_dense_matrix():
     assert peak < n * n           # an eighth of one dense N x N float64 array
 
 
+# --- scipy's solvers, bound on first use -----------------------------------
+
+def test_lazy_solver_names_are_scipys():
+    import scipy.sparse.linalg
+    assert spectral.eigs is scipy.sparse.linalg.eigs
+    assert spectral.splu is scipy.sparse.linalg.splu
+    assert spectral.lu_factor is scipy.linalg.lu_factor
+
+
+def test_unknown_attribute_raises_naming_the_module():
+    with pytest.raises(AttributeError, match="'circthermo.spectral' has no attribute "
+                                             "'no_such_name'"):
+        spectral.no_such_name
+
+
+def test_patched_solvers_are_the_ones_called(monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(spectral, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(spectral, name, wrapped)
+
+    for name in ("eigs", "splu", "lu_factor"):
+        spy(name)
+    mp = manneville_pomeau(0.5)
+    csr = leading_triple(discretize(mp, log_derivative_weight(-1.0, mp),
+                                    Discretization(n=362)))
+    assert calls == ["eigs", "eigs"]            # the Arnoldi handover, right and left
+    resolvent_solve(csr, csr.project_zero_mean(np.cos(2 * np.pi * csr.op.grid.nodes)))
+    assert calls == ["eigs", "eigs", "splu"]
+    dense = leading_triple(discretize(doubling(), trig_polynomial(cos_coeffs=[0.2]),
+                                      Discretization(n=64, interpolation="fourier")))
+    resolvent_solve(dense, dense.project_zero_mean(np.cos(2 * np.pi * dense.op.grid.nodes)))
+    assert calls == ["eigs", "eigs", "splu", "lu_factor"]
+
+
 # --- Arnoldi handover -------------------------------------------------------
 
 def _power_only(monkeypatch, op, **kwargs):
