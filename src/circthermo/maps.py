@@ -45,11 +45,13 @@ def monotone_root(fn, dfn, u, lo, hi, flo, fhi, tol=_NEWTON_RESIDUAL, describe=N
     All of u, lo, hi, flo, fhi broadcast together.  Each point starts at
     the chord of fn across its bracket (the exact root when fn is affine)
     and takes safeguarded Newton steps to residual tol: the residual's sign
-    shrinks the bracket, and a step that leaves it bisects instead.  Only
-    unconverged points iterate, so each root depends only on its own target
-    and bracket, and equal targets give bit-equal roots.  A point still
-    above tol after _MAX_ITER steps raises SolverError naming the worst
-    point's target u, as describe(u) when describe is given.
+    shrinks the bracket, and a step that leaves it or outgrows half the step
+    before last bisects instead (rtsafe, Numerical Recipes 9.4), so Newton
+    cannot cycle across an inflection.  Only unconverged points iterate, so
+    each root depends only on its own target and bracket, and equal targets
+    give bit-equal roots.  A point still above tol after _MAX_ITER steps
+    raises SolverError naming the worst point's target u, as describe(u)
+    when describe is given.
 
     With dfn None, fn(y) returns the pair (fn(y), slope), where slope(i)
     is fn' at y[i]: a caller whose slope reuses the work of its value
@@ -63,26 +65,32 @@ def monotone_root(fn, dfn, u, lo, hi, flo, fhi, tol=_NEWTON_RESIDUAL, describe=N
             value, slope = fn(y), lambda i: dfn(y[i])
         return np.asarray(value) - u, slope
 
-    u, lo, hi, flo, fhi = np.broadcast_arrays(u, lo, hi, flo, fhi)
+    u, lo, hi, flo, fhi = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                                for a in (u, lo, hi, flo, fhi)))
     shape = u.shape
-    u, lo, hi, flo, fhi = (np.asarray(a, dtype=float).ravel()
-                           for a in (u, lo, hi, flo, fhi))
-    y = np.clip(lo + (u - flo) * ((hi - lo) / (fhi - flo)), lo, hi)
-    resid, slope = evaluate(y, u)
-    left = todo = np.flatnonzero(~(np.abs(resid) <= tol))
-    yt, rt, lo, hi, u = (a[todo] for a in (y, resid, lo, hi, u))
+    # the chord in the broadcast shape: flo and fhi are never copied to full size
+    y = np.clip(lo + (u - flo) * ((hi - lo) / (fhi - flo)), lo, hi).ravel()
+    u, lo, hi = (a.ravel() for a in (u, lo, hi))
+    rt, slope = evaluate(y, u)
+    left = todo = np.flatnonzero(~(np.abs(rt) <= tol))
+    yt, rt, lo, hi, u = (a[todo] for a in (y, rt, lo, hi, u))
+    dx = dx_old = hi - lo
     for _ in range(_MAX_ITER):
         if todo.size == 0:
             return y.reshape(shape)
         lo = np.where(rt < 0.0, yt, lo)
         hi = np.where(rt > 0.0, yt, hi)
         with np.errstate(divide="ignore", invalid="ignore"):   # a zero slope bisects
-            step = yt - rt / np.asarray(slope(left))
-        yt = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+            newton = rt / np.asarray(slope(left))
+            step, length = yt - newton, np.abs(newton)
+            newton_ok = (step > lo) & (step < hi) & (2.0 * length <= dx_old)
+        dx, dx_old = np.where(newton_ok, length, 0.5 * (hi - lo)), dx
+        yt = np.where(newton_ok, step, 0.5 * (lo + hi))
         rt, slope = evaluate(yt, u)
         y[todo] = yt
         left = ~(np.abs(rt) <= tol)
-        todo, yt, rt, lo, hi, u = (a[left] for a in (todo, yt, rt, lo, hi, u))
+        todo, yt, rt, lo, hi, u, dx, dx_old = (a[left] for a in (todo, yt, rt, lo, hi, u,
+                                                                  dx, dx_old))
     worst = int(np.argmax(np.abs(rt)))
     what = describe(u[worst]) if describe else f"target {u[worst]:.17g}"
     raise SolverError(f"root find failed on {what}: residual {abs(rt[worst]):.3e} "

@@ -9,6 +9,10 @@ on M and on its transpose; extended precision stays with power iteration.
 Normalization order: nu to total mass one first, then h so that its
 nu-integral is one.
 
+The resolvent (I - Ltilde)^{-1} on the zero-mean subspace is one bordered
+solve for every dtype, on float64 factors kept on the triple; an extended
+precision triple refines against residuals formed in its own dtype.
+
 scipy's solvers (the dense LU, splu, ARPACK's eigs) are bound as module
 attributes on first use (PEP 562), so importing this module loads no scipy:
 a run pays that import at its first LU factor or Arnoldi handover.
@@ -31,6 +35,7 @@ from .operator import DiscretizedOperator, GridFunction, OperatorSetup
 
 NEGATIVE_MASS_LIMIT = 1e-8
 RESOLVENT_RESIDUAL_TOL = 1e-10
+RESOLVENT_PASSES = 4    # float64 solves per resolvent, refinement included
 ARNOLDI_HANDOVER = 64   # float64 power steps before the Arnoldi handover
 GAP_ITERATIONS = 400    # deflated power steps in gap_estimate
 GAP_SEED = 20250408     # Philox key of gap_estimate's random start
@@ -297,7 +302,7 @@ def gap_estimate(op: DiscretizedOperator, triple: SpectralTriple) -> float:
 
 
 def _resolvent_factor(triple: SpectralTriple) -> Callable:
-    """Solver for the bordered resolvent system, factored on first use."""
+    """Float64 solver for the bordered resolvent system, factored on first use."""
     if triple.resolvent_factor is None:
         mat = triple.op.storage
         n = triple.op.grid.n_cells
@@ -311,6 +316,7 @@ def _resolvent_factor(triple: SpectralTriple) -> Callable:
                 if isinstance(mat, np.ndarray):
                     lu_factor, lu_solve = _bound("lu_factor", "lu_solve")
                     border = np.block([[mat / -triple.lam, hv], [nu, np.zeros((1, 1))]])
+                    border = border.astype(float, copy=False)   # longdouble factors in float64
                     diag = np.arange(n)
                     border[diag, diag] += 1.0
                     triple.resolvent_factor = partial(lu_solve,
@@ -326,64 +332,48 @@ def _resolvent_factor(triple: SpectralTriple) -> Callable:
     return triple.resolvent_factor
 
 
-def resolvent_solve(triple: SpectralTriple, v, method: str = "auto",
-                    tol: float = 1e-12):
+def resolvent_solve(triple: SpectralTriple, v):
     """Solve (I - Ltilde) u = v on the zero-mean subspace, with zero-mean u.
 
-    `direct` (float64) solves the bordered system
-    [[I - M/lam, h], [nu^T, 0]] [u; c] = [v; 0], whose LU factors are
-    computed once per triple and kept on it.  For zero-mean v this has
-    c = 0 and the u of (I - M/lam + h nu^T) u = v; it needs only a
-    nonsingular border, and a residual above RESOLVENT_RESIDUAL_TOL raises.
-    `neumann`, the extended-precision route, sums Ltilde^k v until the sup
-    norm of the term drops below tol * (1 - tau).  Both refuse a known tau
-    within 1e-6 of 1, and both return nodal values in the dtype of v.
+    Solves the bordered system [[I - M/lam, h], [nu^T, 0]] [u; c] = [v; 0]
+    with float64 LU factors computed once per triple and kept on it.  For
+    zero-mean v this has c = 0 and the u of (I - M/lam + h nu^T) u = v; it
+    needs a nonsingular border, not a gap estimate.  One matvec forms the
+    residual in the triple's dtype; while it is above n eps(dtype) and
+    halving, one more float64 solve corrects it (at most RESOLVENT_PASSES
+    solves), so float64 stops after one solve and longdouble refines to its
+    own precision.  A residual above RESOLVENT_RESIDUAL_TOL raises, as does
+    a known tau within 1e-6 of 1.  Returns nodal values in the triple's dtype.
     """
     vin = v.values if isinstance(v, GridFunction) else np.asarray(v)
     mean = float(triple.integrate_nu(vin))
     if abs(mean) > 1e-10 * max(1.0, float(np.max(np.abs(vin)))):
         raise ConfigError(f"resolvent input has nonzero nu-mean {mean:.3e}")
-    dtype = triple.op.dtype
-    if method == "auto":
-        method = "direct" if dtype == np.float64 else "neumann"
     tau = triple.tau
-    if tau is None and method == "neumann":
-        tau = gap_estimate(triple.op, triple)
     if tau is not None and tau >= 1.0 - 1e-6:
         raise SolverError(
             f"spectral gap estimate tau={tau:.6f} too close to 1; "
             "resolvent series not summable")
 
+    dtype = triple.op.dtype
+    solve = _resolvent_factor(triple)
+    floor = triple.op.grid.n_cells * float(np.finfo(dtype).eps)
     rhs = triple.project_zero_mean(np.asarray(vin, dtype=dtype))
-    if method == "direct":
-        if dtype != np.float64:
-            raise ConfigError(f"direct resolvent runs in float64, not {dtype}; "
-                              "use method='neumann'")
-        sol = _resolvent_factor(triple)(np.append(rhs, 0.0))
+    sol = np.asarray(solve(np.append(rhs, 0.0).astype(float, copy=False)), dtype=dtype)
+    prev = np.inf
+    for passes in range(1, RESOLVENT_PASSES + 1):
         u = sol[:-1]
         # one matvec confirms the solve; a NaN residual fails too
         resid = np.append(u - triple.op.apply(u) / triple.lam
                           + sol[-1] * triple.h.values - rhs, triple.nu @ u)
         err = float(np.max(np.abs(resid))) / max(1.0, float(np.max(np.abs(rhs))),
                                                  float(np.max(np.abs(u))))
-        if not err <= RESOLVENT_RESIDUAL_TOL:
-            raise SolverError(f"bordered resolvent residual {err:.3e} exceeds "
-                              f"{RESOLVENT_RESIDUAL_TOL:g} (singular border?)")
-    elif method == "neumann":
-        lam_t = np.asarray(triple.lam, dtype=dtype)
-        term = rhs.copy()
-        u = np.zeros_like(rhs)
-        limit = tol * (1.0 - tau) * max(1.0, float(np.max(np.abs(rhs))))
-        n_terms = 200 + (int(8 * np.log(max(tol, 1e-30)) / np.log(tau)) if tau > 0 else 0)
-        for _ in range(max(n_terms, 50)):
-            u += term
-            if float(np.max(np.abs(term))) < limit:
-                break
-            term = triple.project_zero_mean(triple.op.apply(term) / lam_t)
-        else:
-            raise SolverError("Neumann resolvent series did not reach tolerance")
-    else:
-        raise ConfigError(f"unknown resolvent method {method!r}")
+        if passes == RESOLVENT_PASSES or not floor < err <= 0.5 * prev:
+            break
+        sol, prev = sol - solve(resid.astype(float)), err
+    if not err <= RESOLVENT_RESIDUAL_TOL:
+        raise SolverError(f"bordered resolvent residual {err:.3e} exceeds "
+                          f"{RESOLVENT_RESIDUAL_TOL:g} (singular border?)")
     u = u - triple.integrate_nu(u) * triple.h.values
     if isinstance(v, GridFunction):
         return v.copy_with(u)

@@ -129,6 +129,19 @@ def test_nonlinear_maps_invert_within_six_evaluations(bmap):
     assert lifts + dlifts <= 6.0
 
 
+@pytest.mark.parametrize("t", [0.8, 0.9, 0.98])
+def test_contracting_arc_inverts_without_newton_cycle(t):
+    # min f' < 1 on branch 0: undamped Newton cycles across the inflection
+    bmap = perturbed_doubling(t)
+    assert float(np.min(bmap.dlift(np.linspace(0.0, 0.5, 4097)))) < 1.0
+    xs = np.linspace(0.0, 1.0, 4097)
+    ys = bmap.preimages(xs)
+    b = bmap.branch_bounds
+    for k in range(bmap.degree):
+        assert np.max(np.abs(bmap.lift(ys[k]) - _branch_target(bmap, k, xs))) <= 1e-12
+        assert np.all((ys[k] >= b[k]) & (ys[k] <= b[k + 1]))
+
+
 def test_lift_with_jump_raises_solver_error():
     # monotone with F' > 0 wherever it is differentiable, but F jumps at 0.3
     bmap = BranchMap(2, lambda x: 1.9 * np.asarray(x) + 0.1 * (np.asarray(x) > 0.3),

@@ -83,23 +83,33 @@ def test_resolvent_trivial_and_cos():
     zero = resolvent_solve(tr, np.zeros(64))
     assert np.max(np.abs(zero)) < 1e-14
     v = np.cos(2 * np.pi * op.grid.nodes)
-    u = resolvent_solve(tr, v, method="direct")
+    u = resolvent_solve(tr, v)
     assert np.max(np.abs(u - v)) < 1e-12
 
 
-def test_resolvent_methods_agree():
+def _mp_resolvent_problem(dtype):
     mp = manneville_pomeau(1.0)
     pot = trig_polynomial(cos_coeffs=[0.004])
-    tr = leading_triple(discretize(mp, pot, Discretization(n=256)))
-    gap_estimate(tr.op, tr)
+    tr = leading_triple(discretize(mp, pot, Discretization(n=256), dtype=dtype))
     rng = np.random.Generator(np.random.Philox(key=17))
-    raw = np.cos(2 * np.pi * np.outer(np.arange(1, 5), tr.op.grid.nodes)).T @ rng.standard_normal(4)
-    v = tr.project_zero_mean(raw)
-    u_direct = resolvent_solve(tr, v, method="direct")
-    u_neumann = resolvent_solve(tr, v, method="neumann")
-    assert np.max(np.abs(u_direct - u_neumann)) < 1e-9
-    # residual of the defining system
-    resid = u_direct - tr.normalized_apply(u_direct) - v
+    nodes = np.asarray(tr.op.grid.nodes, dtype=dtype)
+    raw = np.cos(2 * np.pi * np.outer(np.arange(1, 5), nodes)).T @ rng.standard_normal(4)
+    return tr, tr.project_zero_mean(raw)
+
+
+def test_extended_resolvent_matches_float64():
+    tr64, v64 = _mp_resolvent_problem(np.float64)
+    tr_ld, v_ld = _mp_resolvent_problem(np.longdouble)
+    u64 = resolvent_solve(tr64, v64)
+    u_ld = resolvent_solve(tr_ld, v_ld)
+    assert u_ld.dtype == np.longdouble
+    assert float(np.max(np.abs(u_ld - u64))) < 1e-9
+
+
+def test_resolvent_solves_defining_system():
+    tr, v = _mp_resolvent_problem(np.float64)
+    u = resolvent_solve(tr, v)
+    resid = u - tr.normalized_apply(u) - v
     resid -= tr.integrate_nu(resid) * tr.h.values
     assert np.max(np.abs(resid)) < 1e-9
 
@@ -111,14 +121,66 @@ def test_resolvent_rejects_nonzero_mean():
         resolvent_solve(tr, np.ones(32) * 0.5)
 
 
-def test_direct_resolvent_refuses_extended_precision():
+def test_extended_precision_resolvent_returns_longdouble():
     op = build_operator(doubling(), trig_polynomial(cos_coeffs=[0.1]), Grid(32),
                         "collocation", "linear", dtype=np.longdouble)
     tr = leading_triple(op)
     v = tr.project_zero_mean(np.cos(2 * np.pi * op.grid.nodes))
-    with pytest.raises(ConfigError, match="float64"):
-        resolvent_solve(tr, v, method="direct")
     assert resolvent_solve(tr, v).dtype == np.longdouble
+
+
+def _zero_mean_residual(tr, u, v):
+    """Relative residual of (I - Ltilde) u = v on E_0, in the triple's dtype.
+
+    The projection removes the border's c h term, which absorbs the
+    eigenvector residual of a triple converged only to tol.
+    """
+    resid = tr.project_zero_mean(u - tr.normalized_apply(u) - v)
+    return float(np.max(np.abs(resid))) / max(1.0, float(np.max(np.abs(v))),
+                                              float(np.max(np.abs(u))))
+
+
+def _resolvent_setups():
+    mp = manneville_pomeau(0.5)
+    return [(doubling(), trig_polynomial(cos_coeffs=[0.1]),
+             Discretization(n=64, interpolation="fourier")),
+            (mp, log_derivative_weight(-1.0, mp), Discretization(n=512))]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="longdouble is float64 on this platform")
+@pytest.mark.parametrize("bmap,pot,disc", _resolvent_setups(),
+                         ids=["doubling-fourier-64", "mp0.5-geometric-linear-512"])
+def test_extended_resolvent_refines_below_float64(bmap, pot, disc):
+    # refinement on the float64 border reaches longdouble accuracy without tau,
+    # also at tau = 0.97, where any series in Ltilde costs about 1/(1 - tau) terms
+    tr = leading_triple(discretize(bmap, pot, disc, dtype=np.longdouble))
+    v = tr.project_zero_mean(np.cos(2 * np.pi * np.asarray(tr.op.grid.nodes,
+                                                           dtype=np.longdouble)))
+    u = resolvent_solve(tr, v)
+    assert _zero_mean_residual(tr, u, v) <= 1e-18
+    assert tr.tau is None
+
+
+@pytest.mark.parametrize("bmap,pot,disc", _resolvent_setups(),
+                         ids=["doubling-fourier-64", "mp0.5-geometric-linear-512"])
+def test_float64_resolvent_is_one_border_solve(bmap, pot, disc):
+    # a float64 triple takes no refinement pass: its solution is bit for bit
+    # the single solve of the cached factor, projected onto zero mean
+    tr = leading_triple(discretize(bmap, pot, disc))
+    factor = spectral._resolvent_factor(tr)
+    outputs = []
+
+    def spy(rhs):
+        outputs.append(factor(rhs))
+        return outputs[-1]
+
+    tr.resolvent_factor = spy
+    for calls, k in enumerate((1, 3, 5), start=1):
+        u = resolvent_solve(tr, tr.project_zero_mean(np.cos(2 * np.pi * k * tr.op.grid.nodes)))
+        assert len(outputs) == calls
+        ref = outputs[-1][:-1]
+        assert u.tobytes() == (ref - tr.integrate_nu(ref) * tr.h.values).tobytes()
 
 
 def test_resolvent_refuses_gapless():
@@ -248,7 +310,7 @@ def test_sparse_resolvent_matches_dense_solve_and_factors_once(mp_physical_tripl
     aug = np.eye(n) - mat / tr.lam + np.outer(tr.h.values, tr.nu)
     for k in (1, 3):
         rhs = tr.project_zero_mean(np.cos(2 * np.pi * k * nodes))
-        u = resolvent_solve(tr, rhs, method="direct")
+        u = resolvent_solve(tr, rhs)
         ref = np.linalg.solve(aug, rhs)
         assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
     assert calls == [(n + 1, n + 1)]
@@ -262,8 +324,7 @@ def test_sparse_path_allocates_no_dense_matrix():
                         Discretization(n=n))
         tr = leading_triple(op)
         gap_estimate(op, tr)
-        resolvent_solve(tr, tr.project_zero_mean(np.cos(2 * np.pi * op.grid.nodes)),
-                        method="direct")
+        resolvent_solve(tr, tr.project_zero_mean(np.cos(2 * np.pi * op.grid.nodes)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
