@@ -21,6 +21,8 @@ import numpy as np
 from .errors import ConfigError, SmoothnessError, SolverError
 
 CIRCLE_DIAMETER = 0.5
+HYPOTHESIS_GRID = 4096    # cells per branch of the expansion certificate
+OSCILLATION_GRID = 8192   # points of Potential.oscillation and the (P') derivative sup
 
 # monotone_root's default residual target and its iteration cap per point.
 _NEWTON_RESIDUAL = 1e-12
@@ -386,52 +388,64 @@ def constant_family(branch_map: BranchMap) -> ParamFamily:
 # Potentials
 # ---------------------------------------------------------------------------
 
-class Potential:
-    """Real observable on the circle, closed under addition and scaling.
+@dataclass(frozen=True)
+class Field:
+    """A fixed function g on the circle, evaluated through its scale s.
 
-    A potential is a sum of closed-form terms (constant, trigonometric
-    polynomial, c*log F' of a map, grid samples) with Holder/smoothness
-    metadata taken as the minimum over its terms.
+    scaled(x, s) and scaled_derivative(x, s) return s g(x) and s g'(x);
+    label formats with s.  geometric marks g = log F' of a map.
+    """
+    scaled: Callable
+    scaled_derivative: Callable
+    label: str
+    geometric: bool = False
+
+
+class Potential:
+    """Real observable on the circle as one linear form, closed under + and *:
+
+        phi(x) = c + sum_k (a_k cos 2 pi k x + b_k sin 2 pi k x) + sum_j s_j g_j(x)
+
+    with coefficients from k = 1 and fields g_j (log F' of a map or a grid
+    interpolant).  A sum adds the constants and the coefficients and joins
+    the fields, so phi + t psi of two trig polynomials is one trig
+    polynomial; its Holder exponent and smoothness order are the minimum
+    over its parts.
     """
 
-    def __init__(self, terms, holder_exponent=1.0, smoothness_order=99):
-        self.terms = list(terms)
+    def __init__(self, const=0.0, cos_coeffs=(), sin_coeffs=(), fields=(),
+                 holder_exponent=1.0, smoothness_order=99):
+        self.const = float(const)
+        self.cos_coeffs = [float(a) for a in cos_coeffs]
+        self.sin_coeffs = [float(b) for b in sin_coeffs]
+        self.fields = list(fields)   # (scale s_j, Field g_j) pairs
         self.holder_exponent = float(holder_exponent)
         self.smoothness_order = smoothness_order
 
-    # term encodings:
-    #  ("const", c)
-    #  ("trig", c0, cos_coeffs, sin_coeffs)    coefficients for k = 1..K
-    #  ("logderiv", c, branch_map)
-    #  ("grid", values, interpolation)
+    def _harmonics(self):
+        """(k, a_k, b_k) for each k >= 1 where a_k or b_k is nonzero."""
+        pairs = zip_longest(self.cos_coeffs, self.sin_coeffs, fillvalue=0.0)
+        return [(k, a, b) for k, (a, b) in enumerate(pairs, start=1) if a != 0.0 or b != 0.0]
+
+    def _add_harmonics(self, out, x, weights):
+        """out += sum_k (u_k cos 2 pi k x + v_k sin 2 pi k x), (u_k, v_k) = weights(k, a_k, b_k).
+
+        Each harmonic makes one _cos_sin_2pi call and scales it in place.
+        """
+        for k, a, b in self._harmonics():
+            for wave, w in zip(_cos_sin_2pi(x if k == 1 else k * x), weights(k, a, b)):
+                if w != 0.0:
+                    wave *= w
+                    out += wave
 
     def __call__(self, x):
         x = _floating(x)
         out = np.zeros_like(x)
-        for term in self.terms:
-            kind = term[0]
-            if kind == "const":
-                if term[1] != 0.0:
-                    out += term[1]
-            elif kind == "trig":
-                _, c0, ac, bc = term
-                if c0 != 0.0:
-                    out += c0
-                for k, a, b in _harmonics(ac, bc):
-                    c, s = _cos_sin_2pi(x if k == 1 else k * x)
-                    if a != 0.0:
-                        c *= a
-                        out += c
-                    if b != 0.0:
-                        s *= b
-                        out += s
-            elif kind == "logderiv":
-                _, c, bmap = term
-                out += c * np.log(bmap.dlift(wrap(x)))
-            elif kind == "grid":
-                out += _grid_function(term)(x)
-            else:
-                raise ConfigError(f"unknown potential term {kind!r}")
+        if self.const != 0.0:
+            out += self.const
+        self._add_harmonics(out, x, lambda k, a, b: (a, b))
+        for scale, field in self.fields:
+            out += field.scaled(x, scale)
         return out
 
     def derivative(self, x):
@@ -442,29 +456,10 @@ class Potential:
         x = _floating(x)
         pi = _pi(x)
         out = np.zeros_like(x)
-        for term in self.terms:
-            kind = term[0]
-            if kind == "const":
-                continue
-            if kind == "trig":
-                # d/dx (a cos + b sin)(2 pi k x) = 2 pi k (b cos - a sin)
-                for k, a, b in _harmonics(term[2], term[3]):
-                    c, s = _cos_sin_2pi(x if k == 1 else k * x)
-                    if b != 0.0:
-                        c *= b * 2.0 * pi * k
-                        out += c
-                    if a != 0.0:
-                        s *= a * 2.0 * pi * k
-                        out -= s
-            elif kind == "logderiv":
-                _, c, bmap = term
-                y = wrap(x)
-                out += c * bmap.second_derivative(y) / bmap.dlift(y)
-            elif kind == "grid":
-                if term[2] != "fourier":
-                    raise SmoothnessError(
-                        "grid potential with linear interpolation has no derivative")
-                out += _grid_function(term).derivative()(x)
+        # d/dx (a cos + b sin)(2 pi k x) = 2 pi k (b cos - a sin)
+        self._add_harmonics(out, x, lambda k, a, b: (b * 2.0 * pi * k, -(a * 2.0 * pi * k)))
+        for scale, field in self.fields:
+            out += field.scaled_derivative(x, scale)
         return out
 
     def __add__(self, other):
@@ -473,7 +468,10 @@ class Potential:
         if not isinstance(other, Potential):
             return NotImplemented
         return Potential(
-            self.terms + other.terms,
+            self.const + other.const,
+            [a + b for a, b in zip_longest(self.cos_coeffs, other.cos_coeffs, fillvalue=0.0)],
+            [a + b for a, b in zip_longest(self.sin_coeffs, other.sin_coeffs, fillvalue=0.0)],
+            self.fields + other.fields,
             holder_exponent=min(self.holder_exponent, other.holder_exponent),
             smoothness_order=min(self.smoothness_order, other.smoothness_order),
         )
@@ -482,65 +480,36 @@ class Potential:
 
     def __mul__(self, scalar):
         s = float(scalar)
-        scaled = []
-        for term in self.terms:
-            kind = term[0]
-            if kind == "const":
-                scaled.append(("const", s * term[1]))
-            elif kind == "trig":
-                _, c0, ac, bc = term
-                scaled.append(("trig", s * c0, [s * a for a in ac], [s * b for b in bc]))
-            elif kind == "logderiv":
-                scaled.append(("logderiv", s * term[1], term[2]))
-            elif kind == "grid":
-                scaled.append(("grid", s * np.asarray(term[1]), term[2]))
-        return Potential(scaled, holder_exponent=self.holder_exponent,
+        return Potential(s * self.const, [s * a for a in self.cos_coeffs],
+                         [s * b for b in self.sin_coeffs],
+                         [(s * scale, field) for scale, field in self.fields],
+                         holder_exponent=self.holder_exponent,
                          smoothness_order=self.smoothness_order)
 
     __rmul__ = __mul__
 
-    def oscillation(self, n_grid=8192):
-        xs = np.arange(n_grid) / n_grid
-        v = self(xs)
+    def oscillation(self):
+        v = self(np.arange(OSCILLATION_GRID) / OSCILLATION_GRID)
         return float(np.max(v) - np.min(v))
 
     def is_constant(self):
-        return all(t[0] == "const" for t in self.terms)
+        return not self._harmonics() and not self.fields
 
     def is_log_derivative(self):
-        nontrivial = [t for t in self.terms if not (t[0] == "const")]
-        return len(nontrivial) > 0 and all(t[0] == "logderiv" for t in nontrivial)
+        return (not self._harmonics() and bool(self.fields)
+                and all(field.geometric for _, field in self.fields))
 
     def describe(self):
-        parts = []
-        for term in self.terms:
-            kind = term[0]
-            if kind == "const":
-                parts.append(f"const({term[1]:g})")
-            elif kind == "trig":
-                parts.append("trig")
-            elif kind == "logderiv":
-                parts.append(f"{term[1]:g}*log|f'|")
-            elif kind == "grid":
-                parts.append(f"grid[{len(term[1])}]")
-        return "+".join(parts) if parts else "const(0)"
-
-
-def _harmonics(cos_coeffs, sin_coeffs):
-    """(k, a_k, b_k) for each k >= 1 where a_k or b_k is nonzero."""
-    pairs = zip_longest(cos_coeffs, sin_coeffs, fillvalue=0.0)
-    return [(k, a, b) for k, (a, b) in enumerate(pairs, start=1) if a != 0.0 or b != 0.0]
-
-
-def _grid_function(term):
-    """The GridFunction behind a ("grid", values, interpolation) term."""
-    from .operator import Grid, GridFunction
-    _, values, interpolation = term
-    return GridFunction(Grid(len(values)), values, interpolation)
+        """'trig' for the harmonics (they absorb the constant), then each
+        field's label; the constant alone reads const(c)."""
+        parts = ["trig"] if self._harmonics() else []
+        if not parts and (self.const != 0.0 or not self.fields):
+            parts.append(f"const({self.const:g})")
+        return "+".join(parts + [field.label.format(scale) for scale, field in self.fields])
 
 
 def constant(c: float, *, holder_exponent=1.0) -> Potential:
-    return Potential([("const", float(c))], holder_exponent=holder_exponent)
+    return Potential(c, holder_exponent=holder_exponent)
 
 
 def zero_potential() -> Potential:
@@ -550,8 +519,7 @@ def zero_potential() -> Potential:
 def trig_polynomial(cos_coeffs: Sequence[float] = (), sin_coeffs: Sequence[float] = (),
                     const_term: float = 0.0) -> Potential:
     """sum_k a_k cos(2 pi k x) + b_k sin(2 pi k x) + c, coefficients from k=1."""
-    return Potential([("trig", float(const_term), [float(a) for a in cos_coeffs],
-                       [float(b) for b in sin_coeffs])])
+    return Potential(const_term, cos_coeffs, sin_coeffs)
 
 
 def log_derivative_weight(c: float, branch_map: BranchMap) -> Potential:
@@ -563,14 +531,26 @@ def log_derivative_weight(c: float, branch_map: BranchMap) -> Potential:
         order = 0 if a < 1 else (2 if a >= 2 else 1)
     else:
         order = 99
-    return Potential([("logderiv", float(c), branch_map)],
-                     holder_exponent=alpha, smoothness_order=order)
+
+    def scaled_derivative(x, s):
+        y = wrap(x)
+        return s * branch_map.second_derivative(y) / branch_map.dlift(y)
+
+    log_fp = Field(lambda x, s: s * np.log(branch_map.dlift(wrap(x))), scaled_derivative,
+                   "{:g}*log|f'|", geometric=True)
+    return Potential(fields=[(float(c), log_fp)], holder_exponent=alpha, smoothness_order=order)
 
 
 def grid_potential(values, interpolation="linear") -> Potential:
-    order = 1 if interpolation == "fourier" else 0
-    return Potential([("grid", np.asarray(values, dtype=float), interpolation)],
-                     holder_exponent=1.0, smoothness_order=order)
+    """The interpolant of nodal values on the uniform grid of len(values) cells;
+    only the fourier interpolant has a derivative."""
+    from .operator import Grid, GridFunction
+    values = np.asarray(values, dtype=float)
+    g = GridFunction(Grid(len(values)), values, interpolation)
+    dg = g.derivative() if interpolation == "fourier" else None
+    field = Field(lambda x, s: s * g(x), lambda x, s: s * dg(x), f"grid[{len(values)}]")
+    return Potential(fields=[(1.0, field)], holder_exponent=1.0,
+                     smoothness_order=1 if interpolation == "fourier" else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +570,6 @@ class HypothesisAux:
     delta: float = 0.05
     region_a: Optional[Sequence] = None
     q: Optional[int] = None
-    grid_n: int = 4096
 
     def resolved_m(self):
         return self.m if self.m is not None else int(math.ceil(1.0 / (2.0 * self.delta)))
@@ -682,7 +661,7 @@ def check_hypotheses(branch_map: BranchMap, pot: Potential,
     inv_lip_max = 0.0
     region_nonempty = len(region) > 0
     for k in range(branch_map.degree):
-        xs = np.linspace(bounds[k], bounds[k + 1], aux.grid_n + 1)
+        xs = np.linspace(bounds[k], bounds[k + 1], HYPOTHESIS_GRID + 1)
         fp = np.asarray(branch_map.dlift(xs), dtype=float)
         # second-derivative samples, nudged off the left endpoint where the
         # intermittent families blow up
@@ -735,7 +714,7 @@ def check_hypotheses(branch_map: BranchMap, pot: Potential,
     # replaced by the larger of oscillation and the derivative sup norm.
     deriv_sup = None
     if pot.smoothness_order >= 1:
-        xs = np.arange(8192) / 8192.0
+        xs = np.arange(OSCILLATION_GRID) / OSCILLATION_GRID
         try:
             deriv_sup = float(np.max(np.abs(pot.derivative(xs))))
             eps_smooth = max(eps, deriv_sup)

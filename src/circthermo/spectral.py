@@ -13,15 +13,13 @@ The resolvent (I - Ltilde)^{-1} on the zero-mean subspace is one bordered
 solve for every dtype, on float64 factors kept on the triple; an extended
 precision triple refines against residuals formed in its own dtype.
 
-scipy's solvers (the dense LU, splu, ARPACK's eigs) are bound as module
-attributes on first use (PEP 562), so importing this module loads no scipy:
-a run pays that import at its first LU factor or Arnoldi handover.
+scipy's solvers (the dense LU, splu, ARPACK's eigs) are imported inside
+the functions that call them, so importing this module loads no scipy: a
+run pays that import at its first LU factor or Arnoldi handover.
 """
 
 from __future__ import annotations
 
-import importlib
-import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -39,28 +37,6 @@ RESOLVENT_PASSES = 4    # float64 solves per resolvent, refinement included
 ARNOLDI_HANDOVER = 64   # float64 power steps before the Arnoldi handover
 GAP_ITERATIONS = 400    # deflated power steps in gap_estimate
 GAP_SEED = 20250408     # Philox key of gap_estimate's random start
-
-_SCIPY_NAMES = {
-    "LinAlgWarning": "scipy.linalg", "lu_factor": "scipy.linalg",
-    "lu_solve": "scipy.linalg", "ArpackError": "scipy.sparse.linalg",
-    "LinearOperator": "scipy.sparse.linalg", "eigs": "scipy.sparse.linalg",
-    "splu": "scipy.sparse.linalg",
-}
-
-
-def __getattr__(name):
-    """Import and bind one of scipy's solvers the first time it is asked for."""
-    if name not in _SCIPY_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(_SCIPY_NAMES[name]), name)
-    globals()[name] = value
-    return value
-
-
-def _bound(*names):
-    """The named solvers as this module holds them now, a patched one included."""
-    module = sys.modules[__name__]
-    return [getattr(module, name) for name in names]
 
 
 @dataclass
@@ -206,7 +182,7 @@ def _arnoldi_pair(op: DiscretizedOperator, v, w, budget: int, resid: float):
     (non-convergence included), a spent budget or a complex leading Ritz
     value raises with `resid`, the residual of the last power iterate.
     """
-    eigs, LinearOperator, ArpackError = _bound("eigs", "LinearOperator", "ArpackError")
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
     n = op.grid.n_cells
     spent = 0
 
@@ -308,13 +284,12 @@ def _resolvent_factor(triple: SpectralTriple) -> Callable:
         n = triple.op.grid.n_cells
         hv = triple.h.values[:, None]
         nu = triple.nu[None, :]
-        LinAlgWarning, = _bound("LinAlgWarning")
+        from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
         try:
             with warnings.catch_warnings():
                 # a zero pivot is an error here, not a warning
                 warnings.simplefilter("error", LinAlgWarning)
                 if isinstance(mat, np.ndarray):
-                    lu_factor, lu_solve = _bound("lu_factor", "lu_solve")
                     border = np.block([[mat / -triple.lam, hv], [nu, np.zeros((1, 1))]])
                     border = border.astype(float, copy=False)   # longdouble factors in float64
                     diag = np.arange(n)
@@ -323,7 +298,7 @@ def _resolvent_factor(triple: SpectralTriple) -> Callable:
                                                       lu_factor(border, overwrite_a=True))
                 else:
                     from scipy import sparse
-                    splu, = _bound("splu")
+                    from scipy.sparse.linalg import splu
                     border = sparse.bmat([[sparse.identity(n, format="csr") - mat / triple.lam,
                                            hv], [nu, None]], format="csc")
                     triple.resolvent_factor = splu(border).solve

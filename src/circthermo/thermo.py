@@ -124,10 +124,10 @@ def equilibrium_state(branch_map: BranchMap, pot: Potential,
         triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
     p = math.log(triple.lam)
     mu = np.asarray(triple.mu_weights, dtype=float)
-    nodes = triple.op.grid.nodes
-    phi_mean = float(np.asarray(pot(nodes), dtype=float) @ mu)
+    # at the points whose weights mu carries: the cell midpoints under Ulam
+    phi_mean = float(np.asarray(triple.sample(pot), dtype=float) @ mu)
     entropy = p - phi_mean
-    lyap = float(np.log(np.asarray(branch_map.dlift(nodes), dtype=float)) @ mu)
+    lyap = float(np.log(np.asarray(triple.sample(branch_map.dlift), dtype=float)) @ mu)
     dimension = None
     if pot.is_constant() or pot.is_log_derivative():
         dimension = entropy / lyap

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from circthermo import (BranchMap, ConfigError, HypothesisAux, SolverError,
+from circthermo import (BranchMap, ConfigError, HypothesisAux, SmoothnessError, SolverError,
                         check_hypotheses, circle_distance, constant, doubling,
                         grid_potential, linear_map, log_derivative_weight,
                         manneville_pomeau, perturbed_doubling, translated_doubling,
@@ -235,6 +235,73 @@ def test_grid_potential_seam_continuity():
 def test_potential_oscillation():
     assert constant(3.5).oscillation() == 0.0
     assert abs(trig_polynomial(cos_coeffs=[0.1]).oscillation() - 0.2) < 1e-6
+
+
+# --- the linear form c + trig coefficients + scaled fields -------------------
+
+def test_line_of_trig_potentials_is_one_trig_polynomial():
+    phi = trig_polynomial(cos_coeffs=[0.05, 0.0, 0.02], sin_coeffs=[0.01], const_term=0.1)
+    psi = trig_polynomial(cos_coeffs=[1.0], sin_coeffs=[0.0, 0.3], const_term=-0.2)
+    t = 0.37
+    summed = trig_polynomial(cos_coeffs=[0.05 + t * 1.0, 0.0 + t * 0.0, 0.02],
+                             sin_coeffs=[0.01 + t * 0.0, 0.0 + t * 0.3],
+                             const_term=0.1 + t * -0.2)
+    line = phi + t * psi
+    x = np.concatenate([np.linspace(0.0, 1.0, 1001), [-1.3, 2.75]])
+    for xs in (x, x.astype(np.longdouble)):
+        assert line(xs).tobytes() == summed(xs).tobytes()
+        assert line.derivative(xs).tobytes() == summed.derivative(xs).tobytes()
+    assert line.describe() == "trig"
+
+
+@pytest.mark.parametrize("pot,text", [
+    (constant(0.3), "const(0.3)"),
+    (zero_potential(), "const(0)"),
+    (trig_polynomial(cos_coeffs=[0.1]), "trig"),
+    (trig_polynomial(cos_coeffs=[0.1], sin_coeffs=[0.0, 0.2], const_term=0.3), "trig"),
+    (log_derivative_weight(-1.0, manneville_pomeau(0.5)), "-1*log|f'|"),
+    (grid_potential(np.arange(16.0)), "grid[16]"),
+    (grid_potential(np.arange(16.0), "fourier"), "grid[16]"),
+], ids=["const", "zero", "trig", "trig-const", "logderiv", "grid-linear", "grid-fourier"])
+def test_single_forms_describe_as_before(pot, text):
+    assert pot.describe() == text
+
+
+def test_constant_only_trig_polynomial_is_constant():
+    pot = trig_polynomial(const_term=0.3)
+    assert pot.is_constant() and not pot.is_log_derivative()
+    assert pot.describe() == "const(0.3)"
+    assert not trig_polynomial(cos_coeffs=[0.1]).is_constant()
+    geometric = log_derivative_weight(-1.0, doubling()) + 0.5
+    assert geometric.is_log_derivative() and not geometric.is_constant()
+    assert not (geometric + trig_polynomial(sin_coeffs=[0.1])).is_log_derivative()
+
+
+def test_scaled_fourier_grid_potential_and_derivative():
+    n = 16
+    nodes = np.arange(n) / n
+    pot = -2.5 * grid_potential(np.cos(2 * np.pi * nodes) + 0.5, "fourier")
+    x = np.linspace(0.0, 1.0, 257)
+    np.testing.assert_allclose(pot(x), -2.5 * (np.cos(2 * np.pi * x) + 0.5),
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(pot.derivative(x), 2.5 * 2 * np.pi * np.sin(2 * np.pi * x),
+                               rtol=0, atol=1e-12)
+    assert pot.describe() == "grid[16]" and pot.smoothness_order == 1
+
+
+def test_sum_takes_minimum_metadata():
+    mp = manneville_pomeau(0.5)
+    geometric = log_derivative_weight(-1.0, mp)
+    assert (geometric.holder_exponent, geometric.smoothness_order) == (0.5, 0)
+    trig = trig_polynomial(cos_coeffs=[0.1])
+    assert (trig.holder_exponent, trig.smoothness_order) == (1.0, 99)
+    for pot in (trig + geometric, geometric + trig, 3.0 * (trig + geometric)):
+        assert (pot.holder_exponent, pot.smoothness_order) == (0.5, 0)
+    fourier = trig + grid_potential(np.zeros(8), "fourier")
+    assert fourier.smoothness_order == 1
+    assert (fourier + constant(1.0, holder_exponent=0.25)).holder_exponent == 0.25
+    with pytest.raises(SmoothnessError):
+        (trig + grid_potential(np.zeros(8))).derivative(np.array([0.1]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from scipy import sparse
 
 import circthermo.spectral as spectral
@@ -298,12 +299,13 @@ def test_sparse_resolvent_matches_dense_solve_and_factors_once(mp_physical_tripl
     tr = mp_physical_triple
     tr.resolvent_factor = None
     calls = []
+    real_splu = scipy.sparse.linalg.splu
 
     def counting_splu(a):
         calls.append(a.shape)
-        return sparse.linalg.splu(a)
+        return real_splu(a)
 
-    monkeypatch.setattr(spectral, "splu", counting_splu)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     n = tr.op.grid.n_cells
     nodes = tr.op.grid.nodes
     mat = tr.op.matrix
@@ -331,14 +333,7 @@ def test_sparse_path_allocates_no_dense_matrix():
     assert peak < n * n           # an eighth of one dense N x N float64 array
 
 
-# --- scipy's solvers, bound on first use -----------------------------------
-
-def test_lazy_solver_names_are_scipys():
-    import scipy.sparse.linalg
-    assert spectral.eigs is scipy.sparse.linalg.eigs
-    assert spectral.splu is scipy.sparse.linalg.splu
-    assert spectral.lu_factor is scipy.linalg.lu_factor
-
+# --- scipy's solvers, imported where they are called ------------------------
 
 def test_unknown_attribute_raises_naming_the_module():
     with pytest.raises(AttributeError, match="'circthermo.spectral' has no attribute "
@@ -349,16 +344,17 @@ def test_unknown_attribute_raises_naming_the_module():
 def test_patched_solvers_are_the_ones_called(monkeypatch):
     calls = []
 
-    def spy(name):
-        real = getattr(spectral, name)
+    def spy(module, name):
+        real = getattr(module, name)
 
         def wrapped(*args, **kwargs):
             calls.append(name)
             return real(*args, **kwargs)
-        monkeypatch.setattr(spectral, name, wrapped)
+        monkeypatch.setattr(module, name, wrapped)
 
-    for name in ("eigs", "splu", "lu_factor"):
-        spy(name)
+    for module, name in ((scipy.sparse.linalg, "eigs"), (scipy.sparse.linalg, "splu"),
+                         (scipy.linalg, "lu_factor")):
+        spy(module, name)
     mp = manneville_pomeau(0.5)
     csr = leading_triple(discretize(mp, log_derivative_weight(-1.0, mp),
                                     Discretization(n=362)))
@@ -424,7 +420,7 @@ def test_fast_mixing_triples_never_reach_arnoldi(fmap, pot, disc, monkeypatch):
     op = discretize(fmap, pot, disc)
     ref = _power_only(monkeypatch, op)
     with monkeypatch.context() as m:
-        m.setattr(spectral, "eigs", None)    # any handover would fail loudly
+        m.setattr(scipy.sparse.linalg, "eigs", None)    # any handover would fail loudly
         tr = leading_triple(op)
     assert tr.iterations < spectral.ARNOLDI_HANDOVER
     assert tr.iterations == ref.iterations
@@ -439,7 +435,7 @@ def test_longdouble_keeps_power_iteration(monkeypatch):
     mp = manneville_pomeau(0.5)
     pot = log_derivative_weight(-1.0, mp)
     disc = Discretization(n=96)
-    monkeypatch.setattr(spectral, "eigs", None)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", None)
     tr = leading_triple(discretize(mp, pot, disc, dtype=np.longdouble))
     assert tr.lam.dtype == np.longdouble
     assert tr.iterations > spectral.ARNOLDI_HANDOVER
@@ -457,13 +453,13 @@ def test_handover_budget_raises_with_residual(mp_physical_362):
 
 
 def test_handover_residual_gate(mp_physical_362, monkeypatch):
-    real_eigs = spectral.eigs
+    real_eigs = scipy.sparse.linalg.eigs
 
     def perturbed_eigs(*args, **kwargs):
         vals, vecs = real_eigs(*args, **kwargs)
         return vals, vecs * (1.0 + 1e-6 * np.cos(np.arange(len(vecs)))[:, None])
 
-    monkeypatch.setattr(spectral, "eigs", perturbed_eigs)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", perturbed_eigs)
     with pytest.raises(SolverError, match="Arnoldi eigentriple residual"):
         leading_triple(mp_physical_362)
 

@@ -8,7 +8,7 @@ import pytest
 from circthermo import (ConfigError, Discretization, constant, discretize, doubling,
                         equilibrium_state, leading_triple, linear_map,
                         log_derivative_weight, manneville_pomeau,
-                        pressure, pressure_oracle_periodic,
+                        perturbed_doubling, pressure, pressure_oracle_periodic,
                         pressure_oracle_tree, translated_doubling,
                         trig_polynomial, zero_potential)
 
@@ -179,6 +179,15 @@ def test_equilibrium_invariance_on_builtin_families():
         err = abs(float(g(bmap(nodes)) @ rep.equilibrium)
                   - float(g(nodes) @ rep.equilibrium))
         assert err < 1e-6, bmap.family_tag
+
+
+def test_ulam_equilibrium_integrates_at_cell_midpoints():
+    # Ulam's weights sit at the cell midpoints, so phi and log F' are sampled there
+    fmap, pot = perturbed_doubling(0.3), trig_polynomial(sin_coeffs=[0.2])
+    ref = equilibrium_state(fmap, pot, Discretization(n=512, interpolation="fourier"))
+    ulam = equilibrium_state(fmap, pot, Discretization(n=1024, scheme="ulam"))
+    assert abs(ulam.entropy - ref.entropy) <= 1e-6
+    assert abs(ulam.lyapunov - ref.lyapunov) <= 5e-6
 
 
 def test_conformality_of_left_weights():
