@@ -24,9 +24,9 @@ print(f"gap tau       : {tau:.4f}  (|lambda_2| / lambda)")
 print(f"iterations    : {tr.iterations}")
 print(f"residuals     : right {tr.residual_right:.1e}, left {tr.residual_left:.1e}")
 
-h = tr.h.values
-print(f"eigenfunction : min {h.min():.4f} at x={op.grid.nodes[h.argmin()]:.3f}, "
-      f"max {h.max():.4f} at x={op.grid.nodes[h.argmax()]:.3f}")
+h, x = tr.h.values, tr.h.sites
+print(f"eigenfunction : min {h.min():.4f} at x={x[h.argmin()]:.3f}, "
+      f"max {h.max():.4f} at x={x[h.argmax()]:.3f}")
 print("(the density piles up near the neutral fixed point at 0)")
 
 print("\n=== Ulam cross-check on the same grid ===")
@@ -41,5 +41,5 @@ mu = tr.mu_weights
 nu = tr.nu
 k = np.argsort(mu)[-3:][::-1]
 for i in k:
-    print(f"x={op.grid.nodes[i]:.4f}  nu={float(nu[i]):.3e}  mu={float(mu[i]):.3e}")
+    print(f"x={x[i]:.4f}  nu={float(nu[i]):.3e}  mu={float(mu[i]):.3e}")
 print("(mu = h nu: the invariant state reweights the conformal measure by h)")

@@ -32,7 +32,7 @@ from . import maps, stats
 from .errors import (ConfigError, HypothesisError, ResourceLimitError,
                      SchemeQualityError, SmoothnessError, SolverError)
 from .maps import HypothesisAux, ParamFamily, check_hypotheses
-from .operator import Discretization, Grid, OperatorSetup
+from .operator import NODAL_RULES, SCHEMES, Discretization, OperatorSetup
 from .response import (central_difference, d_conformal_expectation,
                        d_density_d_potential, d_equilibrium_expectation,
                        d_lambda_d_potential, d_maxentropy_expectation,
@@ -152,8 +152,6 @@ _FAMILIES = {
          "coeffs": ([[float]], REQUIRED)}),
 }
 
-_INTERPOLATIONS = ("linear", "fourier")
-
 _FORMS = {
     "constant": _Form(lambda p, f: maps.constant(p["c"]), {"c": (float, 0.0)}),
     "trig": _Form(lambda p, f: maps.trig_polynomial(cos_coeffs=p["cos"], sin_coeffs=p["sin"],
@@ -163,7 +161,7 @@ _FORMS = {
                        {"coefficient": (float, REQUIRED)}),
     "grid": _Form(lambda p, f: maps.grid_potential(p["values"], p["interpolation"]),
                   {"values": ([float], REQUIRED),
-                   "interpolation": (_INTERPOLATIONS, "linear")}),
+                   "interpolation": (NODAL_RULES, "linear")}),
 }
 
 _POTENTIAL = _tagged("form", _FORMS)
@@ -230,8 +228,8 @@ _CONFIG = {
     "map": (_tagged("family", _FAMILIES), REQUIRED),
     "potential": (_POTENTIAL, {"form": "constant", "c": 0.0}),
     "discretization": ({"n": (int, 512, lambda n: n >= 8, "N must be >= 8"),
-                        "scheme": (("collocation", "ulam"), "collocation"),
-                        "interpolation": (_INTERPOLATIONS, "linear")}, {}),
+                        "scheme": (SCHEMES, "collocation"),
+                        "interpolation": (NODAL_RULES, "linear")}, {}),
     "tolerances": ({"eig_tol": (float, 1e-12, lambda v: v >= 1e-14, "must be >= 1e-14"),
                     "max_iter": (int, 100000, _positive, "must be >= 1")}, {}),
     "hypotheses": ({"m": (int, None, _positive, "must be >= 1"),
@@ -475,10 +473,9 @@ def _cmd_spectrum(config, block, branch_map, pot, hyp):
     triple = _triple(config, branch_map, pot)
     op = triple.op
     tau = gap_estimate(op, triple)
-    nodes = op.grid.nodes
     write_csv(os.path.join(config.output_dir, "eigen.csv"),
               ["x", "h", "nu"],
-              zip(nodes, map(float, triple.h.values), map(float, triple.nu)),
+              zip(triple.h.sites, map(float, triple.h.values), map(float, triple.nu)),
               comment=f"leading eigendata scheme={disc.scheme} N={disc.n} "
                       f"map={branch_map.family_tag}")
     op.export_csv(os.path.join(config.output_dir, "operator.csv"))
@@ -496,10 +493,10 @@ def _cmd_spectrum(config, block, branch_map, pot, hyp):
 
 def _cmd_equilibrium(config, block, branch_map, pot, hyp):
     disc = config.discretization
-    rep = equilibrium_state(branch_map, pot, triple=_triple(config, branch_map, pot))
-    nodes = Grid(disc.n).nodes
+    triple = _triple(config, branch_map, pot)
+    rep = equilibrium_state(branch_map, pot, triple=triple)
     write_csv(os.path.join(config.output_dir, "equilibrium.csv"),
-              ["x", "mu_weight"], zip(nodes, map(float, rep.equilibrium)),
+              ["x", "mu_weight"], zip(triple.h.sites, map(float, rep.equilibrium)),
               comment=f"equilibrium weights scheme={disc.scheme} N={disc.n} "
                       f"map={branch_map.family_tag}")
     return rep.as_dict(), []
@@ -536,7 +533,7 @@ def _cmd_response(config, block, branch_map, pot, hyp):
     elif kind == "density-potential":
         deriv = d_density_d_potential(branch_map, pot, direction, disc, triple=triple)
         write_csv(os.path.join(config.output_dir, "density_derivative.csv"),
-                  ["x", "dh"], zip(Grid(disc.n).nodes, map(float, deriv.values)),
+                  ["x", "dh"], zip(deriv.sites, map(float, deriv.values)),
                   comment="density derivative in the given direction")
         fd_vec = central_difference(lambda e: np.asarray(twins[e].h.values, float), eps)
         analytic = float(np.max(np.abs(deriv.values)))

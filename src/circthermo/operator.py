@@ -12,7 +12,9 @@ Both are assembled through an OperatorSetup, which computes the
 map-and-grid geometry once and reweights it for each potential.
 The local stencils (linear collocation and Ulam) are stored in CSR form in
 float64; Fourier collocation and extended precision are stored dense.
-scipy.sparse is imported where the first CSR matrix is built.
+scipy.sparse is imported where the first CSR matrix is built.  Grid values
+sit where their GridFunction's rule says (`sites`): at the nodes i/N under
+collocation, at the cell midpoints (i + 1/2)/N under Ulam.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from .maps import BranchMap, Potential, _pi, wrap
 if TYPE_CHECKING:
     from scipy import sparse
 
+SCHEMES = ("collocation", "ulam")
+NODAL_RULES = ("linear", "fourier")   # the rules whose values sit at the nodes
+# each interpolation rule -> its sites (i + offset)/N, in cells
+SITE_OFFSET = {"linear": 0.0, "fourier": 0.0, "cell": 0.5}
 TREE_LEAF_GUARD = 2 ** 24
 CSV_BLOCK_BYTES = 2 ** 20   # bytes of dense rows a CSR export holds at a time
 
@@ -60,9 +66,9 @@ class Discretization:
     def __post_init__(self):
         if self.n < 8:
             raise ConfigError(f"discretization.N must be >= 8, got {self.n}")
-        if self.scheme not in ("collocation", "ulam"):
+        if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if self.interpolation not in ("linear", "fourier"):
+        if self.interpolation not in NODAL_RULES:
             raise ConfigError(f"unknown interpolation {self.interpolation!r}")
 
 
@@ -91,35 +97,48 @@ def trig_interp_matrix(points, n, dtype=np.float64):
     return t
 
 
+def linear_stencil(x, n, offset=0.0):
+    """Linear interpolation between the n sites (i + offset)/n: x takes
+    (1 - frac) v[left] + frac v[right], with right = left + 1 mod n."""
+    pos = x * n - offset
+    base = np.floor(pos)
+    left = base.astype(int) % n
+    return left, (left + 1) % n, pos - base
+
+
 class GridFunction:
-    """Observable sampled at grid nodes with a named interpolation rule."""
+    """Grid values and the rule that says where they sit (`sites`) and how they
+    interpolate: trigonometric for fourier, linear between the sites else."""
 
     def __init__(self, grid: Grid, values, interpolation="linear"):
         values = np.asarray(values)
         if values.shape != (grid.n_cells,):
             raise ConfigError(
                 f"values shape {values.shape} does not match grid of {grid.n_cells}")
-        if interpolation not in ("linear", "fourier"):
+        if interpolation not in SITE_OFFSET:
             raise ConfigError(f"unknown interpolation {interpolation!r}")
-        self.grid = grid
-        self.values = values
-        self.interpolation = interpolation
+        self.grid, self.values, self.interpolation = grid, values, interpolation
+
+    @property
+    def sites(self):
+        """Where the values sit, in the real dtype of the values."""
+        real = np.result_type(self.values.real.dtype, np.float64)
+        nodes = np.asarray(self.grid.nodes, dtype=real)
+        return nodes + SITE_OFFSET[self.interpolation] * self.grid.cell_width
 
     def __call__(self, x):
-        real = np.result_type(self.values.real.dtype, np.float64)
+        real = np.result_type(self.values.real.dtype, np.asarray(x).dtype, np.float64)
         x = wrap(np.asarray(x, dtype=real))
         n = self.grid.n_cells
-        if self.interpolation == "linear":
-            pos = x * n
-            idx = np.floor(pos).astype(int) % n
-            frac = pos - np.floor(pos)
-            return self.values[idx] * (1.0 - frac) + self.values[(idx + 1) % n] * frac
+        if self.interpolation != "fourier":
+            left, right, frac = linear_stencil(x, n, SITE_OFFSET[self.interpolation])
+            return self.values[left] * (1.0 - frac) + self.values[right] * frac
         flat = np.atleast_1d(x).ravel()
         out = trig_interp_matrix(flat, n, dtype=real) @ self.values
         return out.reshape(x.shape) if x.shape else out[0]
 
     def derivative(self):
-        """Nodewise derivative: spectral for fourier, centered differences else."""
+        """Derivative at the sites: spectral for fourier, centered differences else."""
         n = self.grid.n_cells
         v = self.values
         dtype = np.result_type(v.dtype, np.float64)   # integer values differentiate in float
@@ -135,9 +154,6 @@ class GridFunction:
             dv = (np.roll(v, -1) - np.roll(v, 1)) * (n / 2.0)
         return GridFunction(self.grid, np.asarray(dv, dtype=dtype), self.interpolation)
 
-    def copy_with(self, values):
-        return GridFunction(self.grid, values, self.interpolation)
-
 
 @dataclass
 class DiscretizedOperator:
@@ -149,7 +165,7 @@ class DiscretizedOperator:
     storage: Union[np.ndarray, sparse.csr_matrix]
     grid: Grid
     scheme: str
-    interpolation: Optional[str]
+    interpolation: str
     branch_map: BranchMap
     potential: Potential
     dropped_entries: int = 0
@@ -179,8 +195,7 @@ class DiscretizedOperator:
         return self._left @ np.asarray(weights)
 
     def grid_function(self, values):
-        interp = self.interpolation or "linear"
-        return GridFunction(self.grid, np.asarray(values), interp)
+        return GridFunction(self.grid, np.asarray(values), self.interpolation)
 
     def row_sums(self):
         return np.asarray(self.storage.sum(axis=1)).ravel()
@@ -194,7 +209,7 @@ class DiscretizedOperator:
         n = self.grid.n_cells
         header = (f"# circthermo operator scheme={self.scheme} N={n} "
                   f"map={self.branch_map.family_tag} "
-                  f"interpolation={self.interpolation or 'cell'} "
+                  f"interpolation={self.interpolation} "
                   f"potential={self.potential.describe()}")
         line = ",".join(["%.17g"] * n) + "\n"
         with open(path, "w") as fh:
@@ -287,12 +302,12 @@ class OperatorSetup:
         self.dropped_entries = 0
         self._cards = None
         if scheme == "collocation":
-            if interpolation not in ("linear", "fourier"):
+            if interpolation not in NODAL_RULES:
                 raise ConfigError(f"unknown interpolation {interpolation!r}")
             self.interpolation, self.dtype = interpolation, np.dtype(dtype)
             self._setup_collocation()
         elif scheme == "ulam":
-            self.interpolation, self.dtype = None, np.dtype(np.float64)
+            self.interpolation, self.dtype = "cell", np.dtype(np.float64)
             self._setup_ulam()
         else:
             raise ConfigError(f"unknown scheme {scheme!r}")
@@ -319,11 +334,9 @@ class OperatorSetup:
         if self.interpolation == "fourier":
             self._cards = trig_interp_matrix(ys.ravel(), n, dtype=dtype).reshape(d, n, n)
             return
-        pos = ys * n
-        idx = np.floor(pos).astype(int) % n
-        frac = pos - np.floor(pos)
+        left, right, frac = linear_stencil(ys, n)
         self._rows = np.tile(np.arange(n), 2 * d)
-        self._cols = np.concatenate([idx.ravel(), ((idx + 1) % n).ravel()])
+        self._cols = np.concatenate([left.ravel(), right.ravel()])
         self._factors = np.concatenate([(1.0 - frac).ravel(), frac.ravel()])
 
     def _setup_ulam(self):

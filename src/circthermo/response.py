@@ -27,9 +27,10 @@ and with D = d(L .) (n = 1) the two spectral map derivatives are
     d mu(g)    = int D(R P0 g) d mu / lam      (maximal entropy, phi = 0).
 
 Every R is one solve with the bordered factor cached on the triple
-(`spectral.resolvent_solve`), and H and g are sampled where the operator
-samples the potential (`SpectralTriple.sample`).  All analytic values are
-paired with central finite differences downstream.
+(`spectral.resolvent_solve`).  H and g are sampled, and D is evaluated, at
+the sites of the grid values (`GridFunction.sites`: the cell midpoints
+under Ulam).  All analytic values are paired with central finite
+differences downstream.
 """
 
 from __future__ import annotations
@@ -191,11 +192,6 @@ def d_transfer_n_d_dynamics(branch_map: BranchMap, pot: Potential, g, h_field,
                                      + np.asarray(gval(ys)) * d_log_w))
 
 
-def _pressure_of(family, pot, s, disc, tol, max_iter):
-    triple = triple_at(OperatorSetup.of(family.at(s), disc), pot, tol=tol, max_iter=max_iter)
-    return math.log(triple.lam)
-
-
 def d_pressure_d_dynamics(family: ParamFamily, pot: Potential, s0: float,
                           disc: Discretization = Discretization(),
                           fd_step: float = FD_DEFAULT_STEP,
@@ -203,18 +199,21 @@ def d_pressure_d_dynamics(family: ParamFamily, pot: Potential, s0: float,
     """Derivative of s -> P(f_s, phi) with H = d/ds f_s, plus its FD check.
 
     analytic = (1/lam) int D(h) d nu, where D(h) = d_transfer_d_dynamics
-    of the eigenfunction h at the grid nodes.
+    of the eigenfunction h at its sites.
     """
     if pot.smoothness_order < 1:
         raise SmoothnessError("pressure-in-f derivative needs a C^1 potential")
     branch_map = family.at(s0)
     h_field = family.direction(s0)
     triple = triple_at(OperatorSetup.of(branch_map, disc), pot, tol=tol, max_iter=max_iter)
-    field = d_transfer_d_dynamics(branch_map, pot, triple.h, h_field, triple.op.grid.nodes)
+    field = d_transfer_d_dynamics(branch_map, pot, triple.h, h_field, triple.h.sites)
     analytic = float(triple.integrate_nu(field)) / triple.lam
 
-    fd = central_difference(lambda e: _pressure_of(family, pot, s0 + e, disc, tol, max_iter),
-                            fd_step)
+    def pressure_at(s):
+        t = triple_at(OperatorSetup.of(family.at(s), disc), pot, tol=tol, max_iter=max_iter)
+        return math.log(t.lam)
+
+    fd = central_difference(lambda e: pressure_at(s0 + e), fd_step)
     return ResponseReport(analytic_value=analytic, fd_value=fd, fd_step=fd_step)
 
 
@@ -235,7 +234,7 @@ def d_maxentropy_expectation(family: ParamFamily, g, s0: float,
     triple = triple_at(OperatorSetup.of(branch_map, disc), pot0, tol=tol, max_iter=max_iter)
     u = resolvent_solve(triple, triple.project_zero_mean(triple.sample(g)))
     field = d_transfer_d_dynamics(branch_map, pot0, triple.op.grid_function(u),
-                                  family.direction(s0), triple.op.grid.nodes) / triple.lam
+                                  family.direction(s0), triple.h.sites) / triple.lam
     analytic = float(triple.integrate_mu(field))
 
     def expectation(s):

@@ -55,11 +55,8 @@ class SpectralTriple:
     resolvent_factor: Optional[Callable] = field(default=None, repr=False)
 
     def sample(self, fn):
-        """fn where the operator samples: the nodes, or cell midpoints under Ulam."""
-        x = np.asarray(self.op.grid.nodes, dtype=self.op.dtype)
-        if self.op.scheme == "ulam":
-            x = x + 0.5 * self.op.grid.cell_width
-        return np.asarray(fn(x))
+        """fn at the sites of the operator's grid values (`GridFunction.sites`)."""
+        return np.asarray(fn(self.h.sites))
 
     def integrate_nu(self, values):
         """nu-integral of nodal values (node-weight quadrature)."""
@@ -318,11 +315,11 @@ def resolvent_solve(triple: SpectralTriple, v):
     halving, one more float64 solve corrects it (at most RESOLVENT_PASSES
     solves), so float64 stops after one solve and longdouble refines to its
     own precision.  A residual above RESOLVENT_RESIDUAL_TOL raises, as does
-    a known tau within 1e-6 of 1.  Returns nodal values in the triple's dtype.
+    a known tau within 1e-6 of 1.  Returns grid values in the triple's dtype.
     """
-    vin = v.values if isinstance(v, GridFunction) else np.asarray(v)
-    mean = float(triple.integrate_nu(vin))
-    if abs(mean) > 1e-10 * max(1.0, float(np.max(np.abs(vin)))):
+    v = np.asarray(v)
+    mean = float(triple.integrate_nu(v))
+    if abs(mean) > 1e-10 * max(1.0, float(np.max(np.abs(v)))):
         raise ConfigError(f"resolvent input has nonzero nu-mean {mean:.3e}")
     tau = triple.tau
     if tau is not None and tau >= 1.0 - 1e-6:
@@ -333,7 +330,7 @@ def resolvent_solve(triple: SpectralTriple, v):
     dtype = triple.op.dtype
     solve = _resolvent_factor(triple)
     floor = triple.op.grid.n_cells * float(np.finfo(dtype).eps)
-    rhs = triple.project_zero_mean(np.asarray(vin, dtype=dtype))
+    rhs = triple.project_zero_mean(np.asarray(v, dtype=dtype))
     sol = np.asarray(solve(np.append(rhs, 0.0).astype(float, copy=False)), dtype=dtype)
     prev = np.inf
     for passes in range(1, RESOLVENT_PASSES + 1):
@@ -349,7 +346,4 @@ def resolvent_solve(triple: SpectralTriple, v):
     if not err <= RESOLVENT_RESIDUAL_TOL:
         raise SolverError(f"bordered resolvent residual {err:.3e} exceeds "
                           f"{RESOLVENT_RESIDUAL_TOL:g} (singular border?)")
-    u = u - triple.integrate_nu(u) * triple.h.values
-    if isinstance(v, GridFunction):
-        return v.copy_with(u)
-    return u
+    return u - triple.integrate_nu(u) * triple.h.values

@@ -9,8 +9,8 @@ pressures at nested Chebyshev-Lobatto nodes, refined until its coefficient
 tail is negligible, and its rate function is the Legendre transform of that
 polynomial.  Monte-Carlo orbits use exact map evaluation so the deviation
 experiment stays independent of the discretization behind the rate
-function.  The Monte Carlo runs in cache-sized blocks of samples.  The
-finite-n probabilities invert the twisted operator's characteristic
+function.  The Monte Carlo runs in blocks sized below the mmap threshold.
+The finite-n probabilities invert the twisted operator's characteristic
 function; a twist shared by several n is iterated once for all of them,
 and only until its iterate lies along the twisted operator's leading
 eigenvector, after which every later moment is that eigenvalue's power
@@ -28,7 +28,7 @@ from numpy.polynomial.chebyshev import chebder, chebfit, chebval
 
 from .errors import ConfigError, HypothesisError, SchemeQualityError, SolverError
 from .maps import (BranchMap, HypothesisAux, ParamFamily, Potential, check_hypotheses,
-                   monotone_root)
+                   monotone_root, zero_potential)
 from .operator import Discretization, OperatorSetup
 from .response import FD_DEFAULT_STEP, ResponseReport, central_difference
 from .spectral import SpectralTriple, resolvent_solve, triple_at
@@ -126,7 +126,6 @@ def d_correlation_d_dynamics(family: ParamFamily, obs_a, obs_b, n: int,
     n, so the report's analytic_value is the limiting target 0 and
     fd_value the measured derivative at this n.
     """
-    from .maps import zero_potential
     pot0 = zero_potential()
 
     def c_n(s):
@@ -529,9 +528,8 @@ def deviation_probability(branch_map: BranchMap, pot: Potential, psi,
     tilt = float(legendre_sup(rate.curve, min(max(rate.argmin, a), b))[1])
     triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
     grid = triple.op.grid
-    x = grid.nodes
-    mid = x + 0.5 * grid.cell_width
-    pv = np.asarray(psi(x), dtype=float)
+    pv = np.asarray(triple.sample(psi), dtype=float)
+    mid = triple.h.sites + 0.5 * grid.cell_width
     pmid = np.asarray(psi(mid), dtype=float)
     half_period = 1.05 * float(max(np.max(np.abs(pv)), np.max(np.abs(pmid))))
     hv = np.asarray(triple.h.values, dtype=float)

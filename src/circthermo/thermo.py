@@ -124,7 +124,6 @@ def equilibrium_state(branch_map: BranchMap, pot: Potential,
         triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
     p = math.log(triple.lam)
     mu = np.asarray(triple.mu_weights, dtype=float)
-    # at the points whose weights mu carries: the cell midpoints under Ulam
     phi_mean = float(np.asarray(triple.sample(pot), dtype=float) @ mu)
     entropy = p - phi_mean
     lyap = float(np.log(np.asarray(triple.sample(branch_map.dlift), dtype=float)) @ mu)

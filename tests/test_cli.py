@@ -108,6 +108,39 @@ def test_spectrum_command_exports_operator(tmp_path):
     assert "scheme=collocation" in header and "map=doubling" in header
 
 
+@pytest.mark.parametrize("scheme,rule,offset", [("collocation", "linear", 0.0),
+                                                 ("ulam", "cell", 0.5)])
+def test_csv_x_columns_are_the_sites_of_the_values(tmp_path, scheme, rule, offset):
+    # Ulam values are cell averages: their x is the cell midpoint (i + 1/2)/N
+    n = 64
+    cfg = base_config(map={"family": "perturbed-doubling", "t": 0.1},
+                      potential={"form": "trig", "cos": [0.05]},
+                      discretization={"n": n, "scheme": scheme},
+                      hypotheses={"enforce": False},
+                      response={"derivative": "density-potential",
+                                "direction": {"form": "trig", "sin": [0.1]}},
+                      output={"dir": str(tmp_path / "out")})
+    config = parse_config(json.dumps(cfg))
+    for command in ("spectrum", "equilibrium", "response"):
+        run(command, config)
+    bmap = cli.build_map(config.map)
+    triple = cli._triple(config, bmap, cli.build_potential(config.potential, bmap))
+
+    def columns(name):
+        rows = (tmp_path / "out" / name).read_text().splitlines()[2:]
+        return np.array([[float(v) for v in row.split(",")] for row in rows]).T
+
+    sites = (np.arange(n) + offset) / n
+    x, h, nu = columns("eigen.csv")
+    assert np.array_equal(x, sites)
+    assert np.array_equal(h, triple.h.values) and np.array_equal(nu, triple.nu)
+    x, mu = columns("equilibrium.csv")
+    assert np.array_equal(x, sites) and np.array_equal(mu, triple.mu_weights)
+    assert np.array_equal(columns("density_derivative.csv")[0], sites)
+    header = (tmp_path / "out" / "operator.csv").read_text().splitlines()[0]
+    assert f"scheme={scheme} " in header and f"interpolation={rule} " in header
+
+
 def test_bifurcation_scan_row_count_and_dimension_identity(tmp_path):
     cfg = base_config(map={"family": "perturbed-doubling", "t": 0.0},
                       discretization={"n": 128},

@@ -12,7 +12,8 @@ import circthermo.operator as ct_operator
 from circthermo import (Discretization, Grid, GridFunction, OperatorSetup,
                         ResourceLimitError, apply_transfer_point,
                         apply_transfer_tree, build_operator, constant,
-                        doubling, free_energy, linear_map, log_derivative_weight,
+                        doubling, free_energy, grid_potential, linear_map,
+                        log_derivative_weight,
                         manneville_pomeau, perturbed_doubling,
                         translated_doubling, trig_polynomial, zero_potential)
 from circthermo.operator import trig_interp_matrix
@@ -186,6 +187,43 @@ def test_complex_gridfunction_evaluates_real_points(interpolation):
     assert np.array_equal(d_int, d_float)
     wide = GridFunction(Grid(8), np.arange(8, dtype=np.longdouble), interpolation)
     assert wide(pts).dtype == np.longdouble
+
+
+def test_cell_rule_sits_at_midpoints_and_interpolates_between_them():
+    rng = np.random.Generator(np.random.Philox(key=12))
+    vals = rng.standard_normal(8)
+    gf = GridFunction(Grid(8), vals, "cell")
+    assert np.array_equal(gf.sites, (np.arange(8) + 0.5) / 8)
+    assert np.max(np.abs(gf(gf.sites) - vals)) < 1e-15
+    # halfway between neighbouring sites: their mean, across the seam too
+    halfway = np.append(gf.sites[:-1] + 1 / 16, [0.0, 1.0])
+    means = np.append(0.5 * (vals[:-1] + vals[1:]), [0.5 * (vals[-1] + vals[0])] * 2)
+    assert np.max(np.abs(gf(halfway) - means)) < 1e-15
+    assert gf.derivative().interpolation == "cell"
+    for rule in ("linear", "fourier"):
+        assert np.array_equal(GridFunction(Grid(8), vals, rule).sites, Grid(8).nodes)
+    ulam = build_operator(doubling(), zero_potential(), Grid(16), "ulam")
+    assert ulam.interpolation == ulam.grid_function(np.ones(16)).interpolation == "cell"
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="longdouble is float64 on this platform")
+def test_linear_grid_function_evaluates_in_the_precision_of_its_points():
+    # values i/16 interpolate to x itself; float64 values at longdouble
+    # points are evaluated at the longdouble points, not at rounded ones
+    pot = grid_potential(np.arange(16) / 16, "linear")
+    x = np.linspace(np.longdouble(0), np.longdouble(0.9), 1001)
+    y = pot(x)
+    assert y.dtype == np.longdouble
+    assert np.array_equal(y, x)
+    # float64 points keep the float64 formula bit for bit
+    x64 = np.linspace(0.0, 0.9, 1001) + 1 / 3
+    gf = GridFunction(Grid(16), np.cos(np.arange(16.0)), "linear")
+    pos = ct_operator.wrap(x64) * 16
+    idx = np.floor(pos).astype(int) % 16
+    frac = pos - np.floor(pos)
+    ref = gf.values[idx] * (1.0 - frac) + gf.values[(idx + 1) % 16] * frac
+    assert np.array_equal(gf(x64), ref)
 
 
 def test_fourier_derivative_keeps_complex_values():

@@ -440,6 +440,22 @@ def test_d_maxentropy_fd_agreement_with_series_metadata():
     assert abs(rep.analytic_value - ref) <= 1e-10 * abs(ref)
 
 
+@pytest.mark.parametrize("s0", [0.1, 0.2])
+def test_ulam_map_derivatives_agree_with_fourier(s0):
+    # Ulam's h is a cell average: D(h) is taken at the cell midpoints where it
+    # sits.  At the nodes the pressure derivative carried a bias of 6.3e-7
+    # (s0 = 0.1) and the maximal-entropy derivative one of 2.3e-3
+    family = perturbed_doubling_family()
+    phi = trig_polynomial(cos_coeffs=[0.05])
+    g = trig_polynomial(cos_coeffs=[0.0, 1.0])
+    ulam = Discretization(n=512, scheme="ulam")
+    fourier = Discretization(n=512, interpolation="fourier")
+    dp = [d_pressure_d_dynamics(family, phi, s0, d).analytic_value for d in (ulam, fourier)]
+    assert abs(dp[0] - dp[1]) <= 3e-7
+    dmu = [d_maxentropy_expectation(family, g, s0, d).analytic_value for d in (ulam, fourier)]
+    assert abs(dmu[0] - dmu[1]) <= 5e-4
+
+
 def test_response_report_rel_error_recomputed():
     from circthermo.response import ResponseReport
     rep = ResponseReport(analytic_value=2.0, fd_value=2.5, fd_step=1e-4)
