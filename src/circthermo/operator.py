@@ -34,7 +34,9 @@ SCHEMES = ("collocation", "ulam")
 NODAL_RULES = ("linear", "fourier")   # the rules whose values sit at the nodes
 # each interpolation rule -> its sites (i + offset)/N, in cells
 SITE_OFFSET = {"linear": 0.0, "fourier": 0.0, "cell": 0.5}
+# every leaf of one tree walk (d^depth times the roots), and d^n for the periodic oracle
 TREE_LEAF_GUARD = 2 ** 24
+TREE_BLOCK = 2 ** 15   # points a tree walk or periodic-orbit solve expands at a time
 CSV_BLOCK_BYTES = 2 ** 20   # bytes of dense rows a CSR export holds at a time
 
 
@@ -228,34 +230,63 @@ class DiscretizedOperator:
 # Pointwise application
 # ---------------------------------------------------------------------------
 
-def preimage_tree(branch_map: BranchMap, pot: Potential, x, depth: int, h_field=None):
-    """The d^depth leaves above the points x, with their Birkhoff log-weights.
+def preimage_tree(branch_map: BranchMap, pot: Potential, x, depth: int, leaf,
+                  h_field=None):
+    """The values leaf(y, S, vel, dS) at the d^depth leaves above the points x.
 
     Level k holds the y_k with f(y_k) = y_{k-1}, y_0 = x, and adds phi(y_k)
     to the log-weight S.  Under a map direction H (f -> f + eps H) the
     inverse branches move: vel_k = (vel_{k-1} - H(y_k)) / F'(y_k) from
-    vel_0 = 0, and dS = sum_k phi'(y_k) vel_k.  Returns (y, S, vel, dS),
-    each of shape (d^depth, *shape(x)); vel and dS are None without H.
+    vel_0 = 0, and dS = sum_k phi'(y_k) vel_k; vel and dS are None without
+    H.  leaf gets flat arrays of leaves and returns their values.  The
+    result has shape (d^depth, *shape(x)): root r's leaf reached by the
+    branches b_1, ..., b_depth sits at i_depth, with i_k = b_k d^(k-1) +
+    i_(k-1) and i_0 = 0.
+
+    The walk is depth first in blocks.  The frontier grows a level at a
+    time while d times its size is at most TREE_BLOCK points; past that it
+    is split into chunks of TREE_BLOCK / d points, and each chunk is walked
+    to its leaves before the next.  Memory is 8 B per leaf (the result)
+    plus a block per level walked in chunks, and the values do not depend
+    on where the blocks fall.  TREE_LEAF_GUARD bounds every leaf: d^depth
+    times the number of roots.
     """
     if depth < 1:
         raise ConfigError(f"tree depth must be >= 1, got {depth}")
-    leaves = branch_map.degree ** depth
+    d = branch_map.degree
+    roots = np.asarray(x, dtype=float)
+    leaves = d ** depth * roots.size
     if leaves > TREE_LEAF_GUARD:
         raise ResourceLimitError(
             f"preimage tree would have {leaves} leaves (> {TREE_LEAF_GUARD})")
-    ys = np.asarray(x, dtype=float)
-    shape = (-1,) + ys.shape
-    log_w = np.zeros_like(ys)
-    vel = d_log_w = None if h_field is None else np.zeros_like(ys)
-    for _ in range(depth):
-        level = branch_map.preimages(ys)          # (d, *ys.shape)
-        log_w = (log_w[None] + pot(level)).reshape(shape)
-        if h_field is not None:
-            step = (vel[None] - np.asarray(h_field(level))) / np.asarray(branch_map.dlift(level))
-            d_log_w = (d_log_w[None] + pot.derivative(level) * step).reshape(shape)
-            vel = step.reshape(shape)
-        ys = level.reshape(shape)
-    return ys, log_w, vel, d_log_w
+    chunk = max(1, TREE_BLOCK // d)   # the most points one level may expand at once
+    flat = roots.ravel()
+    zeros = None if h_field is None else np.zeros_like(flat)
+    # frontiers still to walk: (level k, each point's index i_k * roots.size + r
+    # in the result, y, S, vel, dS)
+    todo = [(0, np.arange(flat.size), flat, np.zeros_like(flat), zeros, zeros)]
+    out = None
+    while todo:
+        k, at, ys, log_w, vel, d_log_w = todo.pop()
+        while k < depth and ys.size <= chunk:
+            level = branch_map.preimages(ys)          # (d, ys.size)
+            log_w = (log_w + pot(level)).ravel()
+            if h_field is not None:
+                step = (vel - np.asarray(h_field(level))) / np.asarray(branch_map.dlift(level))
+                d_log_w = (d_log_w + pot.derivative(level) * step).ravel()
+                vel = step.ravel()
+            at = (np.arange(d)[:, None] * (d ** k * roots.size) + at).ravel()
+            ys, k = level.ravel(), k + 1
+        if k < depth:   # split, and walk the first chunk first
+            todo.extend((k, *(None if a is None else a[i:i + chunk]
+                              for a in (at, ys, log_w, vel, d_log_w)))
+                        for i in reversed(range(0, ys.size, chunk)))
+            continue
+        values = np.asarray(leaf(ys, log_w, vel, d_log_w))
+        if out is None:
+            out = np.empty(leaves, dtype=values.dtype)
+        out[at] = values
+    return out.reshape((-1,) + roots.shape)
 
 
 def leaf_sum(values):
@@ -275,8 +306,10 @@ def apply_transfer_tree(branch_map: BranchMap, pot: Potential, g, x, depth: int)
     No discretization is involved: Birkhoff weights accumulate along the
     tree and g is evaluated at the leaves.
     """
-    ys, log_w, _, _ = preimage_tree(branch_map, pot, x, depth)
-    return leaf_sum(np.exp(log_w) * np.asarray(g(ys)))
+    def leaf(ys, log_w, vel, d_log_w):
+        return np.exp(log_w) * np.asarray(g(ys))
+
+    return leaf_sum(preimage_tree(branch_map, pot, x, depth, leaf))
 
 
 # ---------------------------------------------------------------------------

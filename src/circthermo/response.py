@@ -187,9 +187,11 @@ def d_transfer_n_d_dynamics(branch_map: BranchMap, pot: Potential, g, h_field,
     gval, gder = _value_and_derivative(g)
     if pot.smoothness_order < 1:
         raise SmoothnessError("potential must be C^1 for map derivatives")
-    ys, log_w, vel, d_log_w = preimage_tree(branch_map, pot, x, n, h_field)
-    return leaf_sum(np.exp(log_w) * (np.asarray(gder(ys)) * vel
-                                     + np.asarray(gval(ys)) * d_log_w))
+
+    def leaf(ys, log_w, vel, d_log_w):
+        return np.exp(log_w) * (np.asarray(gder(ys)) * vel + np.asarray(gval(ys)) * d_log_w)
+
+    return leaf_sum(preimage_tree(branch_map, pot, x, n, leaf, h_field))
 
 
 def d_pressure_d_dynamics(family: ParamFamily, pot: Potential, s0: float,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, ResourceLimitError
 from .maps import BranchMap, Potential, monotone_root
-from .operator import (Discretization, OperatorSetup, TREE_LEAF_GUARD,
+from .operator import (Discretization, OperatorSetup, TREE_BLOCK, TREE_LEAF_GUARD,
                        apply_transfer_tree)
 from .spectral import SpectralTriple, triple_at
 
@@ -77,6 +77,11 @@ def pressure_oracle_periodic(branch_map: BranchMap, pot: Potential, n: int):
     with d^n, the size of G.  G is increasing where (f^n)' > 1; a map that
     contracts somewhere may have more fixed points, and one per k is kept.
 
+    The targets k are solved in consecutive blocks of TREE_BLOCK, and only
+    each root's Birkhoff sum is kept: memory is 8 B per root plus one block,
+    and since each root depends only on its own k, the values do not depend
+    on where the blocks fall.  TREE_LEAF_GUARD bounds d^n.
+
     Returns (value, skipped); skipped is always 0, kept for callers that
     read the pair.
     """
@@ -101,11 +106,14 @@ def pressure_oracle_periodic(branch_map: BranchMap, pot: Potential, n: int):
                                           axis=0) - 1.0
 
     g0 = float(lifted_orbit(np.zeros(1))[1][0])
-    ks = math.ceil(g0) + np.arange(d ** n - 1, dtype=float)
-    roots = monotone_root(g, None, ks, 0.0, 1.0, g0, g0 + d ** n - 1,
-                          tol=64.0 * np.finfo(float).eps * d ** n,
-                          describe=lambda k: f"the period-{n} point with F^n(x) - x = {k:.0f}")
-    s = np.sum([pot(y) for y in lifted_orbit(roots)[0]], axis=0)
+    count = d ** n - 1
+    s = np.empty(count)   # the Birkhoff sum of phi over each orbit
+    for start in range(0, count, TREE_BLOCK):
+        ks = math.ceil(g0) + np.arange(start, min(start + TREE_BLOCK, count), dtype=float)
+        roots = monotone_root(g, None, ks, 0.0, 1.0, g0, g0 + d ** n - 1,
+                              tol=64.0 * np.finfo(float).eps * d ** n,
+                              describe=lambda k: f"the period-{n} point with F^n(x) - x = {k:.0f}")
+        s[start:start + ks.size] = np.sum([pot(y) for y in lifted_orbit(roots)[0]], axis=0)
     m = float(np.max(s))
     value = (m + math.log(float(np.sum(np.exp(s - m))))) / n
     return value, 0

@@ -1,6 +1,8 @@
 """Pointwise transfer application, tree sums, and matrix assembly."""
 
+import gc
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,8 +17,10 @@ from circthermo import (Discretization, Grid, GridFunction, OperatorSetup,
                         doubling, free_energy, grid_potential, linear_map,
                         log_derivative_weight,
                         manneville_pomeau, perturbed_doubling,
-                        translated_doubling, trig_polynomial, zero_potential)
+                        pressure_oracle_tree, translated_doubling,
+                        trig_polynomial, zero_potential)
 from circthermo.operator import trig_interp_matrix
+from circthermo.response import d_transfer_n_d_dynamics
 from circthermo.spectral import leading_triple
 
 from conftest import builtin_maps, cos1
@@ -81,6 +85,111 @@ def test_tree_matches_composed_point_applies():
 def test_tree_resource_guard():
     with pytest.raises(ResourceLimitError):
         apply_transfer_tree(doubling(), zero_potential(), ones, 0.1, 25)
+
+
+def test_tree_guard_counts_the_leaves_of_every_root(monkeypatch):
+    # 32 roots at depth 6 make 2^11 leaves: past a 2^10 guard, though each
+    # root's own tree (2^6 leaves) is within it
+    monkeypatch.setattr(ct_operator, "TREE_LEAF_GUARD", 2 ** 10)
+    with pytest.raises(ResourceLimitError):
+        apply_transfer_tree(doubling(), zero_potential(), ones,
+                            np.linspace(0.0, 1.0, 32, endpoint=False), 6)
+
+
+# ---------------------------------------------------------------------------
+# The block walk against the level-by-level expansion
+# ---------------------------------------------------------------------------
+
+def level_by_level(bmap, pot, x, depth, h_field=None):
+    """Every level of the tree at once: leaves, S, and vel and dS under H."""
+    ys = np.asarray(x, dtype=float)
+    shape = (-1,) + ys.shape
+    log_w = vel = d_log_w = np.zeros_like(ys)
+    for _ in range(depth):
+        level = bmap.preimages(ys)
+        log_w = (log_w[None] + pot(level)).reshape(shape)
+        if h_field is not None:
+            step = (vel[None] - np.asarray(h_field(level))) / np.asarray(bmap.dlift(level))
+            d_log_w = (d_log_w[None] + pot.derivative(level) * step).reshape(shape)
+            vel = step.reshape(shape)
+        ys = level.reshape(shape)
+    return ys, log_w, vel, d_log_w
+
+
+TREE_POT = trig_polynomial(cos_coeffs=[0.1], sin_coeffs=[0.05])
+TREE_G = trig_polynomial(cos_coeffs=[1.0], sin_coeffs=[0.3])
+# (map, roots, depth): d = 2 and d = 3, one root and grids of roots
+SMALL_TREES = [
+    (doubling(), 0.27, 9),
+    (linear_map(3), 0.41, 6),
+    (manneville_pomeau(1.0), np.linspace(0.05, 0.95, 7), 5),
+    (linear_map(3), np.linspace(0.0, 1.0, 40, endpoint=False), 1),
+]
+# past one block of 2^15 points: the frontier, or the roots at depth 1, split
+LARGE_TREES = [
+    (manneville_pomeau(1.0), 0.3, 17),
+    (perturbed_doubling(0.1), 0.6, 16),
+    (linear_map(3), 0.41, 10),
+    (doubling(), np.linspace(0.01, 0.97, 32), 11),
+    (linear_map(3), np.linspace(0.0, 1.0, 12000, endpoint=False), 1),
+]
+
+
+def h_sine(y):
+    return 0.05 * np.sin(2 * np.pi * np.asarray(y))
+
+
+def assert_tree_sums_match_the_expansion(bmap, x, depth):
+    ys, log_w, _, _ = level_by_level(bmap, TREE_POT, x, depth)
+    want = ct_operator.leaf_sum(np.exp(log_w) * TREE_G(ys))
+    assert np.array_equal(apply_transfer_tree(bmap, TREE_POT, TREE_G, x, depth), want)
+    ys, log_w, vel, d_log_w = level_by_level(bmap, TREE_POT, x, depth, h_sine)
+    want = ct_operator.leaf_sum(np.exp(log_w) * (TREE_G.derivative(ys) * vel
+                                                 + TREE_G(ys) * d_log_w))
+    got = d_transfer_n_d_dynamics(bmap, TREE_POT, TREE_G, h_sine, x, depth)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bmap, x, depth", SMALL_TREES + LARGE_TREES)
+def test_tree_sums_are_bit_identical_to_the_level_by_level_expansion(bmap, x, depth):
+    assert_tree_sums_match_the_expansion(bmap, x, depth)
+
+
+@pytest.mark.parametrize("bmap, x, depth", SMALL_TREES)
+def test_small_blocks_put_every_leaf_in_its_slot(monkeypatch, bmap, x, depth):
+    # 16-point blocks split the roots and most levels into chunks
+    monkeypatch.setattr(ct_operator, "TREE_BLOCK", 16)
+    ys, log_w, vel, d_log_w = level_by_level(bmap, TREE_POT, x, depth, h_sine)
+    for i, want in enumerate((ys, log_w, vel, d_log_w)):
+        got = ct_operator.preimage_tree(bmap, TREE_POT, x, depth,
+                                        lambda *leaf: leaf[i], h_sine)
+        assert np.array_equal(got, want)
+    assert_tree_sums_match_the_expansion(bmap, x, depth)
+
+
+def test_tree_walk_leaves_no_reference_cycle():
+    # a cycle would hold the leaf array until the cyclic collector runs, and
+    # the process would keep that memory across calls
+    mp = manneville_pomeau(1.0)
+    gc.collect()
+    gc.disable()
+    try:
+        apply_transfer_tree(mp, TREE_POT, TREE_G, 0.3, 17)
+        d_transfer_n_d_dynamics(mp, TREE_POT, TREE_G, h_sine, 0.3, 17)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_tree_oracle_memory_is_its_leaves_plus_blocks():
+    # 2^20 leaves hold 8.4 MB; the level-by-level expansion peaked at 102 MB
+    tracemalloc.start()
+    try:
+        pressure_oracle_tree(manneville_pomeau(1.0), TREE_POT, 0.3, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24e6
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Pressure routes, equilibrium states, entropy and Lyapunov exponents."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import circthermo.thermo as ct_thermo
 from circthermo import (ConfigError, Discretization, constant, discretize, doubling,
                         equilibrium_state, leading_triple, linear_map,
                         log_derivative_weight, manneville_pomeau,
@@ -106,6 +108,34 @@ def test_periodic_oracle_constant_shift_on_translated_doubling():
 def test_periodic_oracle_rejects_period_zero():
     with pytest.raises(ConfigError, match="period"):
         pressure_oracle_periodic(doubling(), zero_potential(), 0)
+
+
+PERIODIC_POT = trig_polynomial(cos_coeffs=[0.1], sin_coeffs=[0.05])
+
+
+@pytest.mark.parametrize("bmap, n, block", [
+    (doubling(), 17, None),                  # 2^17 - 1 targets: four blocks of 2^15
+    (perturbed_doubling(0.1), 11, 2 ** 8),
+    (manneville_pomeau(1.0), 10, 2 ** 7),
+    (linear_map(3), 7, 2 ** 8),
+], ids=["doubling", "perturbed", "mp1", "linear3"])
+def test_periodic_oracle_in_blocks_is_bit_identical_to_one_block(monkeypatch, bmap, n, block):
+    if block is not None:
+        monkeypatch.setattr(ct_thermo, "TREE_BLOCK", block)
+    blocks = pressure_oracle_periodic(bmap, PERIODIC_POT, n)
+    monkeypatch.setattr(ct_thermo, "TREE_BLOCK", bmap.degree ** n)
+    assert blocks == pressure_oracle_periodic(bmap, PERIODIC_POT, n)
+
+
+def test_periodic_oracle_memory_is_its_roots_plus_one_block():
+    # 2^18 - 1 Birkhoff sums hold 2.1 MB; one solve of every root peaked at 86 MB
+    tracemalloc.start()
+    try:
+        pressure_oracle_periodic(doubling(), PERIODIC_POT, 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def test_three_pressure_routes_agree_on_builtin_families():
