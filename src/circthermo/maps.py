@@ -171,14 +171,14 @@ class BranchMap:
         """The preimage of x under branch k; k and x broadcast together.
 
         The root lies in branch k's domain [b_k, b_{k+1}] and solves
-        F(y) = x + m + k with the integer m chosen so that F(0) <= x + m <
-        F(0) + 1.  It calls monotone_root directly rather than through
-        _invert_lift, so the (d, N) target array is freed as soon as the
-        solver has taken the unconverged points out of it.
+        F(y) = x + (m + k), rounded once, with the integer m chosen so that
+        F(0) <= x + m < F(0) + 1.  It calls monotone_root directly rather
+        than through _invert_lift, so the (d, N) target array is freed as
+        soon as the solver has taken the unconverged points out of it.
         """
         x, k = wrap(np.asarray(x, dtype=float)), np.asarray(k)
         b, flo = self.branch_bounds, self._lift0 + k
-        return monotone_root(self.lift, self.dlift, x + np.ceil(self._lift0 - x) + k,
+        return monotone_root(self.lift, self.dlift, x + (np.ceil(self._lift0 - x) + k),
                              b[k], b[k + 1], flo, flo + 1.0, describe=self._branch_of)
 
     def preimages(self, x):

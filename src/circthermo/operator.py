@@ -319,10 +319,12 @@ def apply_transfer_tree(branch_map: BranchMap, pot: Potential, g, x, depth: int)
 class OperatorSetup:
     """The potential-independent part of one discretized transfer operator.
 
-    Built once per (map, grid, scheme, interpolation, dtype): the polished
-    preimage table y_j(x_i) and the stencil (idx/frac triplets for linear,
-    the (d, N, N) cardinal matrix for Fourier) under collocation; the arc
-    pieces, their midpoints y* and F'(y*) |arc| / |cell| under Ulam.
+    Built once per (map, grid, scheme, interpolation, dtype) from one
+    preimage table y_j(x_i) of the nodes, which both schemes share.
+    Collocation polishes the table in the working dtype and stores the
+    stencil (idx/frac triplets for linear, the (d, N, N) cardinal matrix
+    for Fourier); Ulam cuts the arcs between the sorted preimages into
+    pieces and stores their midpoints y* and F'(y*) |piece| / |cell|.
     `operator(pot)` only evaluates e^{pot} at the stored points and
     combines.  A caller that sweeps the potential holds one setup for the
     sweep; nothing outlives the caller that holds it.
@@ -338,23 +340,23 @@ class OperatorSetup:
             if interpolation not in NODAL_RULES:
                 raise ConfigError(f"unknown interpolation {interpolation!r}")
             self.interpolation, self.dtype = interpolation, np.dtype(dtype)
-            self._setup_collocation()
         elif scheme == "ulam":
             self.interpolation, self.dtype = "cell", np.dtype(np.float64)
-            self._setup_ulam()
         else:
             raise ConfigError(f"unknown scheme {scheme!r}")
+        ys = branch_map.preimages(grid.nodes)   # (d, N)
+        (self._setup_collocation if scheme == "collocation" else self._setup_ulam)(ys)
 
     @classmethod
     def of(cls, branch_map: BranchMap, disc: Discretization, dtype=np.float64):
         return cls(branch_map, Grid(disc.n), disc.scheme, disc.interpolation, dtype)
 
-    def _setup_collocation(self):
+    def _setup_collocation(self, ys):
         branch_map, dtype = self.branch_map, self.dtype
         n = self.grid.n_cells
         d = branch_map.degree
         nodes = np.asarray(self.grid.nodes, dtype=dtype)
-        ys = np.asarray(branch_map.preimages(nodes), dtype=dtype)   # (d, N)
+        ys = np.asarray(ys, dtype=dtype)
         # polish preimages in the working dtype (Newton reaches its eps quickly)
         f0 = np.asarray(branch_map.lift(np.zeros(1, dtype=dtype)))[0]
         targets = nodes[None, :] + np.ceil(f0 - nodes)[None, :] + \
@@ -372,54 +374,43 @@ class OperatorSetup:
         self._cols = np.concatenate([left.ravel(), right.ravel()])
         self._factors = np.concatenate([(1.0 - frac).ravel(), frac.ravel()])
 
-    def _setup_ulam(self):
+    def _setup_ulam(self, ys):
         """Arc pieces of the weighted cell-transfer (Galerkin) projection.
 
         Entry (i, j) integrates L applied to the indicator of cell j over
-        cell i, evaluated by midpoint rule on each preimage arc:
-        e^{phi(y*)} f'(y*) |arc| / |cell|.  All entries are nonnegative.
+        cell i, evaluated by midpoint rule on each piece of a preimage arc
+        of cell i inside cell j: e^{phi(y*)} f'(y*) |piece| / |cell|.  All
+        entries are nonnegative.  f is an increasing degree-d covering, so
+        the preimages of the nodes, sorted, are the arc endpoints: the arc
+        from a preimage of node i to the next sorted preimage maps onto
+        cell i.  The arc after the last preimage wraps through 0 and is
+        split there, so every endpoint lies in [0, 1].
         """
-        branch_map = self.branch_map
         n = self.grid.n_cells
-        d = branch_map.degree
-        c0, b = branch_map._lift0, branch_map.branch_bounds
-
-        def invert(u):   # F^{-1}(u) for lift values u in [F(0), F(0) + d]
-            k = np.minimum(np.floor(u - c0), d - 1).astype(int)
-            return branch_map._invert_lift(u, b[k], b[k + 1], c0 + k, c0 + k + 1)
-
-        rows, cols, los, his = [], [], [], []
-        x_left = self.grid.nodes
-        x_right = np.append(x_left[1:], 1.0)
-        m_base = np.ceil(c0 - x_right)
-        for r in range(d + 1):
-            m = m_base + r
-            u_lo = np.clip(x_left + m, c0, c0 + d)
-            u_hi = np.clip(x_right + m, c0, c0 + d)
-            keep = np.flatnonzero(u_hi - u_lo > 0.0)
-            if not keep.size:
-                continue
-            p, q = invert(u_lo[keep]), invert(u_hi[keep])
-            # arc [p, q] meets the cells j0, j0 + 1, ... with j / n < q.  The
-            # candidates run to ceil(q n), which is at least the last such
-            # cell however q n rounds; a candidate past it gives an empty piece
-            j0 = np.floor(p * n).astype(int)
-            count = np.maximum(np.ceil(q * n).astype(int) - j0 + 1, 0)
-            arc = np.repeat(np.arange(keep.size), count)
-            j = j0[arc] + np.arange(arc.size) - np.repeat(np.cumsum(count) - count, count)
-            lo = np.maximum(p[arc], j / n)
-            hi = np.minimum(q[arc], (j + 1) / n)
-            width = hi - lo
-            self.dropped_entries += int(np.count_nonzero((width > 0.0) & (width < 1e-14)))
-            piece = width >= 1e-14
-            rows.append(keep[arc[piece]])
-            cols.append(j[piece] % n)
-            los.append(lo[piece])
-            his.append(hi[piece])
-        lo, hi = np.concatenate(los), np.concatenate(his)
+        flat = ys.ravel()
+        order = np.argsort(flat, kind="stable")
+        ends = flat[order]
+        # arc t runs from ends[t] to ends[t + 1] onto the cell of ends[t]'s
+        # node; the last wraps through 0 as [ends[-1], 1] and [0, ends[0]]
+        p = np.append(ends, 0.0)
+        q = np.concatenate((ends[1:], [1.0, ends[0]]))
+        cells = np.append(order % n, order[-1] % n)
+        # arc [p, q] meets the cells j0, j0 + 1, ... with j / n < q.  The
+        # candidates run to ceil(q n), which is at least the last such cell
+        # however q n rounds; a candidate past it gives an empty piece
+        j0 = np.floor(p * n).astype(int)
+        count = np.maximum(np.ceil(q * n).astype(int) - j0 + 1, 0)
+        arc = np.repeat(np.arange(p.size), count)
+        j = j0[arc] + np.arange(arc.size) - np.repeat(np.cumsum(count) - count, count)
+        lo = np.maximum(p[arc], j / n)
+        hi = np.minimum(q[arc], (j + 1) / n)
+        width = hi - lo
+        self.dropped_entries = int(np.count_nonzero((width > 0.0) & (width < 1e-14)))
+        piece = width >= 1e-14
+        lo, hi = lo[piece], hi[piece]
         self.points = 0.5 * (lo + hi)
-        self._rows, self._cols = np.concatenate(rows), np.concatenate(cols)
-        self._factors = np.asarray(branch_map.dlift(self.points)) * (hi - lo) * n
+        self._rows, self._cols = cells[arc[piece]], j[piece] % n
+        self._factors = np.asarray(self.branch_map.dlift(self.points)) * (hi - lo) * n
 
     def operator(self, pot: Potential) -> DiscretizedOperator:
         """The transfer matrix weighted by e^{pot}, from the stored geometry."""

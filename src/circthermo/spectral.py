@@ -35,7 +35,7 @@ NEGATIVE_MASS_LIMIT = 1e-8
 RESOLVENT_RESIDUAL_TOL = 1e-10
 RESOLVENT_PASSES = 4    # float64 solves per resolvent, refinement included
 ARNOLDI_HANDOVER = 64   # float64 power steps before the Arnoldi handover
-GAP_ITERATIONS = 400    # deflated power steps in gap_estimate
+GAP_ITERATIONS = 400    # power steps in gap_estimate
 GAP_SEED = 20250408     # Philox key of gap_estimate's random start
 
 
@@ -196,9 +196,9 @@ def _arnoldi_pair(op: DiscretizedOperator, v, w, budget: int, resid: float):
     right, left = counted(op.apply), counted(op.apply_left)
     try:
         (theta_r,), vr = eigs(LinearOperator((n, n), right, dtype=np.float64),
-                              k=1, v0=v, rng=0)
+                              k=1, v0=v)
         (theta_l,), vl = eigs(LinearOperator((n, n), left, dtype=np.float64),
-                              k=1, v0=w, rng=0)
+                              k=1, v0=w)
     except ArpackError as exc:    # non-convergence, or no factorization of non-finite data
         raise SolverError(f"Arnoldi eigensolve failed ({exc}); "
                           f"last power residual {resid:.3e}") from exc
@@ -223,34 +223,29 @@ def triple_at(setup: OperatorSetup, pot: Potential, tol: float = 1e-12,
 
 
 def gap_estimate(op: DiscretizedOperator, triple: SpectralTriple) -> float:
-    """Estimate tau = |lambda_2| / lambda_1 by deflated power iteration.
+    """Estimate tau = |lambda_2| / lambda_1 by power iteration on zero-mean vectors.
 
-    The leading pair is removed by the rank-one deflation
-    B v = M v - lambda h (nu . v) / (h . nu), applied without forming B;
-    the modulus of the next eigenvalue is read off the geometric growth
-    rate of ||B^k v|| (robust to complex pairs).  Runs in float64.
-    Stores the estimate on the triple and returns it.
+    Each step applies M and projects onto E_0 = {v : nu . v = 0} along h,
+    v -> v - (nu . v) h.  M keeps E_0, so the projection only keeps
+    roundoff out of the leading direction, and the modulus of the next
+    eigenvalue is read off the geometric growth rate of ||v|| (robust to
+    complex pairs).  Runs in float64.  Stores the estimate on the triple
+    and returns it.
     """
     mat = op.storage if op.dtype == np.float64 else np.asarray(op.matrix, dtype=float)
     hv = np.asarray(triple.h.values, dtype=float)
     nu = np.asarray(triple.nu, dtype=float)
     lam = float(triple.lam)
-    nu_h = nu / (hv @ nu)
-    n = op.grid.n_cells
     rng = np.random.Generator(np.random.Philox(key=GAP_SEED))
-    v = rng.standard_normal(n)
-    v = v - (nu @ v) * hv
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        v = rng.standard_normal(n)
-        norm = np.linalg.norm(v)
-    v /= norm
+    v = rng.standard_normal(op.grid.n_cells)
+    v -= (nu @ v) * hv
+    v /= np.linalg.norm(v)
     logs = []
     floor = 1e-14 * abs(lam)
     collapsed = None
     for _ in range(GAP_ITERATIONS):
-        v = mat @ v - lam * (nu_h @ v) * hv
-        v = v - (nu @ v) * hv        # keep roundoff out of the leading direction
+        v = mat @ v
+        v -= (nu @ v) * hv
         r = np.linalg.norm(v)
         if r < floor:
             collapsed = r

@@ -378,7 +378,8 @@ def ldp_monte_carlo(branch_map: BranchMap, pot: Potential, psi,
 
     `predicted` is the n -> infinity limit of the rates; at finite n the
     rates sit below it by a prefactor of order log(n)/n.  The exact
-    finite-n value comes from `deviation_probability`.
+    finite-n value comes from `deviation_probability`.  A given triple
+    brings its own map (`triple.op`), which is the one iterated.
     """
     a, b = _deviation_interval(interval, rate)
     predicted = -rate.infimum(a, b)
@@ -391,6 +392,7 @@ def ldp_monte_carlo(branch_map: BranchMap, pot: Potential, psi,
 
     if triple is None:
         triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
+    branch_map = triple.op.branch_map
     mu = triple.mu_weights
     n_cells = triple.op.grid.n_cells
     cum = np.concatenate(([0.0], np.cumsum(mu)))

@@ -126,10 +126,12 @@ def equilibrium_state(branch_map: BranchMap, pot: Potential,
 
     entropy = pressure - int phi d mu by construction; the dimension
     entropy/lyapunov is emitted only for potentials of the form constant
-    or c log|f'|, where that ratio is meaningful.
+    or c log|f'|, where that ratio is meaningful.  A given triple brings
+    its own map and potential (`triple.op`), which are the ones used.
     """
     if triple is None:
         triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
+    branch_map, pot = triple.op.branch_map, triple.op.potential
     p = math.log(triple.lam)
     mu = np.asarray(triple.mu_weights, dtype=float)
     phi_mean = float(np.asarray(triple.sample(pot), dtype=float) @ mu)

@@ -11,8 +11,8 @@ import pytest
 from scipy import sparse
 
 import circthermo.operator as ct_operator
-from circthermo import (Discretization, Grid, GridFunction, OperatorSetup,
-                        ResourceLimitError, apply_transfer_point,
+from circthermo import (BranchMap, Discretization, Grid, GridFunction,
+                        OperatorSetup, ResourceLimitError, apply_transfer_point,
                         apply_transfer_tree, build_operator, constant,
                         doubling, free_energy, grid_potential, linear_map,
                         log_derivative_weight,
@@ -532,17 +532,38 @@ def _ulam_pieces_by_cell_loop(bmap, n):
     return np.array(rows), np.array(cols), np.array(mids), np.array(widths), dropped
 
 
-@pytest.mark.parametrize("bmap", builtin_maps() + [manneville_pomeau(0.5)],
+def _sorted_triplets(rows, cols, mids, factors):
+    key = np.lexsort((factors, mids, cols, rows))
+    return rows[key], cols[key], mids[key], factors[key]
+
+
+# translated doubling s = 0.25 puts its seam F(0) = 0.5 on a node for even N
+@pytest.mark.parametrize("bmap", builtin_maps() + [manneville_pomeau(0.5),
+                                                   translated_doubling(0.25)],
                          ids=lambda m: f"{m.family_tag}{m.family_params}")
 def test_ulam_setup_matches_cell_loop_bit_for_bit(bmap):
-    for n in (64, 257):
+    for n in [*range(2, 12), 64, 257]:
         setup = OperatorSetup(bmap, Grid(n), "ulam")
         rows, cols, mids, widths, dropped = _ulam_pieces_by_cell_loop(bmap, n)
         assert setup.dropped_entries == dropped
-        assert np.array_equal(setup._rows, rows)
-        assert np.array_equal(setup._cols, cols)
-        assert np.array_equal(setup.points, mids)
-        assert np.array_equal(setup._factors, np.asarray(bmap.dlift(mids)) * widths * n)
+        got = _sorted_triplets(setup._rows, setup._cols, setup.points, setup._factors)
+        ref = _sorted_triplets(rows, cols, mids, np.asarray(bmap.dlift(mids)) * widths * n)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+
+
+def test_ulam_setup_inverts_the_nodes_once(monkeypatch):
+    calls = []
+    preimages = BranchMap.preimages
+
+    def counted(self, x):
+        calls.append(np.array(x, copy=True))
+        return preimages(self, x)
+
+    monkeypatch.setattr(BranchMap, "preimages", counted)
+    OperatorSetup(manneville_pomeau(0.5), Grid(64), "ulam")
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], Grid(64).nodes)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,

@@ -408,6 +408,21 @@ def test_handover_takes_fewer_applications_than_power(mp_physical_362, monkeypat
     assert float(fast.lam) == pytest.approx(float(slow.lam), rel=1e-13)
 
 
+def test_handover_passes_eigs_no_rng(mp_physical_362, monkeypatch):
+    real_eigs = scipy.sparse.linalg.eigs
+    calls = []
+
+    def eigs_without_rng(a, k, v0):   # refuses every other keyword, rng included
+        calls.append(k)
+        return real_eigs(a, k=k, v0=v0)
+
+    ref = leading_triple(mp_physical_362)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", eigs_without_rng)
+    tr = leading_triple(mp_physical_362)
+    assert calls == [1, 1]
+    assert np.asarray(tr.lam).tobytes() == np.asarray(ref.lam).tobytes()
+
+
 @pytest.mark.parametrize("fmap,pot,disc", [
     (doubling(), trig_polynomial(cos_coeffs=[0.01], sin_coeffs=[0.004]),
      Discretization(n=256, interpolation="fourier")),

@@ -326,6 +326,16 @@ def test_ldp_ci_scales_with_sample_count():
     assert abs(cis[1] / cis[0] - 0.5) < 0.2
 
 
+def test_ldp_monte_carlo_iterates_the_map_of_its_triple():
+    rate, disc = _doubling_rate_setup(n=128)
+    pd = perturbed_doubling(0.3)
+    triple = triple_at(OperatorSetup.of(pd, disc), zero_potential())
+    args = (zero_potential(), cos1, (0.25, 0.45), [10], 20000, 5, rate)
+    mixed = ldp_monte_carlo(doubling(), *args, triple=triple)
+    own = ldp_monte_carlo(pd, *args, triple=triple)
+    assert mixed.hits == own.hits
+
+
 def test_ldp_interval_outside_domain_rejected():
     rate, disc = _doubling_rate_setup(t0=0.01024, n=128)
     with pytest.raises(ConfigError, match="domain"):

@@ -13,6 +13,8 @@ from circthermo import (ConfigError, Discretization, constant, discretize, doubl
                         perturbed_doubling, pressure, pressure_oracle_periodic,
                         pressure_oracle_tree, translated_doubling,
                         trig_polynomial, zero_potential)
+from circthermo.operator import OperatorSetup
+from circthermo.spectral import triple_at
 
 from conftest import builtin_maps
 
@@ -182,6 +184,18 @@ def test_dimension_absent_for_generic_potential():
     rep = equilibrium_state(doubling(), trig_polynomial(cos_coeffs=[0.01]),
                             Discretization(n=128))
     assert rep.dimension is None
+
+
+def test_equilibrium_state_reads_map_and_potential_from_the_triple():
+    pd, phi = perturbed_doubling(0.3), trig_polynomial(cos_coeffs=[0.1])
+    triple = triple_at(OperatorSetup.of(pd, Discretization(n=128)), phi)
+    mixed = equilibrium_state(doubling(), zero_potential(), triple=triple)
+    own = equilibrium_state(pd, phi, triple=triple)
+    assert (mixed.entropy, mixed.lyapunov, mixed.dimension) == \
+        (own.entropy, own.lyapunov, None)
+    assert mixed.provenance == own.provenance
+    assert mixed.provenance["map"] == pd.family_tag
+    assert abs(mixed.lyapunov - math.log(2)) > 1e-3
 
 
 def test_psi_expectation_matches_pressure_derivative():
