@@ -33,7 +33,7 @@ from .errors import (ConfigError, HypothesisError, ResourceLimitError,
                      SchemeQualityError, SmoothnessError, SolverError)
 from .maps import HypothesisAux, ParamFamily, check_hypotheses
 from .operator import NODAL_RULES, SCHEMES, Discretization, OperatorSetup
-from .response import (central_difference, d_conformal_expectation,
+from .response import (ResponseReport, central_difference, d_conformal_expectation,
                        d_density_d_potential, d_equilibrium_expectation,
                        d_lambda_d_potential, d_maxentropy_expectation,
                        d_pressure_d_dynamics, d_pressure_d_potential)
@@ -553,9 +553,7 @@ def _cmd_response(config, block, branch_map, pot, hyp):
             weights = t.nu if conformal else t.mu_weights
             return float(np.asarray(t.sample(g), float) @ np.asarray(weights, float))
         fd = central_difference(observable_at, eps)
-    rel = abs(analytic - fd) / max(1.0, abs(fd))
-    return {"derivative": kind, "analytic_value": float(analytic),
-            "fd_value": float(fd), "fd_step": eps, "rel_error": rel}, []
+    return {**ResponseReport(float(analytic), float(fd), eps).as_dict(), "derivative": kind}, []
 
 
 def _cmd_correlation(config, block, branch_map, pot, hyp):

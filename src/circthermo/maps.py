@@ -34,6 +34,11 @@ def wrap(x):
     return x - np.floor(x)
 
 
+def lift_target(lift0, k, x):
+    """x + (m + k), rounded once, with the integer m = ceil(lift0 - x)."""
+    return x + (np.ceil(lift0 - x) + k)
+
+
 def circle_distance(x, y):
     """d(x, y) = min(|x - y|, 1 - |x - y|) on R/Z."""
     d = np.abs(wrap(x) - wrap(y))
@@ -171,14 +176,14 @@ class BranchMap:
         """The preimage of x under branch k; k and x broadcast together.
 
         The root lies in branch k's domain [b_k, b_{k+1}] and solves
-        F(y) = x + (m + k), rounded once, with the integer m chosen so that
-        F(0) <= x + m < F(0) + 1.  It calls monotone_root directly rather
-        than through _invert_lift, so the (d, N) target array is freed as
-        soon as the solver has taken the unconverged points out of it.
+        F(y) = lift_target(F(0), k, x) = x + (m + k), with the integer m
+        chosen so that F(0) <= x + m < F(0) + 1.  It calls monotone_root
+        directly rather than through _invert_lift, so the (d, N) target array
+        is freed as soon as the solver has taken the unconverged points out.
         """
         x, k = wrap(np.asarray(x, dtype=float)), np.asarray(k)
         b, flo = self.branch_bounds, self._lift0 + k
-        return monotone_root(self.lift, self.dlift, x + (np.ceil(self._lift0 - x) + k),
+        return monotone_root(self.lift, self.dlift, lift_target(self._lift0, k, x),
                              b[k], b[k + 1], flo, flo + 1.0, describe=self._branch_of)
 
     def preimages(self, x):

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Optional, Union
 import numpy as np
 
 from .errors import ConfigError, ResourceLimitError
-from .maps import BranchMap, Potential, _pi, wrap
+from .maps import BranchMap, Potential, _pi, lift_target, wrap
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -359,8 +359,7 @@ class OperatorSetup:
         ys = np.asarray(ys, dtype=dtype)
         # polish preimages in the working dtype (Newton reaches its eps quickly)
         f0 = np.asarray(branch_map.lift(np.zeros(1, dtype=dtype)))[0]
-        targets = nodes[None, :] + np.ceil(f0 - nodes)[None, :] + \
-            np.arange(d, dtype=dtype)[:, None]
+        targets = lift_target(f0, np.arange(d)[:, None], nodes)
         for _ in range(3):
             resid = np.asarray(branch_map.lift(ys)) - targets
             ys = np.clip(ys - resid / np.asarray(branch_map.dlift(ys)), 0.0, 1.0)

@@ -9,20 +9,19 @@ on M and on its transpose; extended precision stays with power iteration.
 Normalization order: nu to total mass one first, then h so that its
 nu-integral is one.
 
-The resolvent (I - Ltilde)^{-1} on the zero-mean subspace is one bordered
-solve for every dtype, on float64 factors kept on the triple; an extended
+The resolvent (I - Ltilde)^{-1} on the zero-mean subspace is one float64
+bordered solve for every dtype: numpy.linalg.solve of a dense border kept
+on the triple, or one splu factorization of a CSR border; an extended
 precision triple refines against residuals formed in its own dtype.
 
-scipy's solvers (the dense LU, splu, ARPACK's eigs) are imported inside
-the functions that call them, so importing this module loads no scipy: a
-run pays that import at its first LU factor or Arnoldi handover.
+scipy's solvers (splu, ARPACK's eigs) are imported inside the functions
+that call them, so importing this module loads no scipy: a run pays that
+import at its first CSR resolvent or Arnoldi handover.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -270,32 +269,24 @@ def gap_estimate(op: DiscretizedOperator, triple: SpectralTriple) -> float:
 
 
 def _resolvent_factor(triple: SpectralTriple) -> Callable:
-    """Float64 solver for the bordered resolvent system, factored on first use."""
+    """Float64 solver for the bordered system, built on first use: gesv per call, or one splu."""
     if triple.resolvent_factor is None:
         mat = triple.op.storage
         n = triple.op.grid.n_cells
         hv = triple.h.values[:, None]
         nu = triple.nu[None, :]
-        from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-        try:
-            with warnings.catch_warnings():
-                # a zero pivot is an error here, not a warning
-                warnings.simplefilter("error", LinAlgWarning)
-                if isinstance(mat, np.ndarray):
-                    border = np.block([[mat / -triple.lam, hv], [nu, np.zeros((1, 1))]])
-                    border = border.astype(float, copy=False)   # longdouble factors in float64
-                    diag = np.arange(n)
-                    border[diag, diag] += 1.0
-                    triple.resolvent_factor = partial(lu_solve,
-                                                      lu_factor(border, overwrite_a=True))
-                else:
-                    from scipy import sparse
-                    from scipy.sparse.linalg import splu
-                    border = sparse.bmat([[sparse.identity(n, format="csr") - mat / triple.lam,
-                                           hv], [nu, None]], format="csc")
-                    triple.resolvent_factor = splu(border).solve
-        except (RuntimeError, LinAlgWarning) as exc:
-            raise SolverError(f"bordered resolvent system is singular: {exc}") from exc
+        if isinstance(mat, np.ndarray):
+            border = np.block([[mat / -triple.lam, hv], [nu, np.zeros((1, 1))]])
+            border = border.astype(float, copy=False)   # longdouble solves in float64
+            diag = np.arange(n)
+            border[diag, diag] += 1.0
+            triple.resolvent_factor = lambda rhs: np.linalg.solve(border, rhs)
+        else:
+            from scipy import sparse
+            from scipy.sparse.linalg import splu
+            border = sparse.bmat([[sparse.identity(n, format="csr") - mat / triple.lam,
+                                   hv], [nu, None]], format="csc")
+            triple.resolvent_factor = splu(border).solve
     return triple.resolvent_factor
 
 
@@ -303,14 +294,15 @@ def resolvent_solve(triple: SpectralTriple, v):
     """Solve (I - Ltilde) u = v on the zero-mean subspace, with zero-mean u.
 
     Solves the bordered system [[I - M/lam, h], [nu^T, 0]] [u; c] = [v; 0]
-    with float64 LU factors computed once per triple and kept on it.  For
+    in float64 with the solver `_resolvent_factor` keeps on the triple.  For
     zero-mean v this has c = 0 and the u of (I - M/lam + h nu^T) u = v; it
     needs a nonsingular border, not a gap estimate.  One matvec forms the
     residual in the triple's dtype; while it is above n eps(dtype) and
     halving, one more float64 solve corrects it (at most RESOLVENT_PASSES
     solves), so float64 stops after one solve and longdouble refines to its
-    own precision.  A residual above RESOLVENT_RESIDUAL_TOL raises, as does
-    a known tau within 1e-6 of 1.  Returns grid values in the triple's dtype.
+    own precision.  An exactly singular border raises, as do a residual
+    above RESOLVENT_RESIDUAL_TOL and a known tau within 1e-6 of 1.  Returns
+    grid values in the triple's dtype.
     """
     v = np.asarray(v)
     mean = float(triple.integrate_nu(v))
@@ -323,10 +315,13 @@ def resolvent_solve(triple: SpectralTriple, v):
             "resolvent series not summable")
 
     dtype = triple.op.dtype
-    solve = _resolvent_factor(triple)
     floor = triple.op.grid.n_cells * float(np.finfo(dtype).eps)
     rhs = triple.project_zero_mean(np.asarray(v, dtype=dtype))
-    sol = np.asarray(solve(np.append(rhs, 0.0).astype(float, copy=False)), dtype=dtype)
+    try:    # splu and gesv refuse an exactly zero pivot
+        solve = _resolvent_factor(triple)
+        sol = np.asarray(solve(np.append(rhs, 0.0).astype(float, copy=False)), dtype=dtype)
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        raise SolverError(f"bordered resolvent system is singular: {exc}") from exc
     prev = np.inf
     for passes in range(1, RESOLVENT_PASSES + 1):
         u = sol[:-1]

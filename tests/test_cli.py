@@ -525,6 +525,16 @@ def test_import_loads_no_scipy():
 @pytest.mark.parametrize("command,block", [
     ("pressure", {}),
     ("free-energy", {"free_energy": {"observable": _TRIG, "t0": 0.2}}),
+    # the resolvent commands: the dense border is solved by numpy.linalg
+    ("clt", {"clt": {"observable": _TRIG}}),
+    ("response", {"response": {"derivative": "density-potential", "direction": _TRIG}}),
+    ("response", {"response": {"derivative": "conformal-potential", "direction": _TRIG,
+                               "observable": _TRIG}}),
+    ("response", {"response": {"derivative": "equilibrium-potential", "direction": _TRIG,
+                               "observable": _TRIG}}),
+    ("response", {"map": {"family": "perturbed-doubling", "t": 0.1},
+                  "hypotheses": {"enforce": False},
+                  "response": {"derivative": "maxentropy-map", "observable": _TRIG}}),
 ])
 def test_fourier_commands_load_no_scipy(tmp_path, command, block):
     cfg = base_config(discretization={"n": 64, "interpolation": "fourier"},
@@ -536,7 +546,7 @@ def test_fourier_commands_load_no_scipy(tmp_path, command, block):
 
 @pytest.mark.parametrize("command,interpolation,block,needs", [
     ("pressure", "linear", {}, "scipy.sparse"),                 # CSR assembly
-    ("clt", "fourier", {"clt": {"observable": _TRIG}}, "scipy.linalg"),   # dense LU
+    ("clt", "linear", {"clt": {"observable": _TRIG}}, "scipy.sparse.linalg"),   # splu
 ])
 def test_csr_and_lu_commands_load_scipy(tmp_path, command, interpolation, block, needs):
     cfg = base_config(discretization={"n": 64, "interpolation": interpolation},

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from circthermo import (BranchMap, ConfigError, HypothesisAux, SmoothnessError, SolverError,
-                        check_hypotheses, circle_distance, constant, doubling,
+from circthermo import (BranchMap, ConfigError, Grid, HypothesisAux, SmoothnessError,
+                        SolverError, check_hypotheses, circle_distance, constant, doubling,
                         grid_potential, linear_map, log_derivative_weight,
                         manneville_pomeau, perturbed_doubling, translated_doubling,
                         trig_polynomial, wrap, zero_potential)
-from circthermo.maps import _cos_sin_2pi, monotone_root, smallness_values
+from circthermo.maps import _cos_sin_2pi, lift_target, monotone_root, smallness_values
 
 from conftest import builtin_maps
 
@@ -82,6 +82,21 @@ def test_invert_branch_residual_at_edge_targets(bmap):
         y = bmap.invert_branch(k, xs)
         assert np.max(np.abs(bmap.lift(y) - _branch_target(bmap, k, xs))) <= 1e-12
         assert np.all((y >= b[k]) & (y <= b[k + 1]))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="longdouble is no wider than float64 here")
+@pytest.mark.parametrize("s", [0.3, 0.123456789, -0.7])
+def test_lift_target_is_the_correctly_rounded_target(s):
+    # x + (m + k) is exact in longdouble, so rounding it to float64 gives the
+    # correctly rounded target that branch inversion and the polish aim at
+    bmap = translated_doubling(s)
+    x = Grid(1448).nodes
+    f0 = bmap.lift(np.zeros(1))[0]
+    ks = np.arange(bmap.degree)[:, None]
+    ref = (x.astype(np.longdouble) + (np.ceil(f0 - x) + ks)).astype(float)
+    assert np.array_equal(lift_target(f0, ks, x), ref)
+    assert not np.array_equal(x + np.ceil(f0 - x) + ks, ref)    # rounding twice misses
 
 
 @pytest.mark.parametrize("bmap", ENGINE_MAPS, ids=lambda m: m.family_tag)
