@@ -23,7 +23,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -98,19 +98,21 @@ def _value(value, path, kind):
     raise ConfigError(f"{path}: expected {_KIND_NAMES[kind]}, got {value!r}")
 
 
+def _checked(value, path, kind, default, rule=None, message=None):
+    """One value walked against its spec entry (kind, default[, rule, message])."""
+    if value is None and default is None:
+        return None
+    value = _value(value, path, kind)
+    if rule and not rule(value):
+        raise ConfigError(f"{path}: {message}, got {value!r}")
+    return value
+
+
 def _block(raw, path, spec):
     """Walk one config object against its spec; returns the normalized dict."""
     _check_keys(raw, path, spec, [k for k, entry in spec.items() if entry[1] is REQUIRED])
-    out = {}
-    for key, (kind, default, *rule) in spec.items():
-        sub = key if path == "config" else f"{path}.{key}"   # top-level keys go bare
-        value = raw.get(key, default)
-        if value is not None or default is not None:
-            value = _value(value, sub, kind)
-            if rule and not rule[0](value):
-                raise ConfigError(f"{sub}: {rule[1]}, got {value!r}")
-        out[key] = value
-    return out
+    return {key: _checked(raw.get(key, entry[1]), key if path == "config" else f"{path}.{key}",
+                          *entry) for key, entry in spec.items()}    # top-level keys go bare
 
 
 def _tagged(tag, table):
@@ -166,15 +168,38 @@ _FORMS = {
 
 _POTENTIAL = _tagged("form", _FORMS)
 
-# each derivative -> the potentials it needs besides the base potential
+
+class _Kind(NamedTuple):
+    needs: tuple                         # the potentials it needs besides the base potential
+    analytic: Callable                   # the library derivative, in a common signature
+    twin: Optional[Callable] = None      # (triple, observable) -> what the +-eps twins read
+
+
+# A potential kind's analytic takes (map, potential, direction, observable, disc,
+# triple) and is paired here with central differences of its twin.  A map kind
+# (no twin) takes (family, potential, observable, s0, disc, fd_step=, tol=, max_iter=)
+# and returns the library's ResponseReport, which carries its own twin.
 _RESPONSE_KINDS = {
-    "lambda-potential": ("direction",),
-    "pressure-potential": ("direction",),
-    "density-potential": ("direction",),
-    "conformal-potential": ("direction", "observable"),
-    "equilibrium-potential": ("direction", "observable"),
-    "pressure-map": (),
-    "maxentropy-map": ("observable",),
+    "lambda-potential": _Kind(
+        ("direction",), lambda f, p, h, g, d, t: d_lambda_d_potential(f, p, h, d, triple=t),
+        lambda t, g: float(t.lam)),
+    "pressure-potential": _Kind(
+        ("direction",), lambda f, p, h, g, d, t: d_pressure_d_potential(f, p, h, d, triple=t),
+        lambda t, g: math.log(t.lam)),
+    "density-potential": _Kind(
+        ("direction",), lambda f, p, h, g, d, t: d_density_d_potential(f, p, h, d, triple=t),
+        lambda t, g: np.asarray(t.h.values, float)),
+    "conformal-potential": _Kind(
+        ("direction", "observable"),
+        lambda f, p, h, g, d, t: d_conformal_expectation(f, p, g, h, d, triple=t),
+        lambda t, g: float(np.asarray(t.sample(g), float) @ np.asarray(t.nu, float))),
+    "equilibrium-potential": _Kind(
+        ("direction", "observable"),
+        lambda f, p, h, g, d, t: d_equilibrium_expectation(f, p, g, h, d, triple=t),
+        lambda t, g: float(np.asarray(t.sample(g), float) @ np.asarray(t.mu_weights, float))),
+    "pressure-map": _Kind((), lambda fam, p, g, *a, **kw: d_pressure_d_dynamics(fam, p, *a, **kw)),
+    "maxentropy-map": _Kind(
+        ("observable",), lambda fam, p, g, *a, **kw: d_maxentropy_expectation(fam, g, *a, **kw)),
 }
 
 
@@ -184,7 +209,7 @@ def _response(raw, path):
         "direction": (_POTENTIAL, None),
         "observable": (_POTENTIAL, None),
         "fd_step": (float, 1e-4, lambda h: h > 0.0, "must be > 0")})
-    needs = _RESPONSE_KINDS[block["derivative"]]
+    needs = _RESPONSE_KINDS[block["derivative"]].needs
     for need in needs:
         if block[need] is None:
             raise ConfigError(f"{path}.{need}: {block['derivative']} needs a {need}")
@@ -217,6 +242,13 @@ def _scan(raw, path):
     return {"values": values, "quantities": block["quantities"]}
 
 
+def _arc(raw, path):
+    arc = _value(raw, path, [float])
+    if len(arc) == 2 and not 0.0 <= arc[1] - arc[0] < 1.0:
+        raise ConfigError(f"{path}: need a <= b < a + 1, got {arc!r}")
+    return arc
+
+
 def _positive(v):
     return v > 0
 
@@ -234,12 +266,13 @@ _CONFIG = {
                     "max_iter": (int, 100000, _positive, "must be >= 1")}, {}),
     "hypotheses": ({"m": (int, None, _positive, "must be >= 1"),
                     "delta": (float, 0.05, _positive, "must be > 0"),
-                    "region_a": ([[float]], None, lambda arcs: all(len(a) == 2 for a in arcs),
+                    "region_a": ([_arc], None, lambda arcs: all(len(a) == 2 for a in arcs),
                                  "expected a list of [a, b] arcs"),
                     "q": (int, None, lambda q: q >= 0, "must be >= 0"),
                     "enforce": (bool, True)}, {}),
     "output": ({"dir": (str, "out")}, {}),
-    "seed": (int, 0, lambda s: s >= 0, "must be a nonnegative integer"),
+    # Philox's key range
+    "seed": (int, 0, lambda s: 0 <= s < 2 ** 128, "must be a nonnegative integer below 2**128"),
     # command blocks; each command reads one (see _HANDLERS)
     "response": (_response, None),
     "correlation": ({"obs_a": (_POTENTIAL, REQUIRED), "obs_b": (_POTENTIAL, REQUIRED),
@@ -421,27 +454,21 @@ def run(command: str, config: RunConfig) -> RunReport:
     os.makedirs(config.output_dir, exist_ok=True)
     branch_map = build_map(config.map)
     pot = build_potential(config.potential, branch_map)
-    aux = hypothesis_aux(config)
-    hyp = check_hypotheses(branch_map, pot, aux)
-    warnings = []
-    if not hyp.passed():
-        failed = [k for k, v in hyp.verdicts.items() if v is False]
-        if config.hypotheses["enforce"] and command != "check-hypotheses":
-            report = RunReport(command=command, config=config.raw,
-                               hypotheses=hyp.as_dict(),
-                               result={"status": "hypotheses failed"},
-                               warnings=[f"failed: {failed}"])
-            report.write(config.output_dir)
-            raise HypothesisError(
-                f"standing hypotheses failed ({failed}); "
-                "set hypotheses.enforce=false to override")
-        warnings.append(f"hypotheses not all satisfied: {failed} (override active)")
-
-    result, extra_warnings = handler(config, block, branch_map, pot, hyp)
-    report = RunReport(command=command, config=config.raw,
-                       hypotheses=hyp.as_dict(), result=result,
-                       warnings=warnings + extra_warnings)
+    hyp = check_hypotheses(branch_map, pot, hypothesis_aux(config))
+    failed = [k for k, v in hyp.verdicts.items() if v is False]
+    gated = not hyp.passed() and config.hypotheses["enforce"] and command != "check-hypotheses"
+    if gated:
+        result, warnings = {"status": "hypotheses failed"}, [f"failed: {failed}"]
+    else:
+        result, warnings = handler(config, block, branch_map, pot, hyp)
+        if not hyp.passed():
+            warnings = [f"hypotheses not all satisfied: {failed} (override active)"] + warnings
+    report = RunReport(command=command, config=config.raw, hypotheses=asdict(hyp),
+                       result=result, warnings=warnings)
     report.write(config.output_dir)
+    if gated:
+        raise HypothesisError(f"standing hypotheses failed ({failed}); "
+                              "set hypotheses.enforce=false to override")
     return report
 
 
@@ -499,61 +526,37 @@ def _cmd_equilibrium(config, block, branch_map, pot, hyp):
               ["x", "mu_weight"], zip(triple.h.sites, map(float, rep.equilibrium)),
               comment=f"equilibrium weights scheme={disc.scheme} N={disc.n} "
                       f"map={branch_map.family_tag}")
-    return rep.as_dict(), []
+    # every field but the grid weights; dimension only where it is defined
+    return {k: v for k, v in asdict(rep).items() if k != "equilibrium" and v is not None}, []
 
 
 def _cmd_response(config, block, branch_map, pot, hyp):
-    disc = config.discretization
-    kind = block["derivative"]
-    eps = block["fd_step"]
-    if "direction" not in _RESPONSE_KINDS[kind]:
+    disc, kind, eps = config.discretization, block["derivative"], block["fd_step"]
+    _, analytic, twin = _RESPONSE_KINDS[kind]
+    limits = _solver_limits(config)
+    g = build_potential(block["observable"], branch_map) if "observable" in block else None
+    if twin is None:
         family = build_family(config.map)
         s0 = config.map[_float_param(config.map["family"])]
-        if kind == "pressure-map":
-            rep = d_pressure_d_dynamics(family, pot, s0, disc, fd_step=eps,
-                                        **_solver_limits(config))
-        else:
-            g = build_potential(block["observable"], branch_map)
-            rep = d_maxentropy_expectation(family, g, s0, disc, fd_step=eps,
-                                           **_solver_limits(config))
-        return {**rep.as_dict(), "derivative": kind}, []
-
-    direction = build_potential(block["direction"], branch_map)
-    # one setup serves the base triple and its two FD twins at +-eps
-    setup = OperatorSetup.of(branch_map, disc)
-    limits = _solver_limits(config)
-    triple = triple_at(setup, pot, **limits)
-    twins = {e: triple_at(setup, pot + e * direction, **limits) for e in (eps, -eps)}
-    if kind == "lambda-potential":
-        analytic = d_lambda_d_potential(branch_map, pot, direction, disc, triple=triple)
-        fd = central_difference(lambda e: float(twins[e].lam), eps)
-    elif kind == "pressure-potential":
-        analytic = d_pressure_d_potential(branch_map, pot, direction, disc, triple=triple)
-        fd = central_difference(lambda e: math.log(twins[e].lam), eps)
-    elif kind == "density-potential":
-        deriv = d_density_d_potential(branch_map, pot, direction, disc, triple=triple)
-        write_csv(os.path.join(config.output_dir, "density_derivative.csv"),
-                  ["x", "dh"], zip(deriv.sites, map(float, deriv.values)),
-                  comment="density derivative in the given direction")
-        fd_vec = central_difference(lambda e: np.asarray(twins[e].h.values, float), eps)
-        analytic = float(np.max(np.abs(deriv.values)))
-        fd = float(np.max(np.abs(fd_vec)))
-        sup_err = float(np.max(np.abs(np.asarray(deriv.values, float) - fd_vec)))
-        return {"derivative": kind, "analytic_sup_norm": analytic,
-                "fd_sup_norm": fd, "sup_norm_error": sup_err,
-                "fd_step": eps}, []
+        rep = analytic(family, pot, g, s0, disc, fd_step=eps, **limits)
     else:
-        g = build_potential(block["observable"], branch_map)
-        conformal = kind == "conformal-potential"
-        derivative = d_conformal_expectation if conformal else d_equilibrium_expectation
-        analytic = derivative(branch_map, pot, g, direction, disc, triple=triple)
-
-        def observable_at(e):
-            t = twins[e]
-            weights = t.nu if conformal else t.mu_weights
-            return float(np.asarray(t.sample(g), float) @ np.asarray(weights, float))
-        fd = central_difference(observable_at, eps)
-    return {**ResponseReport(float(analytic), float(fd), eps).as_dict(), "derivative": kind}, []
+        direction = build_potential(block["direction"], branch_map)
+        # one setup serves the base triple and its two FD twins at +-eps
+        setup = OperatorSetup.of(branch_map, disc)
+        triple = triple_at(setup, pot, **limits)
+        twins = {e: triple_at(setup, pot + e * direction, **limits) for e in (eps, -eps)}
+        value = analytic(branch_map, pot, direction, g, disc, triple)
+        fd = central_difference(lambda e: twin(twins[e], g), eps)
+        if kind == "density-potential":
+            write_csv(os.path.join(config.output_dir, "density_derivative.csv"),
+                      ["x", "dh"], zip(value.sites, map(float, value.values)),
+                      comment="density derivative in the given direction")
+            err = np.asarray(value.values, float) - fd
+            return {"derivative": kind, "analytic_sup_norm": float(np.max(np.abs(value.values))),
+                    "fd_sup_norm": float(np.max(np.abs(fd))),
+                    "sup_norm_error": float(np.max(np.abs(err))), "fd_step": eps}, []
+        rep = ResponseReport(float(value), float(fd), eps)
+    return {**asdict(rep), "rel_error": rep.rel_error, "derivative": kind}, []
 
 
 def _cmd_correlation(config, block, branch_map, pot, hyp):
@@ -692,7 +695,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             config.output_dir = args.out
         if args.seed is not None:
-            config.seed = args.seed
+            config.seed = _checked(args.seed, "--seed", *_CONFIG["seed"])
         report = run(args.command, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

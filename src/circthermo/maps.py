@@ -603,31 +603,15 @@ class HypothesisReport:
         return bool(self.verdicts.get("H1") and self.verdicts.get("H2")
                     and smallness)
 
-    def as_dict(self):
-        return {
-            "sigma": self.sigma,
-            "big_l": self.big_l,
-            "region_a": [list(a) for a in self.region_a],
-            "q": self.q,
-            "eps_phi": self.eps_phi,
-            "vep_value": self.vep_value,
-            "vepp_value": self.vepp_value,
-            "verdicts": dict(self.verdicts),
-            "alpha": self.alpha,
-            "m": self.m,
-            "delta": self.delta,
-            "deriv_sup": self.deriv_sup,
-            "notes": list(self.notes),
-        }
-
 
 def _in_region(x, region):
     x = np.asarray(x)
     mask = np.zeros(x.shape, dtype=bool)
     for a, b in region:
-        a, b = wrap(a), b  # arcs given as (start, end) with end possibly > 1 for wrap
+        turn = np.floor(a)   # both ends move by the same whole turn; b may pass 1
+        a, b = a - turn, b - turn
         if b > 1.0:
-            mask |= (x >= a) | (x < wrap(b))
+            mask |= (x >= a) | (x < b - 1.0)
         else:
             mask |= (x >= a) & (x <= b)
     return mask

@@ -61,14 +61,6 @@ class ResponseReport:
     def rel_error(self):
         return abs(self.analytic_value - self.fd_value) / max(1.0, abs(self.fd_value))
 
-    def as_dict(self):
-        return {
-            "analytic_value": self.analytic_value,
-            "fd_value": self.fd_value,
-            "fd_step": self.fd_step,
-            "rel_error": self.rel_error,
-        }
-
 
 def central_difference(fn: Callable[[float], float], eps: float) -> float:
     return (fn(eps) - fn(-eps)) / (2.0 * eps)

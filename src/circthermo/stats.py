@@ -311,7 +311,7 @@ def legendre_sup(curve: FreeEnergyCurve, s):
     return np.maximum(val, 0.0).reshape(s.shape)[()], t.reshape(s.shape)[()]
 
 
-def rate_function(curve: FreeEnergyCurve, n_s: Optional[int] = None) -> RateFunction:
+def rate_function(curve: FreeEnergyCurve) -> RateFunction:
     """Legendre transform of the free-energy curve on [E'(-t0), E'(t0)]."""
     if not curve.convex:
         raise ConfigError("free-energy curve is not convex; no rate function")
@@ -321,8 +321,7 @@ def rate_function(curve: FreeEnergyCurve, n_s: Optional[int] = None) -> RateFunc
         # affine curve: the transform degenerates to a single point
         return RateFunction(s_grid=np.array([m]), values=np.array([0.0]),
                             argmin=m, t0=curve.t0, curve=curve)
-    n_s = n_s or len(curve.t_grid)
-    s_grid = np.linspace(s_lo, s_hi, n_s)
+    s_grid = np.linspace(s_lo, s_hi, len(curve.t_grid))
     return RateFunction(s_grid=s_grid, values=legendre_sup(curve, s_grid)[0],
                         argmin=m, t0=curve.t0, curve=curve)
 
@@ -346,6 +345,7 @@ def _deviation_interval(interval, rate):
 # glibc's default 128 KiB mmap threshold, so the temporaries of each step are
 # reused from the heap instead of being mapped and page-faulted afresh.
 MC_BLOCK = 2 ** 13
+MC_BATCHES = 20      # the batch means behind each ci95
 
 
 @dataclass
@@ -366,8 +366,7 @@ def ldp_monte_carlo(branch_map: BranchMap, pot: Potential, psi,
                     interval, n_list: Sequence[int], n_samples: int, seed: int,
                     rate: RateFunction,
                     disc: Discretization = Discretization(),
-                    triple: Optional[SpectralTriple] = None,
-                    n_batches: int = 20) -> DeviationExperiment:
+                    triple: Optional[SpectralTriple] = None) -> DeviationExperiment:
     """Empirical deviation rates of Birkhoff averages against -inf I.
 
     Initial points are drawn from the discretized equilibrium density by
@@ -386,7 +385,7 @@ def ldp_monte_carlo(branch_map: BranchMap, pot: Potential, psi,
     n_sorted = sorted(set(int(n) for n in n_list))
     if n_sorted[0] < 1:
         raise ConfigError("n_list entries must be >= 1")
-    batch = n_samples // n_batches
+    batch = n_samples // MC_BATCHES
     if batch < 1:
         raise ConfigError("fewer samples than batches")
 
@@ -399,15 +398,15 @@ def ldp_monte_carlo(branch_map: BranchMap, pot: Potential, psi,
     cum[-1] = 1.0
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    # hits per batch; the last slot takes the remainder past n_batches * batch
-    counts = {n: np.zeros(n_batches + 1, dtype=np.int64) for n in n_sorted}
+    # hits per batch; the last slot takes the remainder past MC_BATCHES * batch
+    counts = {n: np.zeros(MC_BATCHES + 1, dtype=np.int64) for n in n_sorted}
     for start in range(0, n_samples, MC_BLOCK):
         # inverse-CDF draw from the piecewise-constant equilibrium density
         u = rng.random(min(MC_BLOCK, n_samples - start))
         cells = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, n_cells - 1)
         frac = (u - cum[cells]) / np.maximum(mu[cells], 1e-300)
         x = (cells + np.clip(frac, 0.0, 1.0)) / n_cells
-        which = np.minimum(np.arange(start, start + len(u)) // batch, n_batches)
+        which = np.minimum(np.arange(start, start + len(u)) // batch, MC_BATCHES)
         s = np.zeros(len(u))
         step = 0
         for n in n_sorted:
@@ -416,7 +415,7 @@ def ldp_monte_carlo(branch_map: BranchMap, pot: Potential, psi,
                 x = branch_map(x)
                 step += 1
             mask = ((s / n) >= a) & ((s / n) <= b)
-            counts[n] += np.bincount(which[mask], minlength=n_batches + 1)
+            counts[n] += np.bincount(which[mask], minlength=MC_BATCHES + 1)
 
     hits, rates, ci95 = {}, {}, {}
     notes = []
@@ -429,7 +428,7 @@ def ldp_monte_carlo(branch_map: BranchMap, pot: Potential, psi,
             notes.append(f"n={n}: -inf (0 hits / {n_samples})")
             continue
         rates[n] = math.log(total / n_samples) / n
-        per_batch = counts[n][:n_batches]
+        per_batch = counts[n][:MC_BATCHES]
         good = per_batch > 0
         if np.count_nonzero(good) >= 2:
             r_b = np.log(per_batch[good] / batch) / n
@@ -444,7 +443,7 @@ def ldp_monte_carlo(branch_map: BranchMap, pot: Potential, psi,
     return DeviationExperiment(interval=(a, b), n_list=tuple(n_sorted),
                                n_samples=n_samples, seed=seed, hits=hits,
                                rates=rates, ci95=ci95, predicted=predicted,
-                               n_batches=n_batches, notes=tuple(notes))
+                               n_batches=MC_BATCHES, notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------

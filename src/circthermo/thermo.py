@@ -33,17 +33,6 @@ class ThermoReport:
     dimension: Optional[float]
     provenance: dict = field(default_factory=dict)
 
-    def as_dict(self):
-        out = {
-            "pressure": self.pressure,
-            "entropy": self.entropy,
-            "lyapunov": self.lyapunov,
-            "provenance": dict(self.provenance),
-        }
-        if self.dimension is not None:
-            out["dimension"] = self.dimension
-        return out
-
 
 def pressure(branch_map: BranchMap, pot: Potential,
              disc: Discretization = Discretization(),

@@ -177,6 +177,36 @@ def test_response_command_potential_direction(tmp_path):
     assert report.result["rel_error"] < 1e-6
 
 
+_RESPONSE_KEYS = {"derivative", "analytic_value", "fd_value", "fd_step", "rel_error"}
+_DENSITY_KEYS = {"derivative", "analytic_sup_norm", "fd_sup_norm", "sup_norm_error", "fd_step"}
+
+
+@pytest.mark.parametrize("kind", ["lambda-potential", "pressure-potential", "density-potential",
+                                  "conformal-potential", "equilibrium-potential",
+                                  "pressure-map", "maxentropy-map"])
+def test_every_response_kind_matches_its_fd_twin(tmp_path, kind):
+    # potential kinds on doubling, map kinds on perturbed doubling t = 0.1
+    map_kind = kind.endswith("-map")
+    cfg = base_config(map={"family": "perturbed-doubling", "t": 0.1} if map_kind else
+                      {"family": "doubling"},
+                      potential={"form": "trig", "cos": [0.01]},
+                      discretization={"n": 64, "interpolation": "fourier"},
+                      hypotheses={"enforce": False},
+                      response={"derivative": kind, "direction": {"form": "trig", "sin": [0.1]},
+                                "observable": _TRIG},
+                      output={"dir": str(tmp_path / "out")})
+    result = run("response", parse_config(json.dumps(cfg))).result
+    assert json.load(open(tmp_path / "out" / "report.json"))["result"] == result
+    if kind == "density-potential":
+        assert result.keys() == _DENSITY_KEYS
+        assert result["sup_norm_error"] <= 1e-8
+        assert (tmp_path / "out" / "density_derivative.csv").exists()
+    else:
+        assert result.keys() == _RESPONSE_KEYS
+        assert result["rel_error"] <= (1e-6 if map_kind else 1e-8)
+    assert result["derivative"] == kind and result["fd_step"] == 1e-4
+
+
 @pytest.mark.parametrize("fd_step", [0.0, -1e-4])
 def test_response_rejects_nonpositive_fd_step(tmp_path, fd_step):
     cfg = base_config(response={"derivative": "pressure-potential",
@@ -368,6 +398,39 @@ def test_seed_override_changes_samples(tmp_path):
     r1 = json.load(open(tmp_path / "s1" / "report.json"))["result"]["rates"]
     r2 = json.load(open(tmp_path / "s2" / "report.json"))["result"]["rates"]
     assert r1 != r2
+
+
+@pytest.mark.parametrize("seed,flag,path", [(2 ** 128, [], "seed"),
+                                            (7, ["--seed", "-3"], "--seed"),
+                                            (7, ["--seed", str(2 ** 128)], "--seed")],
+                         ids=["config-2**128", "flag-negative", "flag-2**128"])
+def test_seed_outside_the_philox_key_range_exits_config(tmp_path, capsys, seed, flag, path):
+    cfg = base_config(seed=seed, output={"dir": str(tmp_path / "out")},
+                      ldp={"observable": _TRIG, "interval": [0.25, 0.45], "n_list": [10],
+                           "n_samples": 2000})
+    assert main(["ldp", write_config(tmp_path, cfg)] + flag) == EXIT_CONFIG
+    assert (f"config error: {path}: must be a nonnegative integer below 2**128"
+            in capsys.readouterr().err)
+
+
+def test_largest_seed_is_accepted():
+    assert parse_config(json.dumps(base_config(seed=2 ** 128 - 1))).seed == 2 ** 128 - 1
+
+
+def test_echoed_config_leaves_out_the_flags(tmp_path):
+    cfg = base_config(output={"dir": str(tmp_path / "out")})
+    path = write_config(tmp_path, cfg)
+    assert main(["check-hypotheses", path, "--out", str(tmp_path / "o2"), "--seed", "5"]) == 0
+    assert json.load(open(tmp_path / "o2" / "report.json"))["config"] == cfg
+
+
+@pytest.mark.parametrize("arc", [[0.5, 0.2], [0.0, 1.0], [-0.5, 0.7]])
+def test_region_arc_must_be_ordered_and_shorter_than_a_turn(tmp_path, capsys, arc):
+    cfg = base_config(hypotheses={"region_a": [[0.0, 0.05], arc]},
+                      output={"dir": str(tmp_path / "out")})
+    assert main(["check-hypotheses", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert ("config error: hypotheses.region_a[1]: need a <= b < a + 1"
+            in capsys.readouterr().err)
 
 
 def test_piecewise_poly_map_config(tmp_path):

@@ -1,5 +1,8 @@
 """Map families, branch inverses, potentials, and the hypothesis checker."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,9 @@ from circthermo import (BranchMap, ConfigError, Grid, HypothesisAux, SmoothnessE
                         grid_potential, linear_map, log_derivative_weight,
                         manneville_pomeau, perturbed_doubling, translated_doubling,
                         trig_polynomial, wrap, zero_potential)
-from circthermo.maps import _cos_sin_2pi, lift_target, monotone_root, smallness_values
+from circthermo.cli import main
+from circthermo.maps import (HypothesisReport, _cos_sin_2pi, lift_target, monotone_root,
+                             smallness_values)
 
 from conftest import builtin_maps
 
@@ -415,11 +420,28 @@ def test_potentials_keep_floating_dtype(pot):
             assert np.asarray(fn(x)).dtype == np.float64
 
 
-def test_hypothesis_report_roundtrips_to_dict():
-    rep = check_hypotheses(doubling(), zero_potential())
-    d = rep.as_dict()
-    assert d["verdicts"]["P"] is True
-    assert isinstance(d["region_a"], list)
+def test_hypothesis_report_roundtrips_to_dict(tmp_path):
+    # the hypotheses block of report.json carries the report's fields as plain JSON
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"map": {"family": "doubling"}, "output": {"dir": str(tmp_path)},
+                                  "hypotheses": {"region_a": [[0.0, 0.05]]}}))
+    assert main(["check-hypotheses", str(config)]) == 0
+    hyp = json.loads((tmp_path / "report.json").read_text())["hypotheses"]
+    assert hyp["verdicts"]["P"] is True
+    assert hyp["region_a"] == [[0.0, 0.05]]
+    assert set(hyp) == {f.name for f in dataclasses.fields(HypothesisReport)}
+
+
+@pytest.mark.parametrize("arc,plain", [([-0.05, 0.05], [0.95, 1.05]),
+                                       ([1.0, 1.05], [0.0, 0.05]),
+                                       ([-1.0, -0.95], [0.0, 0.05])])
+def test_region_arcs_a_whole_turn_apart_give_the_same_verdicts(arc, plain):
+    mp = manneville_pomeau(0.5)
+    rep, ref = (check_hypotheses(mp, zero_potential(), HypothesisAux(region_a=[a]))
+                for a in (arc, plain))
+    assert (rep.q, rep.sigma, rep.big_l, rep.verdicts) == (ref.q, ref.sigma, ref.big_l,
+                                                           ref.verdicts)
+    assert rep.q == (2 if plain[1] > 1.0 else 1)   # an arc across 0 meets both branches
 
 
 def test_trig_potential_phase_uses_longdouble_pi():
