@@ -244,8 +244,8 @@ def _scan(raw, path):
 
 def _arc(raw, path):
     arc = _value(raw, path, [float])
-    if len(arc) == 2 and not 0.0 <= arc[1] - arc[0] < 1.0:
-        raise ConfigError(f"{path}: need a <= b < a + 1, got {arc!r}")
+    if len(arc) == 2:
+        maps.region_arc(arc, path)
     return arc
 
 
@@ -271,8 +271,8 @@ _CONFIG = {
                     "q": (int, None, lambda q: q >= 0, "must be >= 0"),
                     "enforce": (bool, True)}, {}),
     "output": ({"dir": (str, "out")}, {}),
-    # Philox's key range
-    "seed": (int, 0, lambda s: 0 <= s < 2 ** 128, "must be a nonnegative integer below 2**128"),
+    "seed": (int, 0, lambda s: 0 <= s < stats.SEED_LIMIT,
+             "must be a nonnegative integer below 2**128"),
     # command blocks; each command reads one (see _HANDLERS)
     "response": (_response, None),
     "correlation": ({"obs_a": (_POTENTIAL, REQUIRED), "obs_b": (_POTENTIAL, REQUIRED),
@@ -454,6 +454,8 @@ def run(command: str, config: RunConfig) -> RunReport:
     os.makedirs(config.output_dir, exist_ok=True)
     branch_map = build_map(config.map)
     pot = build_potential(config.potential, branch_map)
+    if command == "response" and block["derivative"] == "maxentropy-map" and not pot.is_constant():
+        raise ConfigError(f"potential: maxentropy-map needs a constant one, got {pot.describe()}")
     hyp = check_hypotheses(branch_map, pot, hypothesis_aux(config))
     failed = [k for k, v in hyp.verdicts.items() if v is False]
     gated = not hyp.passed() and config.hypotheses["enforce"] and command != "check-hypotheses"

@@ -45,12 +45,13 @@ def circle_distance(x, y):
     return np.minimum(d, 1.0 - d)
 
 
-def monotone_root(fn, dfn, u, lo, hi, flo, fhi, tol=_NEWTON_RESIDUAL, describe=None):
-    """Solve fn(y) = u for increasing fn on brackets [lo, hi] where
-    fn(lo) = flo and fn(hi) = fhi; dfn is fn'.
+def monotone_root(fn, u, lo, hi, flo, fhi, tol=_NEWTON_RESIDUAL, describe=None):
+    """Solve f(y) = u for increasing f on brackets [lo, hi] where
+    f(lo) = flo and f(hi) = fhi; fn(y) returns the pair (f(y), slope),
+    where slope(i) is f' at y[i].
 
     All of u, lo, hi, flo, fhi broadcast together.  Each point starts at
-    the chord of fn across its bracket (the exact root when fn is affine)
+    the chord of f across its bracket (the exact root when f is affine)
     and takes safeguarded Newton steps to residual tol: the residual's sign
     shrinks the bracket, and a step that leaves it or outgrows half the step
     before last bisects instead (rtsafe, Numerical Recipes 9.4), so Newton
@@ -58,18 +59,12 @@ def monotone_root(fn, dfn, u, lo, hi, flo, fhi, tol=_NEWTON_RESIDUAL, describe=N
     each root depends only on its own target and bracket, and equal targets
     give bit-equal roots.  A point still above tol after _MAX_ITER steps
     raises SolverError naming the worst point's target u, as describe(u)
-    when describe is given.
-
-    With dfn None, fn(y) returns the pair (fn(y), slope), where slope(i)
-    is fn' at y[i]: a caller whose slope reuses the work of its value
-    passes it this way.  Either way the slope is taken only at the points
-    of the last fn call that are still unconverged.
+    when describe is given.  The slope is taken only at the points of the
+    last fn call that are still unconverged, so it may reuse the work of
+    its value.
     """
     def evaluate(y, u):
-        if dfn is None:
-            value, slope = fn(y)
-        else:
-            value, slope = fn(y), lambda i: dfn(y[i])
+        value, slope = fn(y)
         return np.asarray(value) - u, slope
 
     u, lo, hi, flo, fhi = np.broadcast_arrays(*(np.asarray(a, dtype=float)
@@ -162,9 +157,12 @@ class BranchMap:
     def _branch_of(self, u):
         return f"inverse branch {int(np.floor(u - self._lift0))}"
 
+    def _lift_and_slope(self, y):
+        return self.lift(y), lambda i: self.dlift(y[i])
+
     def _invert_lift(self, u, lo, hi, flo, fhi):
         """Solve F(y) = u on brackets [lo, hi] where F(lo) = flo and F(hi) = fhi."""
-        return monotone_root(self.lift, self.dlift, u, lo, hi, flo, fhi, describe=self._branch_of)
+        return monotone_root(self._lift_and_slope, u, lo, hi, flo, fhi, describe=self._branch_of)
 
     def _compute_branch_bounds(self):
         ks = np.arange(1, self.degree)
@@ -183,7 +181,7 @@ class BranchMap:
         """
         x, k = wrap(np.asarray(x, dtype=float)), np.asarray(k)
         b, flo = self.branch_bounds, self._lift0 + k
-        return monotone_root(self.lift, self.dlift, lift_target(self._lift0, k, x),
+        return monotone_root(self._lift_and_slope, lift_target(self._lift0, k, x),
                              b[k], b[k + 1], flo, flo + 1.0, describe=self._branch_of)
 
     def preimages(self, x):
@@ -236,24 +234,23 @@ def _cos_sin_2pi(y):
     return c, s
 
 
+def _affine_map(degree, lift, family_tag, family_params) -> BranchMap:
+    """The map of the given affine lift, whose slope is its degree."""
+    d = float(degree)
+    return BranchMap(degree, lift, lambda x: np.full_like(_floating(x), d),
+                     lambda x: np.zeros_like(_floating(x)),
+                     family_tag=family_tag, family_params=family_params)
+
+
 def linear_map(degree: int) -> BranchMap:
     """x -> degree * x (mod 1)."""
     d = float(degree)
-    return BranchMap(
-        degree,
-        lambda x: d * _floating(x),
-        lambda x: np.full_like(_floating(x), d),
-        lambda x: np.zeros_like(_floating(x)),
-        family_tag=f"linear-{degree}",
-        family_params={"degree": degree},
-    )
+    return _affine_map(degree, lambda x: d * _floating(x), f"linear-{degree}", {"degree": degree})
 
 
 def doubling() -> BranchMap:
     """The doubling map x -> 2x (mod 1)."""
-    m = linear_map(2)
-    m.family_tag = "doubling"
-    return m
+    return _affine_map(2, lambda x: 2.0 * _floating(x), "doubling", {"degree": 2})
 
 
 def manneville_pomeau(alpha: float) -> BranchMap:
@@ -342,14 +339,7 @@ def perturbed_doubling(t: float) -> BranchMap:
 def translated_doubling(s: float) -> BranchMap:
     """f_s(x) = 2 (x + s) mod 1, a rotated conjugate of the doubling map."""
     s = float(s)
-    return BranchMap(
-        2,
-        lambda x: 2.0 * (_floating(x) + s),
-        lambda x: np.full_like(_floating(x), 2.0),
-        lambda x: np.zeros_like(_floating(x)),
-        family_tag="translated-doubling",
-        family_params={"s": s},
-    )
+    return _affine_map(2, lambda x: 2.0 * (_floating(x) + s), "translated-doubling", {"s": s})
 
 
 @dataclass
@@ -604,6 +594,17 @@ class HypothesisReport:
                     and smallness)
 
 
+def region_arc(arc, path):
+    """The arc [a, b] as floats (a, b); ConfigError naming path unless a <= b < a + 1."""
+    try:
+        a, b = map(float, arc)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: expected an arc [a, b], got {arc!r}") from None
+    if not 0.0 <= b - a < 1.0:
+        raise ConfigError(f"{path}: need a <= b < a + 1, got {arc!r}")
+    return a, b
+
+
 def _in_region(x, region):
     x = np.asarray(x)
     mask = np.zeros(x.shape, dtype=bool)
@@ -617,7 +618,7 @@ def _in_region(x, region):
     return mask
 
 
-def smallness_values(deg, q, sigma, big_l, alpha, eps, m, diam=CIRCLE_DIAMETER):
+def smallness_values(deg, q, sigma, big_l, alpha, eps, m):
     """Left-hand sides of the two explicit smallness inequalities."""
     core = ((deg - q) * sigma ** (-alpha)
             + q * big_l ** alpha * (1.0 + max(big_l - 1.0, 0.0) ** alpha)) / deg
@@ -625,7 +626,7 @@ def smallness_values(deg, q, sigma, big_l, alpha, eps, m, diam=CIRCLE_DIAMETER):
         growth = math.exp(eps)
     except OverflowError:   # an oscillation past ~709 fails both inequalities
         return math.inf, math.inf
-    vep = growth * core + eps * 2.0 * m * big_l ** alpha * diam ** alpha
+    vep = growth * core + eps * 2.0 * m * big_l ** alpha * CIRCLE_DIAMETER ** alpha
     vepp = (1.0 + eps) * growth * core
     return vep, vepp
 
@@ -636,19 +637,21 @@ def check_hypotheses(branch_map: BranchMap, pot: Potential,
 
     Expansion constants are certified on a sampling grid per branch with
     interval corrections from the second derivative; the report is a
-    grid-resolution certificate, not a rigorous global bound.
+    grid-resolution certificate, not a rigorous global bound.  Unless aux
+    gives q, it counts the branches with a sample in the region A, whose
+    arcs must satisfy region_arc.
     """
     aux = aux or HypothesisAux()
     region = aux.region_a
     if region is None:
         region = branch_map.default_region
-    region = tuple(tuple(map(float, arc)) for arc in region)
+    region = tuple(region_arc(arc, f"region_a[{i}]") for i, arc in enumerate(region))
     notes = []
 
     bounds = branch_map.branch_bounds
     sigma_min = np.inf
     inv_lip_max = 0.0
-    region_nonempty = len(region) > 0
+    q = 0
     for k in range(branch_map.degree):
         xs = np.linspace(bounds[k], bounds[k + 1], HYPOTHESIS_GRID + 1)
         fp = np.asarray(branch_map.dlift(xs), dtype=float)
@@ -671,22 +674,16 @@ def check_hypotheses(branch_map: BranchMap, pot: Potential,
         outside = ~pair_in_a
         if np.any(outside):
             sigma_min = min(sigma_min, float(np.min(interval_min[outside])))
-        if region_nonempty and np.any(pair_touch_a):
+        if np.any(pair_touch_a):
             # L(x) = 1/F'(x); certify its max over A from the interval minima of F'
             inside_min = np.maximum(interval_min[pair_touch_a], 1e-300)
             inv_lip_max = max(inv_lip_max, float(np.max(1.0 / inside_min)))
+            q += 1
 
     sigma = sigma_min * (1.0 - 1e-9)
     big_l = max(inv_lip_max, 1.0)
-
     if aux.q is not None:
         q = int(aux.q)
-    else:
-        q = 0
-        for k in range(branch_map.degree):
-            xs = np.linspace(bounds[k], bounds[k + 1], 1025)
-            if region_nonempty and np.any(_in_region(xs, region)):
-                q += 1
 
     eps = pot.oscillation()
     m = aux.resolved_m()

@@ -72,6 +72,9 @@ class Discretization:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.interpolation not in NODAL_RULES:
             raise ConfigError(f"unknown interpolation {self.interpolation!r}")
+        if self.scheme == "ulam" and self.interpolation != "linear":
+            raise ConfigError("discretization.interpolation: ulam has cell averages, "
+                              f"not {self.interpolation!r} interpolation")
 
 
 def trig_interp_matrix(points, n, dtype=np.float64):

@@ -179,9 +179,6 @@ class FreeEnergyCurve:
         """The k-th derivative of E at t."""
         return chebval(np.asarray(t) / self.t0, chebder(self.coeffs, k, scl=1.0 / self.t0))
 
-    def eprime(self, t):
-        return self.e(t, 1)
-
     @property
     def domain(self):
         return float(self.e(-self.t0, 1)), float(self.e(self.t0, 1))
@@ -266,7 +263,6 @@ class RateFunction:
     s_grid: np.ndarray
     values: np.ndarray
     argmin: float
-    t0: float
     curve: FreeEnergyCurve = field(repr=False)
 
     def __call__(self, s):
@@ -302,9 +298,9 @@ def legendre_sup(curve: FreeEnergyCurve, s):
     inside = np.flatnonzero((flat > slopes[0]) & (flat < slopes[-1]))
     i = np.searchsorted(slopes, flat[inside])
     tol = 64.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(slopes))))
-    t[inside] = monotone_root(curve.eprime, lambda x: curve.e(x, 2), flat[inside],
-                              nodes[i - 1], nodes[i], slopes[i - 1], slopes[i], tol=tol,
-                              describe=lambda v: f"E'(t) = {v:.17g}")
+    t[inside] = monotone_root(lambda x: (curve.e(x, 1), lambda j: curve.e(x[j], 2)),
+                              flat[inside], nodes[i - 1], nodes[i], slopes[i - 1], slopes[i],
+                              tol=tol, describe=lambda v: f"E'(t) = {v:.17g}")
     val = flat * t - curve.e(t)
     if np.any(val < -1e-10):
         raise ConfigError(f"negative rate value {np.min(val):.3e}; curve not convex?")
@@ -316,21 +312,22 @@ def rate_function(curve: FreeEnergyCurve) -> RateFunction:
     if not curve.convex:
         raise ConfigError("free-energy curve is not convex; no rate function")
     s_lo, s_hi = curve.domain
-    m = float(curve.eprime(0.0))
+    m = float(curve.e(0.0, 1))
     if s_hi - s_lo < 1e-12:
         # affine curve: the transform degenerates to a single point
         return RateFunction(s_grid=np.array([m]), values=np.array([0.0]),
-                            argmin=m, t0=curve.t0, curve=curve)
+                            argmin=m, curve=curve)
     s_grid = np.linspace(s_lo, s_hi, len(curve.t_grid))
     return RateFunction(s_grid=s_grid, values=legendre_sup(curve, s_grid)[0],
-                        argmin=m, t0=curve.t0, curve=curve)
+                        argmin=m, curve=curve)
 
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo local large deviations
 # ---------------------------------------------------------------------------
 
-def _deviation_interval(interval, rate):
+def _deviation_interval(interval, n_list, rate):
+    """[a, b] checked against the rate domain, and the distinct n of n_list in order."""
     a, b = float(interval[0]), float(interval[1])
     if a >= b:
         raise ConfigError(f"empty interval [{a}, {b}]")
@@ -338,7 +335,10 @@ def _deviation_interval(interval, rate):
     if a < lo - 1e-12 or b > hi + 1e-12:
         raise ConfigError(
             f"interval [{a}, {b}] not inside the rate domain [{lo:.6f}, {hi:.6f}]")
-    return a, b
+    n_sorted = sorted(set(int(n) for n in n_list))
+    if n_sorted[0] < 1:
+        raise ConfigError("n_list entries must be >= 1")
+    return a, b, n_sorted
 
 
 # Monte-Carlo samples per block: a float64 array of a block is 64 KiB, below
@@ -346,6 +346,7 @@ def _deviation_interval(interval, rate):
 # reused from the heap instead of being mapped and page-faulted afresh.
 MC_BLOCK = 2 ** 13
 MC_BATCHES = 20      # the batch means behind each ci95
+SEED_LIMIT = 2 ** 128   # Philox keys, the Monte-Carlo seeds, lie in [0, SEED_LIMIT)
 
 
 @dataclass
@@ -380,11 +381,10 @@ def ldp_monte_carlo(branch_map: BranchMap, pot: Potential, psi,
     finite-n value comes from `deviation_probability`.  A given triple
     brings its own map (`triple.op`), which is the one iterated.
     """
-    a, b = _deviation_interval(interval, rate)
+    if not 0 <= seed < SEED_LIMIT:
+        raise ConfigError(f"seed must be a nonnegative integer below 2**128, got {seed!r}")
+    a, b, n_sorted = _deviation_interval(interval, n_list, rate)
     predicted = -rate.infimum(a, b)
-    n_sorted = sorted(set(int(n) for n in n_list))
-    if n_sorted[0] < 1:
-        raise ConfigError("n_list entries must be >= 1")
     batch = n_samples // MC_BATCHES
     if batch < 1:
         raise ConfigError("fewer samples than batches")
@@ -522,10 +522,7 @@ def deviation_probability(branch_map: BranchMap, pot: Potential, psi,
     e^{z psi} at the outermost mode of some n, and SolverError when the
     inversion cancels to a nonpositive probability.
     """
-    a, b = _deviation_interval(interval, rate)
-    n_sorted = sorted(set(int(n) for n in n_list))
-    if n_sorted[0] < 1:
-        raise ConfigError("n_list entries must be >= 1")
+    a, b, n_sorted = _deviation_interval(interval, n_list, rate)
     tilt = float(legendre_sup(rate.curve, min(max(rate.argmin, a), b))[1])
     triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
     grid = triple.op.grid

@@ -99,7 +99,7 @@ def pressure_oracle_periodic(branch_map: BranchMap, pot: Potential, n: int):
     s = np.empty(count)   # the Birkhoff sum of phi over each orbit
     for start in range(0, count, TREE_BLOCK):
         ks = math.ceil(g0) + np.arange(start, min(start + TREE_BLOCK, count), dtype=float)
-        roots = monotone_root(g, None, ks, 0.0, 1.0, g0, g0 + d ** n - 1,
+        roots = monotone_root(g, ks, 0.0, 1.0, g0, g0 + d ** n - 1,
                               tol=64.0 * np.finfo(float).eps * d ** n,
                               describe=lambda k: f"the period-{n} point with F^n(x) - x = {k:.0f}")
         s[start:start + ks.size] = np.sum([pot(y) for y in lifted_orbit(roots)[0]], axis=0)

@@ -225,7 +225,7 @@ def test_criterion_07_free_energy_rate_properties():
 
     duality = 0.0
     for t_star in curve.t_grid[1:-1]:
-        s_star = float(curve.eprime(t_star))
+        s_star = float(curve.e(t_star, 1))
         lhs = legendre_sup(curve, s_star)[0]
         rhs = t_star * s_star - float(curve.e(t_star))
         duality = max(duality, abs(lhs - rhs))

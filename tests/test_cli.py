@@ -189,7 +189,8 @@ def test_every_response_kind_matches_its_fd_twin(tmp_path, kind):
     map_kind = kind.endswith("-map")
     cfg = base_config(map={"family": "perturbed-doubling", "t": 0.1} if map_kind else
                       {"family": "doubling"},
-                      potential={"form": "trig", "cos": [0.01]},
+                      potential=({"form": "constant", "c": 0.0} if kind == "maxentropy-map" else
+                                 {"form": "trig", "cos": [0.01]}),
                       discretization={"n": 64, "interpolation": "fourier"},
                       hypotheses={"enforce": False},
                       response={"derivative": kind, "direction": {"form": "trig", "sin": [0.1]},
@@ -464,8 +465,16 @@ _TRIG = {"form": "trig", "cos": [1.0]}
     ("pressure", "map.t", {"map": {"family": "perturbed-doubling", "t": "abc"}}),
     ("pressure", "potential.cos", {"potential": {"form": "trig", "cos": 0.01}}),
     ("free-energy", "free_energy.n_t", {"free_energy": {"observable": _TRIG, "n_t": 41.7}}),
+    # settings the run would ignore: Ulam has no interpolation, and the measure
+    # of maximal entropy no potential
+    ("pressure", "discretization.interpolation",
+     {"discretization": {"n": 64, "scheme": "ulam", "interpolation": "fourier"}}),
+    ("response", "potential", {"map": {"family": "perturbed-doubling", "t": 0.1},
+                               "potential": {"form": "trig", "cos": [0.01]},
+                               "response": {"derivative": "maxentropy-map", "observable": _TRIG}}),
 ], ids=["m-string", "region_a-scalar", "n_max-string", "n_max-negative", "max_iter-zero",
-        "eig_tol-string", "t-string", "cos-scalar", "n_t-fraction"])
+        "eig_tol-string", "t-string", "cos-scalar", "n_t-fraction", "ulam-fourier",
+        "maxentropy-trig"])
 def test_malformed_value_exits_config_naming_the_key(tmp_path, capsys, command, path,
                                                      overrides):
     cfg = base_config(output={"dir": str(tmp_path / "out")}, **overrides)
@@ -532,6 +541,20 @@ def test_map_responses_honour_max_iter(tmp_path, capsys, derivative):
     cfg = _max_iter_2_config(tmp_path, _PD, derivative)
     assert main(["response", write_config(tmp_path, cfg)]) == EXIT_SOLVER
     assert "no eigenvalue convergence in 2 iterations" in capsys.readouterr().err
+
+
+def test_rate_scan_writes_a_rate_per_grid_pair(tmp_path):
+    cfg = base_config(map={"family": "perturbed-doubling", "t": 0.0},
+                      discretization={"n": 64, "interpolation": "fourier"},
+                      rate_scan={"observable": _TRIG, "s_grid": [-0.02, 0.0, 0.02],
+                                 "v_grid": [0.0, 0.04], "t0": 0.2, "n_t": 21},
+                      output={"dir": str(tmp_path / "out")})
+    result = run("rate-scan", parse_config(json.dumps(cfg))).result
+    rows = np.loadtxt(tmp_path / "out" / "rate_scan.csv", delimiter=",", skiprows=2)
+    assert rows.shape == (6, 3) and np.all(rows[:, 2] >= 0.0)
+    assert rows[(rows[:, 0] == 0.0) & (rows[:, 1] == 0.0), 2].tolist() == [0.0]
+    rates = rows[:, 2].reshape(2, 3)    # one row of s per v
+    assert result["modulus"] == np.max(np.abs(rates[1] - rates[0]))
 
 
 def test_free_energy_table_has_n_t_rows_and_an_exact_zero(tmp_path):

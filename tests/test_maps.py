@@ -173,10 +173,10 @@ def test_lift_with_jump_raises_solver_error():
 
 def test_monotone_root_solves_each_target_and_names_a_failure():
     u = np.array([1e-3, 0.5, 7.9])
-    y = monotone_root(lambda y: y ** 3, lambda y: 3.0 * y ** 2, u, 0.0, 2.0, 0.0, 8.0)
+    y = monotone_root(lambda y: (y ** 3, lambda i: 3.0 * y[i] ** 2), u, 0.0, 2.0, 0.0, 8.0)
     assert np.max(np.abs(y ** 3 - u)) <= 1e-12
     with pytest.raises(SolverError, match="target 0.5:"):   # no root in [1, 2]
-        monotone_root(lambda y: y ** 3, lambda y: 3.0 * y ** 2, 0.5, 1.0, 2.0, 1.0, 8.0)
+        monotone_root(lambda y: (y ** 3, lambda i: 3.0 * y[i] ** 2), 0.5, 1.0, 2.0, 1.0, 8.0)
 
 
 def test_wrap_is_bit_identical_to_mod():
@@ -442,6 +442,22 @@ def test_region_arcs_a_whole_turn_apart_give_the_same_verdicts(arc, plain):
     assert (rep.q, rep.sigma, rep.big_l, rep.verdicts) == (ref.q, ref.sigma, ref.big_l,
                                                            ref.verdicts)
     assert rep.q == (2 if plain[1] > 1.0 else 1)   # an arc across 0 meets both branches
+
+
+def test_region_arc_between_coarse_samples_counts_its_branch():
+    # branch 0 of MP is [0, 1/2]; 3 of its 4,097 certificate samples lie in A, 0 of 1,025
+    rep = check_hypotheses(manneville_pomeau(0.5), zero_potential(),
+                           HypothesisAux(region_a=[(0.0001, 0.0004)]))
+    assert rep.q == 1 and rep.big_l > 1.0
+    assert rep.region_a == ((0.0001, 0.0004),)
+
+
+@pytest.mark.parametrize("arc", [(0.5, 0.2), (0.0, 1.0), (0.1,), (0.1, 0.2, 0.3)],
+                         ids=["reversed", "whole-turn", "one-number", "three-numbers"])
+def test_library_refuses_a_malformed_region_arc(arc):
+    with pytest.raises(ConfigError, match=r"^region_a\[1\]: "):
+        check_hypotheses(manneville_pomeau(0.5), zero_potential(),
+                         HypothesisAux(region_a=[(0.0, 0.05), arc]))
 
 
 def test_trig_potential_phase_uses_longdouble_pi():

@@ -195,7 +195,7 @@ def test_free_energy_slope_at_zero_matches_mean():
     rep = equilibrium_state(doubling(), zero_potential(), DISC_F)
     nodes = np.arange(DISC_F.n) / DISC_F.n
     mean = float(np.asarray(psi(nodes)) @ rep.equilibrium)
-    assert abs(float(curve.eprime(0.0)) - mean) < 1e-6
+    assert abs(float(curve.e(0.0, 1)) - mean) < 1e-6
 
 
 def test_rate_function_properties():
@@ -211,7 +211,7 @@ def test_rate_function_duality_identity():
     curve = free_energy(doubling(), zero_potential(), PSI_COS, t0=0.2, disc=DISC_F)
     rate = rate_function(curve)
     for t_star in curve.t_grid[3:-3:6]:
-        s_star = float(curve.eprime(t_star))
+        s_star = float(curve.e(t_star, 1))
         lhs = float(rate(np.array([s_star]))[0])
         rhs = t_star * s_star - float(curve.e(t_star))
         assert abs(lhs - rhs) < 1e-8
@@ -335,6 +335,14 @@ def test_ldp_monte_carlo_iterates_the_map_of_its_triple():
     mixed = ldp_monte_carlo(doubling(), *args, triple=triple)
     own = ldp_monte_carlo(pd, *args, triple=triple)
     assert mixed.hits == own.hits
+
+
+@pytest.mark.parametrize("seed", [-3, 2 ** 128], ids=["negative", "2**128"])
+def test_ldp_seed_outside_the_philox_key_range_rejected(seed):
+    rate, disc = _doubling_rate_setup(t0=0.2, n=64)
+    with pytest.raises(ConfigError, match="seed must be a nonnegative integer below 2"):
+        ldp_monte_carlo(doubling(), zero_potential(), cos1, (0.0, 0.05), [5], 1000, seed,
+                        rate, disc=disc)
 
 
 def test_ldp_interval_outside_domain_rejected():
