@@ -8,7 +8,7 @@ scheme on the same grid.
 
 import numpy as np
 
-from circthermo import (Grid, build_operator, gap_estimate,
+from circthermo import (Discretization, discretize, gap_estimate,
                         leading_triple, log_derivative_weight,
                         manneville_pomeau)
 
@@ -16,7 +16,7 @@ mp = manneville_pomeau(0.5)
 pot = log_derivative_weight(-0.1, mp)
 
 print("=== collocation scheme, N=512 ===")
-op = build_operator(mp, pot, Grid(512), "collocation", "linear")
+op = discretize(mp, pot, Discretization(n=512))
 tr = leading_triple(op)
 tau = gap_estimate(op, tr)
 print(f"lambda        : {float(tr.lam):.10f}")
@@ -30,7 +30,7 @@ print(f"eigenfunction : min {h.min():.4f} at x={x[h.argmin()]:.3f}, "
 print("(the density piles up near the neutral fixed point at 0)")
 
 print("\n=== Ulam cross-check on the same grid ===")
-op_u = build_operator(mp, pot, Grid(512), "ulam")
+op_u = discretize(mp, pot, Discretization(n=512, scheme="ulam"))
 tr_u = leading_triple(op_u)
 print(f"lambda (ulam) : {float(tr_u.lam):.10f}")
 print(f"discrepancy   : {abs(float(tr.lam) - float(tr_u.lam)):.2e}")

@@ -177,8 +177,8 @@ class _Kind(NamedTuple):
 
 # A potential kind's analytic takes (map, potential, direction, observable, disc,
 # triple) and is paired here with central differences of its twin.  A map kind
-# (no twin) takes (family, potential, observable, s0, disc, fd_step=, tol=, max_iter=)
-# and returns the library's ResponseReport, which carries its own twin.
+# (no twin) takes (family, potential, observable, s0, disc, fd_step=) and returns
+# the library's ResponseReport, which carries its own twin.
 _RESPONSE_KINDS = {
     "lambda-potential": _Kind(
         ("direction",), lambda f, p, h, g, d, t: d_lambda_d_potential(f, p, h, d, triple=t),
@@ -281,7 +281,7 @@ _CONFIG = {
     "free_energy": ({"observable": (_POTENTIAL, REQUIRED), "t0": _T0, "n_t": (int, 41)}, None),
     "ldp": ({"observable": (_POTENTIAL, REQUIRED),
              "interval": ([float], REQUIRED, lambda ab: len(ab) == 2, "expected [a, b]"),
-             "n_list": ([int], REQUIRED),
+             "n_list": ([int], REQUIRED, lambda ns: len(ns) > 0, "must not be empty"),
              "n_samples": (int, REQUIRED, _positive, "must be >= 1"),
              "t0": _T0, "n_t": (int, 41)}, None),
     "rate_scan": ({"observable": (_POTENTIAL, REQUIRED), "s_grid": _GRID, "v_grid": _GRID,
@@ -295,8 +295,7 @@ class RunConfig:
     """Validated, normalized run configuration."""
     map: dict
     potential: dict
-    discretization: Discretization
-    tolerances: dict
+    discretization: Discretization     # carries the tolerances block as tol, max_iter
     hypotheses: dict
     output_dir: str
     seed: int
@@ -314,8 +313,10 @@ def parse_config(text: str) -> RunConfig:
     blocks = {name: c[name] for _, name in _HANDLERS.values()
               if name is not None and c[name] is not None}
     return RunConfig(map=c["map"], potential=c["potential"],
-                     discretization=Discretization(**c["discretization"]),
-                     tolerances=c["tolerances"], hypotheses=c["hypotheses"],
+                     discretization=Discretization(**c["discretization"],
+                                                   tol=c["tolerances"]["eig_tol"],
+                                                   max_iter=c["tolerances"]["max_iter"]),
+                     hypotheses=c["hypotheses"],
                      output_dir=c["output"]["dir"], seed=c["seed"], blocks=blocks, raw=raw)
 
 
@@ -478,14 +479,8 @@ def _cmd_check_hypotheses(config, block, branch_map, pot, hyp):
     return {"passed": hyp.passed()}, []
 
 
-def _solver_limits(config):
-    """The tolerances block as the tol and max_iter of every eigensolve."""
-    return {"tol": config.tolerances["eig_tol"], "max_iter": config.tolerances["max_iter"]}
-
-
 def _triple(config, branch_map, pot):
-    return triple_at(OperatorSetup.of(branch_map, config.discretization), pot,
-                     **_solver_limits(config))
+    return triple_at(OperatorSetup(branch_map, config.discretization), pot)
 
 
 def _cmd_pressure(config, block, branch_map, pot, hyp):
@@ -535,18 +530,17 @@ def _cmd_equilibrium(config, block, branch_map, pot, hyp):
 def _cmd_response(config, block, branch_map, pot, hyp):
     disc, kind, eps = config.discretization, block["derivative"], block["fd_step"]
     _, analytic, twin = _RESPONSE_KINDS[kind]
-    limits = _solver_limits(config)
     g = build_potential(block["observable"], branch_map) if "observable" in block else None
     if twin is None:
         family = build_family(config.map)
         s0 = config.map[_float_param(config.map["family"])]
-        rep = analytic(family, pot, g, s0, disc, fd_step=eps, **limits)
+        rep = analytic(family, pot, g, s0, disc, fd_step=eps)
     else:
         direction = build_potential(block["direction"], branch_map)
         # one setup serves the base triple and its two FD twins at +-eps
-        setup = OperatorSetup.of(branch_map, disc)
-        triple = triple_at(setup, pot, **limits)
-        twins = {e: triple_at(setup, pot + e * direction, **limits) for e in (eps, -eps)}
+        setup = OperatorSetup(branch_map, disc)
+        triple = triple_at(setup, pot)
+        twins = {e: triple_at(setup, pot + e * direction) for e in (eps, -eps)}
         value = analytic(branch_map, pot, direction, g, disc, triple)
         fd = central_difference(lambda e: twin(twins[e], g), eps)
         if kind == "density-potential":
@@ -586,7 +580,7 @@ def _curve_and_rate(config, block, branch_map, pot):
     psi = build_potential(block["observable"], branch_map)
     curve = stats.free_energy(branch_map, pot, psi, t0=block["t0"],
                               n_t=block["n_t"], disc=config.discretization,
-                              hyp_aux=hypothesis_aux(config), **_solver_limits(config))
+                              hyp_aux=hypothesis_aux(config))
     return psi, curve, stats.rate_function(curve)
 
 
@@ -625,8 +619,7 @@ def _cmd_rate_scan(config, block, branch_map, pot, hyp):
     scan = stats.rate_continuity_scan(family, pot, psi, block["s_grid"],
                                       block["v_grid"], disc=config.discretization,
                                       t0=block["t0"], n_t=block["n_t"],
-                                      hyp_aux=hypothesis_aux(config),
-                                      **_solver_limits(config))
+                                      hyp_aux=hypothesis_aux(config))
     rows = [(v, s, scan.table[i, j]) for i, v in enumerate(scan.v_grid)
             for j, s in enumerate(scan.s_grid)]
     write_csv(os.path.join(config.output_dir, "rate_scan.csv"),

@@ -8,8 +8,9 @@ Two discretizations are provided on a uniform circle grid: collocation
 (evaluate at nodes through exact preimages and an interpolation stencil,
 fast on smooth data) and a weighted Ulam scheme (cell-transfer Galerkin
 projection, positivity preserving) used as an independent cross-check.
-Both are assembled through an OperatorSetup, which computes the
-map-and-grid geometry once and reweights it for each potential.
+A Discretization names one (N, scheme, interpolation, eigensolve limits);
+an OperatorSetup computes its map-and-grid geometry once and reweights it
+for each potential, and `discretize` is the one-shot form.
 The local stencils (linear collocation and Ulam) are stored in CSR form in
 float64; Fourier collocation and extended precision are stored dense.
 scipy.sparse is imported where the first CSR matrix is built.  Grid values
@@ -60,14 +61,17 @@ class Grid:
 
 @dataclass(frozen=True)
 class Discretization:
-    """Settings bundle: grid size, scheme, and interpolation rule."""
+    """How a leading triple is computed, checked here once: grid size N
+    (>= 2), scheme, interpolation (Ulam takes only the default; its values
+    follow the "cell" rule) and the eigensolve limits tol and max_iter."""
     n: int = 512
     scheme: str = "collocation"
     interpolation: str = "linear"
+    tol: float = 1e-12
+    max_iter: int = 100000
 
     def __post_init__(self):
-        if self.n < 8:
-            raise ConfigError(f"discretization.N must be >= 8, got {self.n}")
+        Grid(self.n)   # refuses N < 2
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.interpolation not in NODAL_RULES:
@@ -75,6 +79,15 @@ class Discretization:
         if self.scheme == "ulam" and self.interpolation != "linear":
             raise ConfigError("discretization.interpolation: ulam has cell averages, "
                               f"not {self.interpolation!r} interpolation")
+
+    @property
+    def grid(self) -> Grid:
+        return Grid(self.n)
+
+    @property
+    def rule(self) -> str:
+        """The GridFunction rule of the grid values: "cell" under Ulam."""
+        return "cell" if self.scheme == "ulam" else self.interpolation
 
 
 def trig_interp_matrix(points, n, dtype=np.float64):
@@ -322,37 +335,26 @@ def apply_transfer_tree(branch_map: BranchMap, pot: Potential, g, x, depth: int)
 class OperatorSetup:
     """The potential-independent part of one discretized transfer operator.
 
-    Built once per (map, grid, scheme, interpolation, dtype) from one
-    preimage table y_j(x_i) of the nodes, which both schemes share.
+    Built once per (map, Discretization, dtype) from one preimage table
+    y_j(x_i) of the nodes, which both schemes share.
     Collocation polishes the table in the working dtype and stores the
     stencil (idx/frac triplets for linear, the (d, N, N) cardinal matrix
     for Fourier); Ulam cuts the arcs between the sorted preimages into
-    pieces and stores their midpoints y* and F'(y*) |piece| / |cell|.
-    `operator(pot)` only evaluates e^{pot} at the stored points and
-    combines.  A caller that sweeps the potential holds one setup for the
-    sweep; nothing outlives the caller that holds it.
+    pieces and stores their midpoints y* and F'(y*) |piece| / |cell|, in
+    float64 only.  `operator(pot)` only evaluates e^{pot} at the stored
+    points and combines.  A caller that sweeps the potential holds one
+    setup for the sweep; nothing outlives the caller that holds it.
     """
 
-    def __init__(self, branch_map: BranchMap, grid: Grid,
-                 scheme: str = "collocation", interpolation: str = "linear",
-                 dtype=np.float64):
-        self.branch_map, self.grid, self.scheme = branch_map, grid, scheme
+    def __init__(self, branch_map: BranchMap, disc: Discretization, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
+        if disc.scheme == "ulam" and self.dtype != np.float64:
+            raise ConfigError(f"ulam assembles in float64 only, got dtype {self.dtype}")
+        self.branch_map, self.disc, self.grid = branch_map, disc, disc.grid
         self.dropped_entries = 0
         self._cards = None
-        if scheme == "collocation":
-            if interpolation not in NODAL_RULES:
-                raise ConfigError(f"unknown interpolation {interpolation!r}")
-            self.interpolation, self.dtype = interpolation, np.dtype(dtype)
-        elif scheme == "ulam":
-            self.interpolation, self.dtype = "cell", np.dtype(np.float64)
-        else:
-            raise ConfigError(f"unknown scheme {scheme!r}")
-        ys = branch_map.preimages(grid.nodes)   # (d, N)
-        (self._setup_collocation if scheme == "collocation" else self._setup_ulam)(ys)
-
-    @classmethod
-    def of(cls, branch_map: BranchMap, disc: Discretization, dtype=np.float64):
-        return cls(branch_map, Grid(disc.n), disc.scheme, disc.interpolation, dtype)
+        ys = branch_map.preimages(self.grid.nodes)   # (d, N)
+        (self._setup_collocation if disc.scheme == "collocation" else self._setup_ulam)(ys)
 
     def _setup_collocation(self, ys):
         branch_map, dtype = self.branch_map, self.dtype
@@ -368,7 +370,7 @@ class OperatorSetup:
             ys = np.clip(ys - resid / np.asarray(branch_map.dlift(ys)), 0.0, 1.0)
         ys.setflags(write=False)   # shared by every operator of this setup
         self.points = ys
-        if self.interpolation == "fourier":
+        if self.disc.interpolation == "fourier":
             self._cards = trig_interp_matrix(ys.ravel(), n, dtype=dtype).reshape(d, n, n)
             return
         left, right, frac = linear_stencil(ys, n)
@@ -427,25 +429,20 @@ class OperatorSetup:
                                  np.tile(weights.ravel(), repeat) * self._factors,
                                  n, self.dtype)
         return DiscretizedOperator(
-            mat, self.grid, self.scheme, self.interpolation, self.branch_map, pot,
+            mat, self.grid, self.disc.scheme, self.disc.rule, self.branch_map, pot,
             dropped_entries=self.dropped_entries)
 
 
-def build_operator(branch_map: BranchMap, pot: Potential, grid: Grid,
-                   scheme: str = "collocation", interpolation: str = "linear",
-                   dtype=np.float64) -> DiscretizedOperator:
-    """Assemble the N x N transfer matrix for the requested scheme, once.
+def discretize(branch_map: BranchMap, pot: Potential, disc: Discretization,
+               dtype=np.float64) -> DiscretizedOperator:
+    """Assemble the N x N transfer matrix that `disc` names, once.
 
-    Production grids come through Discretization (N >= 8); tiny grids are
-    accepted here for hand-checkable assembly.  Use an OperatorSetup to
-    assemble for many potentials.
+    Use an OperatorSetup to assemble for many potentials.
     """
-    return OperatorSetup(branch_map, grid, scheme, interpolation, dtype).operator(pot)
+    return OperatorSetup(branch_map, disc, dtype).operator(pot)
 
 
-def discretize(branch_map, pot, disc: Discretization, dtype=np.float64):
-    return build_operator(branch_map, pot, Grid(disc.n), disc.scheme,
-                          disc.interpolation, dtype=dtype)
+build_operator = discretize   # the name perfbench/tracer.py times
 
 
 def _from_triplets(rows, cols, vals, n, dtype):

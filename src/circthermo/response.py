@@ -75,7 +75,7 @@ def d_lambda_d_potential(branch_map: BranchMap, pot0: Potential, direction,
                          triple: Optional[SpectralTriple] = None) -> float:
     """Derivative of the leading eigenvalue: lam * int h H d nu."""
     if triple is None:
-        triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
+        triple = triple_at(OperatorSetup(branch_map, disc), pot0)
     hvec = triple.sample(direction)
     return float(triple.lam * triple.integrate_nu(triple.h.values * hvec))
 
@@ -85,7 +85,7 @@ def d_pressure_d_potential(branch_map: BranchMap, pot0: Potential, direction,
                            triple: Optional[SpectralTriple] = None) -> float:
     """Derivative of the pressure: int H d mu (= d lambda / lambda)."""
     if triple is None:
-        triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
+        triple = triple_at(OperatorSetup(branch_map, disc), pot0)
     return float(triple.integrate_mu(triple.sample(direction)))
 
 
@@ -106,7 +106,7 @@ def d_density_d_potential(branch_map: BranchMap, pot0: Potential, direction,
                           triple: Optional[SpectralTriple] = None) -> GridFunction:
     """Derivative of the normalized eigenfunction h in direction H."""
     if triple is None:
-        triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
+        triple = triple_at(OperatorSetup(branch_map, disc), pot0)
     hvec = triple.sample(direction)
     shape = _density_shape_term(triple, hvec)
     scale = _normalization_scalar(triple, hvec)
@@ -118,7 +118,7 @@ def d_conformal_expectation(branch_map: BranchMap, pot0: Potential, g, direction
                             triple: Optional[SpectralTriple] = None) -> float:
     """Derivative of phi -> int g d nu_phi in direction H."""
     if triple is None:
-        triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
+        triple = triple_at(OperatorSetup(branch_map, disc), pot0)
     gv = triple.sample(g)
     hvec = triple.sample(direction)
     gmean = float(triple.integrate_nu(gv))
@@ -132,7 +132,7 @@ def d_equilibrium_expectation(branch_map: BranchMap, pot0: Potential, g, directi
                               triple: Optional[SpectralTriple] = None) -> float:
     """Derivative of phi -> int g d mu_phi in direction H."""
     if triple is None:
-        triple = triple_at(OperatorSetup.of(branch_map, disc), pot0)
+        triple = triple_at(OperatorSetup(branch_map, disc), pot0)
     gv = triple.sample(g)
     hvec = triple.sample(direction)
     gmu = float(triple.integrate_mu(gv))
@@ -188,8 +188,7 @@ def d_transfer_n_d_dynamics(branch_map: BranchMap, pot: Potential, g, h_field,
 
 def d_pressure_d_dynamics(family: ParamFamily, pot: Potential, s0: float,
                           disc: Discretization = Discretization(),
-                          fd_step: float = FD_DEFAULT_STEP,
-                          tol: float = 1e-12, max_iter: int = 100000) -> ResponseReport:
+                          fd_step: float = FD_DEFAULT_STEP) -> ResponseReport:
     """Derivative of s -> P(f_s, phi) with H = d/ds f_s, plus its FD check.
 
     analytic = (1/lam) int D(h) d nu, where D(h) = d_transfer_d_dynamics
@@ -199,12 +198,12 @@ def d_pressure_d_dynamics(family: ParamFamily, pot: Potential, s0: float,
         raise SmoothnessError("pressure-in-f derivative needs a C^1 potential")
     branch_map = family.at(s0)
     h_field = family.direction(s0)
-    triple = triple_at(OperatorSetup.of(branch_map, disc), pot, tol=tol, max_iter=max_iter)
+    triple = triple_at(OperatorSetup(branch_map, disc), pot)
     field = d_transfer_d_dynamics(branch_map, pot, triple.h, h_field, triple.h.sites)
     analytic = float(triple.integrate_nu(field)) / triple.lam
 
     def pressure_at(s):
-        t = triple_at(OperatorSetup.of(family.at(s), disc), pot, tol=tol, max_iter=max_iter)
+        t = triple_at(OperatorSetup(family.at(s), disc), pot)
         return math.log(t.lam)
 
     fd = central_difference(lambda e: pressure_at(s0 + e), fd_step)
@@ -213,8 +212,7 @@ def d_pressure_d_dynamics(family: ParamFamily, pot: Potential, s0: float,
 
 def d_maxentropy_expectation(family: ParamFamily, g, s0: float,
                              disc: Discretization = Discretization(),
-                             fd_step: float = FD_DEFAULT_STEP,
-                             tol: float = 1e-12, max_iter: int = 100000) -> ResponseReport:
+                             fd_step: float = FD_DEFAULT_STEP) -> ResponseReport:
     """Derivative of s -> int g d mu_{f_s} for the maximal entropy measure.
 
     The series sum_k int DLtil(Ltil^k P0 g) . H d mu at phi = 0 is linear
@@ -225,14 +223,14 @@ def d_maxentropy_expectation(family: ParamFamily, g, s0: float,
     """
     pot0 = zero_potential()
     branch_map = family.at(s0)
-    triple = triple_at(OperatorSetup.of(branch_map, disc), pot0, tol=tol, max_iter=max_iter)
+    triple = triple_at(OperatorSetup(branch_map, disc), pot0)
     u = resolvent_solve(triple, triple.project_zero_mean(triple.sample(g)))
     field = d_transfer_d_dynamics(branch_map, pot0, triple.op.grid_function(u),
                                   family.direction(s0), triple.h.sites) / triple.lam
     analytic = float(triple.integrate_mu(field))
 
     def expectation(s):
-        t = triple_at(OperatorSetup.of(family.at(s), disc), pot0, tol=tol, max_iter=max_iter)
+        t = triple_at(OperatorSetup(family.at(s), disc), pot0)
         return float(t.integrate_mu(t.sample(g)))
 
     fd = central_difference(lambda e: expectation(s0 + e), fd_step)

@@ -92,6 +92,8 @@ def leading_triple(op: DiscretizedOperator, tol: float = 1e-12,
     """
     if tol < 1e-14 and op.dtype == np.float64:
         raise ConfigError(f"tol={tol} below float64 attainable accuracy")
+    if max_iter < 1:
+        raise ConfigError(f"max_iter={max_iter} must be >= 1")
     apply, apply_left = op.apply, op.apply_left
     n = op.grid.n_cells
     dtype = op.dtype
@@ -210,15 +212,16 @@ def _arnoldi_pair(op: DiscretizedOperator, v, w, budget: int, resid: float):
     return lam, v, w, spent
 
 
-def triple_at(setup: OperatorSetup, pot: Potential, tol: float = 1e-12,
-              max_iter: int = 100000) -> SpectralTriple:
+def triple_at(setup: OperatorSetup, pot: Potential) -> SpectralTriple:
     """Leading triple of the operator that `setup` assembles for `pot`.
 
     The one way a triple is built from a potential: pass a fresh
-    `OperatorSetup.of(branch_map, disc)` for a single potential, or hold
-    one setup across a potential sweep so that each point only reweights.
+    `OperatorSetup(branch_map, disc)` for a single potential, or hold one
+    setup across a potential sweep so that each point only reweights.  The
+    eigensolve runs under the limits of `setup.disc` (tol and max_iter).
     """
-    return leading_triple(setup.operator(pot), tol=tol, max_iter=max_iter)
+    return leading_triple(setup.operator(pot), tol=setup.disc.tol,
+                          max_iter=setup.disc.max_iter)
 
 
 def gap_estimate(op: DiscretizedOperator, triple: SpectralTriple) -> float:

@@ -57,7 +57,7 @@ def correlation(branch_map: BranchMap, pot: Potential, obs_a, obs_b,
     by least squares on log |C(n)| over the terms above the noise floor.
     """
     if triple is None:
-        triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
+        triple = triple_at(OperatorSetup(branch_map, disc), pot)
     av = triple.sample(obs_a)
     bv = triple.sample(obs_b)
     z = triple.project_zero_mean(bv * triple.h.values)
@@ -98,7 +98,7 @@ def clt_parameters(branch_map: BranchMap, pot: Potential, psi,
     within the coboundary tolerance of zero is clamped to exactly zero.
     """
     if triple is None:
-        triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
+        triple = triple_at(OperatorSetup(branch_map, disc), pot)
     pv = triple.sample(psi)
     mean = float(triple.integrate_mu(pv))
     z = triple.project_zero_mean(pv * triple.h.values)
@@ -202,8 +202,7 @@ def _auto_t0(branch_map, phi, psi, aux):
 def free_energy(branch_map: BranchMap, phi: Potential, psi: Potential,
                 t0: Optional[float] = None, n_t: int = 41,
                 disc: Discretization = Discretization(),
-                hyp_aux: Optional[HypothesisAux] = None,
-                tol: float = 1e-12, max_iter: int = 100000) -> FreeEnergyCurve:
+                hyp_aux: Optional[HypothesisAux] = None) -> FreeEnergyCurve:
     """Pressure-difference free energy t -> P(phi + t psi) - P(phi).
 
     Without an explicit t0, the largest radius on the geometric trial grid
@@ -217,7 +216,7 @@ def free_energy(branch_map: BranchMap, phi: Potential, psi: Potential,
     every pressure of the last.  The first level whose coefficient tail is
     under FREE_ENERGY_TAIL_TOL is kept, and SchemeQualityError is raised
     when none is.  The operator geometry is set up once; each pressure
-    only reweights it, and every eigensolve runs under tol and max_iter.
+    only reweights it, and every eigensolve runs under the limits of disc.
 
     n_t (odd, >= 5) is the number of rows of the uniform table on
     [-t0, t0] read off the interpolant; its middle row is t = 0.
@@ -228,11 +227,10 @@ def free_energy(branch_map: BranchMap, phi: Potential, psi: Potential,
         t0 = _auto_t0(branch_map, phi, psi, hyp_aux or HypothesisAux())
     if not t0 > 0.0:
         raise ConfigError(f"t0 must be > 0, got {t0}")
-    setup = OperatorSetup.of(branch_map, disc)
+    setup = OperatorSetup(branch_map, disc)
 
     def pressures(ts):
-        return [math.log(triple_at(setup, phi + float(t) * psi, tol=tol,
-                                   max_iter=max_iter).lam) for t in ts]
+        return [math.log(triple_at(setup, phi + float(t) * psi).lam) for t in ts]
 
     p = np.empty(0)
     for n in FREE_ENERGY_LEVELS:
@@ -336,6 +334,8 @@ def _deviation_interval(interval, n_list, rate):
         raise ConfigError(
             f"interval [{a}, {b}] not inside the rate domain [{lo:.6f}, {hi:.6f}]")
     n_sorted = sorted(set(int(n) for n in n_list))
+    if not n_sorted:
+        raise ConfigError("n_list is empty")
     if n_sorted[0] < 1:
         raise ConfigError("n_list entries must be >= 1")
     return a, b, n_sorted
@@ -390,7 +390,7 @@ def ldp_monte_carlo(branch_map: BranchMap, pot: Potential, psi,
         raise ConfigError("fewer samples than batches")
 
     if triple is None:
-        triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
+        triple = triple_at(OperatorSetup(branch_map, disc), pot)
     branch_map = triple.op.branch_map
     mu = triple.mu_weights
     n_cells = triple.op.grid.n_cells
@@ -524,7 +524,7 @@ def deviation_probability(branch_map: BranchMap, pot: Potential, psi,
     """
     a, b, n_sorted = _deviation_interval(interval, n_list, rate)
     tilt = float(legendre_sup(rate.curve, min(max(rate.argmin, a), b))[1])
-    triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
+    triple = triple_at(OperatorSetup(branch_map, disc), pot)
     grid = triple.op.grid
     pv = np.asarray(triple.sample(psi), dtype=float)
     mid = triple.h.sites + 0.5 * grid.cell_width
@@ -645,13 +645,12 @@ def rate_continuity_scan(family: ParamFamily, phi: Potential, psi: Potential,
                          s_grid, v_grid,
                          disc: Discretization = Discretization(),
                          t0: Optional[float] = None, n_t: int = 21,
-                         hyp_aux: Optional[HypothesisAux] = None,
-                         tol: float = 1e-12, max_iter: int = 100000) -> RateScan:
+                         hyp_aux: Optional[HypothesisAux] = None) -> RateScan:
     """Table of rate functions I_{f_v}(s) over a map family.
 
     Every f_v must admit the requested s values inside its own rate
     domain; the common interval is intersected and an empty intersection
-    is an error.  Every eigensolve runs under tol and max_iter.
+    is an error.  Every eigensolve runs under the limits of disc.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     v_grid = np.asarray(v_grid, dtype=float)
@@ -659,7 +658,7 @@ def rate_continuity_scan(family: ParamFamily, phi: Potential, psi: Potential,
     j_lo, j_hi = -np.inf, np.inf
     for v in v_grid:
         curve = free_energy(family.at(float(v)), phi, psi, t0=t0, n_t=n_t,
-                            disc=disc, hyp_aux=hyp_aux, tol=tol, max_iter=max_iter)
+                            disc=disc, hyp_aux=hyp_aux)
         lo, hi = curve.domain
         j_lo, j_hi = max(j_lo, lo), min(j_hi, hi)
         curves.append(curve)

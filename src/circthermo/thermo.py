@@ -43,7 +43,7 @@ def pressure(branch_map: BranchMap, pot: Potential,
     library use assumes the standing hypotheses or an explicit override).
     """
     if triple is None:
-        triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
+        triple = triple_at(OperatorSetup(branch_map, disc), pot)
     return math.log(triple.lam)
 
 
@@ -119,7 +119,7 @@ def equilibrium_state(branch_map: BranchMap, pot: Potential,
     its own map and potential (`triple.op`), which are the ones used.
     """
     if triple is None:
-        triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
+        triple = triple_at(OperatorSetup(branch_map, disc), pot)
     branch_map, pot = triple.op.branch_map, triple.op.potential
     p = math.log(triple.lam)
     mu = np.asarray(triple.mu_weights, dtype=float)

@@ -43,7 +43,7 @@ def test_parse_minimal_config_fills_defaults():
     assert cfg.discretization.n == 512
     assert cfg.discretization.scheme == "collocation"
     assert cfg.potential == {"form": "constant", "c": 0.0}
-    assert cfg.tolerances["eig_tol"] == 1e-12
+    assert cfg.discretization.tol == 1e-12
     assert cfg.hypotheses["enforce"] is True
     assert cfg.seed == 0
 
@@ -465,6 +465,8 @@ _TRIG = {"form": "trig", "cos": [1.0]}
     ("pressure", "map.t", {"map": {"family": "perturbed-doubling", "t": "abc"}}),
     ("pressure", "potential.cos", {"potential": {"form": "trig", "cos": 0.01}}),
     ("free-energy", "free_energy.n_t", {"free_energy": {"observable": _TRIG, "n_t": 41.7}}),
+    ("ldp", "ldp.n_list", {"ldp": {"observable": _TRIG, "interval": [0.1, 0.3], "n_list": [],
+                                   "n_samples": 100}}),
     # settings the run would ignore: Ulam has no interpolation, and the measure
     # of maximal entropy no potential
     ("pressure", "discretization.interpolation",
@@ -473,8 +475,8 @@ _TRIG = {"form": "trig", "cos": [1.0]}
                                "potential": {"form": "trig", "cos": [0.01]},
                                "response": {"derivative": "maxentropy-map", "observable": _TRIG}}),
 ], ids=["m-string", "region_a-scalar", "n_max-string", "n_max-negative", "max_iter-zero",
-        "eig_tol-string", "t-string", "cos-scalar", "n_t-fraction", "ulam-fourier",
-        "maxentropy-trig"])
+        "eig_tol-string", "t-string", "cos-scalar", "n_t-fraction", "n_list-empty",
+        "ulam-fourier", "maxentropy-trig"])
 def test_malformed_value_exits_config_naming_the_key(tmp_path, capsys, command, path,
                                                      overrides):
     cfg = base_config(output={"dir": str(tmp_path / "out")}, **overrides)

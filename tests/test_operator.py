@@ -11,9 +11,9 @@ import pytest
 from scipy import sparse
 
 import circthermo.operator as ct_operator
-from circthermo import (BranchMap, Discretization, Grid, GridFunction,
+from circthermo import (BranchMap, ConfigError, Discretization, Grid, GridFunction,
                         OperatorSetup, ResourceLimitError, apply_transfer_point,
-                        apply_transfer_tree, build_operator, constant,
+                        apply_transfer_tree, constant, discretize,
                         doubling, free_energy, grid_potential, linear_map,
                         log_derivative_weight,
                         manneville_pomeau, perturbed_doubling,
@@ -197,14 +197,14 @@ def test_tree_oracle_memory_is_its_leaves_plus_blocks():
 # ---------------------------------------------------------------------------
 
 def test_hand_assembled_two_cell_matrix():
-    op = build_operator(doubling(), zero_potential(), Grid(2), "collocation", "linear")
+    op = discretize(doubling(), zero_potential(), Discretization(n=2))
     assert np.allclose(op.matrix, [[1.0, 1.0], [1.0, 1.0]], atol=1e-15)
 
 
 @pytest.mark.parametrize("interpolation", ["linear", "fourier"])
 def test_collocation_row_sums_constant_potential(interpolation):
     for bmap in (doubling(), manneville_pomeau(1.0), translated_doubling(0.2)):
-        op = build_operator(bmap, constant(0.3), Grid(64), "collocation", interpolation)
+        op = discretize(bmap, constant(0.3), Discretization(n=64, interpolation=interpolation))
         target = bmap.degree * math.exp(0.3)
         assert np.max(np.abs(op.row_sums() - target)) < 5e-13
 
@@ -212,7 +212,7 @@ def test_collocation_row_sums_constant_potential(interpolation):
 @pytest.mark.parametrize("bmap", builtin_maps(), ids=lambda m: m.family_tag)
 def test_ulam_entries_nonnegative(bmap):
     pot = trig_polynomial(cos_coeffs=[0.02])
-    op = build_operator(bmap, pot, Grid(128), "ulam")
+    op = discretize(bmap, pot, Discretization(n=128, scheme="ulam"))
     assert np.min(op.matrix) >= 0.0
 
 
@@ -224,7 +224,7 @@ def test_two_scheme_agreement_all_builtin_families():
         for scheme in ("collocation", "ulam"):
             for n in (256, 512):
                 lam[(scheme, n)] = float(leading_triple(
-                    build_operator(bmap, pot, Grid(n), scheme)).lam)
+                    discretize(bmap, pot, Discretization(n=n, scheme=scheme))).lam)
         drift = max(abs(lam[("collocation", 256)] - lam[("collocation", 512)]),
                     abs(lam[("ulam", 256)] - lam[("ulam", 512)]))
         gap = abs(lam[("collocation", 512)] - lam[("ulam", 512)])
@@ -239,7 +239,7 @@ def test_ulam_collocation_eigenvalue_agreement_mp():
     for scheme in ("collocation", "ulam"):
         for n in (512, 1024):
             lam[(scheme, n)] = float(leading_triple(
-                build_operator(mp, pot, Grid(n), scheme)).lam)
+                discretize(mp, pot, Discretization(n=n, scheme=scheme))).lam)
     assert abs(lam[("collocation", 512)] - lam[("ulam", 512)]) < 1e-3
     disc_err = max(abs(lam[("collocation", 512)] - lam[("collocation", 1024)]),
                    abs(lam[("ulam", 512)] - lam[("ulam", 1024)]))
@@ -255,7 +255,7 @@ def test_collocation_linear_second_order_consistency():
                         sin_coeffs=rng.standard_normal(4) * 0.2)
     errs = []
     for n in (128, 256, 512, 1024):
-        op = build_operator(mp, pot, Grid(n), "collocation", "linear")
+        op = discretize(mp, pot, Discretization(n=n))
         applied = op.apply(g(op.grid.nodes))
         idx = rng.integers(0, n, size=100)
         exact = apply_transfer_point(mp, pot, g, op.grid.nodes[idx])
@@ -311,7 +311,7 @@ def test_cell_rule_sits_at_midpoints_and_interpolates_between_them():
     assert gf.derivative().interpolation == "cell"
     for rule in ("linear", "fourier"):
         assert np.array_equal(GridFunction(Grid(8), vals, rule).sites, Grid(8).nodes)
-    ulam = build_operator(doubling(), zero_potential(), Grid(16), "ulam")
+    ulam = discretize(doubling(), zero_potential(), Discretization(n=16, scheme="ulam"))
     assert ulam.interpolation == ulam.grid_function(np.ones(16)).interpolation == "cell"
 
 
@@ -400,7 +400,7 @@ def test_fourier_differentiation_matches_trig():
 
 
 def test_operator_csv_export_roundtrip(tmp_path):
-    op = build_operator(doubling(), constant(0.1), Grid(16), "collocation", "linear")
+    op = discretize(doubling(), constant(0.1), Discretization(n=16))
     path = tmp_path / "op.csv"
     op.export_csv(path)
     lines = path.read_text().splitlines()
@@ -415,8 +415,8 @@ def test_operator_csv_export_roundtrip(tmp_path):
 def test_csr_export_matches_dense_rows_and_caches_no_dense_copy(tmp_path, monkeypatch,
                                                                  scheme, block_rows):
     n = 96
-    op = build_operator(perturbed_doubling(0.1), trig_polynomial(cos_coeffs=[0.3]),
-                        Grid(n), scheme, "linear")
+    op = discretize(perturbed_doubling(0.1), trig_polynomial(cos_coeffs=[0.3]),
+                    Discretization(n=n, scheme=scheme))
     assert sparse.issparse(op.storage)
     if block_rows is not None:     # 20 blocks, the last one short
         monkeypatch.setattr(ct_operator, "CSV_BLOCK_BYTES", 8 * n * block_rows)
@@ -428,7 +428,7 @@ def test_csr_export_matches_dense_rows_and_caches_no_dense_copy(tmp_path, monkey
 
 
 def test_extended_precision_triplets_sum_like_scipy():
-    setup = OperatorSetup(manneville_pomeau(0.5), Grid(96), dtype=np.longdouble)
+    setup = OperatorSetup(manneville_pomeau(0.5), Discretization(n=96), dtype=np.longdouble)
     rows, cols = np.tile(setup._rows, 3), np.tile(setup._cols, 3)   # summed in order
     vals = np.linspace(0.1, 2.0, rows.size, dtype=np.longdouble) / 3
     got = ct_operator._from_triplets(rows, cols, vals, 96, np.longdouble)
@@ -450,12 +450,12 @@ def _dense(op):
 ])
 def test_reused_setup_matches_fresh_build(scheme, interpolation, dtype):
     mp = manneville_pomeau(0.5)
-    grid = Grid(96)
-    setup = OperatorSetup(mp, grid, scheme, interpolation, dtype)
+    disc = Discretization(n=96, scheme=scheme, interpolation=interpolation)
+    setup = OperatorSetup(mp, disc, dtype)
     setup.operator(log_derivative_weight(-1.0, mp))   # an earlier sweep point
     pot = trig_polynomial(cos_coeffs=[0.2], sin_coeffs=[0.0, 0.05])
     reused = setup.operator(pot)
-    fresh = build_operator(mp, pot, grid, scheme, interpolation, dtype=dtype)
+    fresh = discretize(mp, pot, disc, dtype=dtype)
     a, b = _dense(reused), _dense(fresh)
     assert a.dtype == b.dtype
     if scheme == "collocation":
@@ -481,12 +481,9 @@ def test_free_energy_builds_cardinal_matrix_once(monkeypatch):
                         disc=disc)
     assert len(calls) == 1
     # a sweep point equals the pressure difference of freshly built operators
-    p0 = math.log(leading_triple(build_operator(
-        doubling(), zero_potential(), Grid(64), "collocation", "fourier")).lam)
+    p0 = math.log(leading_triple(discretize(doubling(), zero_potential(), disc)).lam)
     t = float(curve.nodes[3])
-    pt = math.log(leading_triple(build_operator(
-        doubling(), zero_potential() + t * psi, Grid(64), "collocation",
-        "fourier")).lam)
+    pt = math.log(leading_triple(discretize(doubling(), zero_potential() + t * psi, disc)).lam)
     assert curve.node_values[3] == pt - p0
 
 
@@ -494,7 +491,7 @@ def test_ulam_wrap_handling_translated_family():
     # the branch seam sits mid-cell for the translated family; mass must be
     # conserved across the wrap
     bmap = translated_doubling(0.13)
-    op = build_operator(bmap, zero_potential(), Grid(64), "ulam")
+    op = discretize(bmap, zero_potential(), Discretization(n=64, scheme="ulam"))
     tr = leading_triple(op)
     assert float(tr.lam) == pytest.approx(2.0, abs=1e-6)
 
@@ -543,13 +540,28 @@ def _sorted_triplets(rows, cols, mids, factors):
                          ids=lambda m: f"{m.family_tag}{m.family_params}")
 def test_ulam_setup_matches_cell_loop_bit_for_bit(bmap):
     for n in [*range(2, 12), 64, 257]:
-        setup = OperatorSetup(bmap, Grid(n), "ulam")
+        setup = OperatorSetup(bmap, Discretization(n=n, scheme="ulam"))
         rows, cols, mids, widths, dropped = _ulam_pieces_by_cell_loop(bmap, n)
         assert setup.dropped_entries == dropped
         got = _sorted_triplets(setup._rows, setup._cols, setup.points, setup._factors)
         ref = _sorted_triplets(rows, cols, mids, np.asarray(bmap.dlift(mids)) * widths * n)
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kwargs,dtype,match", [
+    ({"interpolation": "fourier"}, np.float64, "discretization.interpolation"),
+    ({}, np.longdouble, "float64 only"),
+    ({}, np.float32, "float64 only"),
+], ids=["fourier", "longdouble", "float32"])
+def test_ulam_refuses_what_it_would_ignore_before_assembly(monkeypatch, kwargs, dtype, match):
+    def no_assembly(self, x):
+        raise AssertionError("preimages inverted before the refusal")
+
+    monkeypatch.setattr(BranchMap, "preimages", no_assembly)
+    with pytest.raises(ConfigError, match=match):
+        discretize(doubling(), zero_potential(),
+                   Discretization(n=64, scheme="ulam", **kwargs), dtype=dtype)
 
 
 def test_ulam_setup_inverts_the_nodes_once(monkeypatch):
@@ -561,7 +573,7 @@ def test_ulam_setup_inverts_the_nodes_once(monkeypatch):
         return preimages(self, x)
 
     monkeypatch.setattr(BranchMap, "preimages", counted)
-    OperatorSetup(manneville_pomeau(0.5), Grid(64), "ulam")
+    OperatorSetup(manneville_pomeau(0.5), Discretization(n=64, scheme="ulam"))
     assert len(calls) == 1
     assert np.array_equal(calls[0], Grid(64).nodes)
 
@@ -569,10 +581,10 @@ def test_ulam_setup_inverts_the_nodes_once(monkeypatch):
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="longdouble is float64 on this platform")
 def test_longdouble_collocation_preimages_polish_below_float64():
-    grid = Grid(257)
-    ys = OperatorSetup(linear_map(3), grid, dtype=np.longdouble).points
+    disc = Discretization(n=257)
+    ys = OperatorSetup(linear_map(3), disc, dtype=np.longdouble).points
     assert ys.dtype == np.longdouble
-    u = np.asarray(grid.nodes, dtype=np.longdouble)
+    u = np.asarray(disc.grid.nodes, dtype=np.longdouble)
     targets = u[None, :] + np.arange(3, dtype=np.longdouble)[:, None]
     assert np.max(np.abs(3 * ys - targets)) <= 1e-18
 
@@ -582,7 +594,7 @@ def test_longdouble_collocation_preimages_polish_below_float64():
 @pytest.mark.parametrize("interpolation", ["linear", "fourier"])
 def test_longdouble_operator_weights_below_float64(interpolation):
     # under -log f' each of the three preimages weighs 1/3, so L 1 = 1
-    setup = OperatorSetup(linear_map(3), Grid(64), interpolation=interpolation,
+    setup = OperatorSetup(linear_map(3), Discretization(n=64, interpolation=interpolation),
                           dtype=np.longdouble)
     op = setup.operator(log_derivative_weight(-1.0, linear_map(3)))
     ones_ld = np.ones(64, dtype=np.longdouble)

@@ -415,7 +415,7 @@ def test_d_maxentropy_translated_family_is_stationary():
 def _maxentropy_series(family, g, s0, disc, floor=1e-15, max_terms=5000):
     """sum_k int DLtil(Ltil^k P0 g) . H d mu, summed term by term."""
     tr = leading_triple(discretize(family.at(s0), zero_potential(), disc))
-    ys = OperatorSetup.of(family.at(s0), disc).points
+    ys = OperatorSetup(family.at(s0), disc).points
     weight = (-np.asarray(family.direction(s0)(ys))
               / np.asarray(family.at(s0).dlift(ys)) / tr.lam)
     w = tr.project_zero_mean(np.asarray(g(tr.op.grid.nodes)))

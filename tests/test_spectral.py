@@ -11,7 +11,7 @@ from scipy import sparse
 
 import circthermo.spectral as spectral
 from circthermo import (ConfigError, Discretization, Grid, SchemeQualityError, constant,
-                        SolverError, build_operator, discretize,
+                        SolverError, discretize,
                         doubling, gap_estimate, leading_triple, linear_map,
                         log_derivative_weight, manneville_pomeau,
                         perturbed_doubling, resolvent_solve, trig_polynomial,
@@ -23,7 +23,8 @@ from circthermo.operator import DiscretizedOperator
                                                   ("collocation", "fourier"),
                                                   ("ulam", "linear")])
 def test_doubling_maximal_entropy_triple(scheme, interpolation):
-    op = build_operator(doubling(), zero_potential(), Grid(64), scheme, interpolation)
+    op = discretize(doubling(), zero_potential(),
+                    Discretization(n=64, scheme=scheme, interpolation=interpolation))
     tr = leading_triple(op)
     assert float(tr.lam) == pytest.approx(2.0, abs=1e-10)
     assert np.max(np.abs(tr.h.values - 1.0)) < 1e-9
@@ -51,7 +52,7 @@ def test_lebesgue_conformal_for_linear_geometric_potential():
 
 
 def test_gap_doubling_fourier_nilpotent():
-    op = build_operator(doubling(), zero_potential(), Grid(64), "collocation", "fourier")
+    op = discretize(doubling(), zero_potential(), Discretization(n=64, interpolation="fourier"))
     tr = leading_triple(op)
     tau = gap_estimate(op, tr)
     assert tau <= 1e-10
@@ -79,7 +80,7 @@ def test_gap_stable_under_grid_doubling_mp():
 
 
 def test_resolvent_trivial_and_cos():
-    op = build_operator(doubling(), zero_potential(), Grid(64), "collocation", "fourier")
+    op = discretize(doubling(), zero_potential(), Discretization(n=64, interpolation="fourier"))
     tr = leading_triple(op)
     zero = resolvent_solve(tr, np.zeros(64))
     assert np.max(np.abs(zero)) < 1e-14
@@ -116,15 +117,15 @@ def test_resolvent_solves_defining_system():
 
 
 def test_resolvent_rejects_nonzero_mean():
-    op = build_operator(doubling(), zero_potential(), Grid(32), "collocation", "linear")
+    op = discretize(doubling(), zero_potential(), Discretization(n=32))
     tr = leading_triple(op)
     with pytest.raises(ConfigError, match="nonzero"):
         resolvent_solve(tr, np.ones(32) * 0.5)
 
 
 def test_extended_precision_resolvent_returns_longdouble():
-    op = build_operator(doubling(), trig_polynomial(cos_coeffs=[0.1]), Grid(32),
-                        "collocation", "linear", dtype=np.longdouble)
+    op = discretize(doubling(), trig_polynomial(cos_coeffs=[0.1]), Discretization(n=32),
+                    dtype=np.longdouble)
     tr = leading_triple(op)
     v = tr.project_zero_mean(np.cos(2 * np.pi * op.grid.nodes))
     assert resolvent_solve(tr, v).dtype == np.longdouble
@@ -185,7 +186,7 @@ def test_float64_resolvent_is_one_border_solve(bmap, pot, disc):
 
 
 def test_resolvent_refuses_gapless():
-    op = build_operator(doubling(), zero_potential(), Grid(32), "collocation", "linear")
+    op = discretize(doubling(), zero_potential(), Discretization(n=32))
     tr = leading_triple(op)
     tr.tau = 1.0 - 1e-9
     with pytest.raises(SolverError, match="not summable"):
@@ -197,8 +198,8 @@ def test_resolvent_refuses_gapless():
 def test_singular_border_raises_solver_error(interpolation, is_sparse):
     # zero conformal weights make the border row, and so the system, singular;
     # the gap is known beforehand, so only the solve itself can notice
-    op = build_operator(doubling(), zero_potential(), Grid(32), "collocation",
-                        interpolation)
+    op = discretize(doubling(), zero_potential(),
+                    Discretization(n=32, interpolation=interpolation))
     assert sparse.issparse(op.storage) == is_sparse
     tr = leading_triple(op)
     assert gap_estimate(op, tr) < 0.5
@@ -212,7 +213,7 @@ def test_singular_border_raises_solver_error(interpolation, is_sparse):
 def test_dense_singular_border_raises_without_linalg_warning():
     # the zero pivot of the dense solve must come out as the typed error,
     # with every warning escalated so that none may precede it
-    op = build_operator(doubling(), zero_potential(), Grid(32), "collocation", "fourier")
+    op = discretize(doubling(), zero_potential(), Discretization(n=32, interpolation="fourier"))
     assert not sparse.issparse(op.storage)
     tr = leading_triple(op)
     v = tr.project_zero_mean(np.cos(2 * np.pi * op.grid.nodes))
@@ -251,10 +252,17 @@ def test_negative_mass_aborts_with_scheme_error():
 
 
 def test_no_convergence_raises_with_residual():
-    op = build_operator(manneville_pomeau(1.0), trig_polynomial(cos_coeffs=[0.01]),
-                        Grid(64), "collocation", "linear")
+    op = discretize(manneville_pomeau(1.0), trig_polynomial(cos_coeffs=[0.01]),
+                    Discretization(n=64))
     with pytest.raises(SolverError, match="residual"):
         leading_triple(op, tol=1e-13, max_iter=2)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_nonpositive_max_iter_refused(max_iter):
+    op = discretize(doubling(), zero_potential(), Discretization(n=32))
+    with pytest.raises(ConfigError, match="max_iter"):
+        leading_triple(op, max_iter=max_iter)
 
 
 @pytest.fixture(scope="module", params=["collocation", "ulam"])

@@ -231,7 +231,7 @@ def test_legendre_involution_recovers_free_energy():
 
 def _direct_free_energy(disc, ts):
     """E(t) = P(t psi) - P(0) for doubling, one fresh eigensolve per t."""
-    setup = OperatorSetup.of(doubling(), disc)
+    setup = OperatorSetup(doubling(), disc)
     p = [math.log(triple_at(setup, zero_potential() + float(t) * PSI_COS).lam)
          for t in np.concatenate(([0.0], ts))]
     return np.array(p[1:]) - p[0]
@@ -330,7 +330,7 @@ def test_ldp_ci_scales_with_sample_count():
 def test_ldp_monte_carlo_iterates_the_map_of_its_triple():
     rate, disc = _doubling_rate_setup(n=128)
     pd = perturbed_doubling(0.3)
-    triple = triple_at(OperatorSetup.of(pd, disc), zero_potential())
+    triple = triple_at(OperatorSetup(pd, disc), zero_potential())
     args = (zero_potential(), cos1, (0.25, 0.45), [10], 20000, 5, rate)
     mixed = ldp_monte_carlo(doubling(), *args, triple=triple)
     own = ldp_monte_carlo(pd, *args, triple=triple)
@@ -343,6 +343,16 @@ def test_ldp_seed_outside_the_philox_key_range_rejected(seed):
     with pytest.raises(ConfigError, match="seed must be a nonnegative integer below 2"):
         ldp_monte_carlo(doubling(), zero_potential(), cos1, (0.0, 0.05), [5], 1000, seed,
                         rate, disc=disc)
+
+
+def test_empty_n_list_rejected():
+    rate, disc = _doubling_rate_setup(t0=0.2, n=64)
+    with pytest.raises(ConfigError, match="n_list is empty"):
+        ldp_monte_carlo(doubling(), zero_potential(), cos1, (0.0, 0.05), [], 1000, 1,
+                        rate, disc=disc)
+    with pytest.raises(ConfigError, match="n_list is empty"):
+        deviation_probability(doubling(), zero_potential(), cos1, (0.0, 0.05), [], rate,
+                              disc=disc)
 
 
 def test_ldp_interval_outside_domain_rejected():
@@ -438,7 +448,7 @@ def _per_n_deviation_rates(branch_map, pot, psi, interval, n_list, tilt,
                            disc=Discretization(n=256, interpolation="fourier")):
     """Each n iterates its own FOURIER_MODES + 1 twists, with one common scale."""
     a, b = interval
-    triple = triple_at(OperatorSetup.of(branch_map, disc), pot)
+    triple = triple_at(OperatorSetup(branch_map, disc), pot)
     grid = triple.op.grid
     pv = np.asarray(psi(grid.nodes), dtype=float)
     pmid = np.asarray(psi(grid.nodes + 0.5 * grid.cell_width), dtype=float)
@@ -552,7 +562,7 @@ def _unblocked_monte_carlo(branch_map, psi, interval, n_list, n_samples, seed, t
 ])
 def test_blocked_monte_carlo_matches_one_pass(n_samples, interval):
     rate, disc = _doubling_rate_setup(n=256)
-    triple = triple_at(OperatorSetup.of(doubling(), disc), zero_potential())
+    triple = triple_at(OperatorSetup(doubling(), disc), zero_potential())
     exp = ldp_monte_carlo(doubling(), zero_potential(), PSI_COS, interval, [5, 10, 20],
                           n_samples, 17, rate, triple=triple)
     hits, ci95 = _unblocked_monte_carlo(doubling(), PSI_COS, interval, [5, 10, 20],
@@ -563,7 +573,7 @@ def test_blocked_monte_carlo_matches_one_pass(n_samples, interval):
 
 def test_monte_carlo_block_size_moves_no_hit(monkeypatch):
     rate, disc = _doubling_rate_setup(n=256)
-    triple = triple_at(OperatorSetup.of(doubling(), disc), zero_potential())
+    triple = triple_at(OperatorSetup(doubling(), disc), zero_potential())
     runs = []
     for block in (2 ** 12, 2 ** 13, 2 ** 14):
         monkeypatch.setattr(stats, "MC_BLOCK", block)
@@ -581,7 +591,7 @@ def test_monte_carlo_block_arrays_stay_below_the_mmap_threshold():
 
 def test_monte_carlo_memory_stays_within_blocks():
     rate, disc = _doubling_rate_setup(n=256)
-    triple = triple_at(OperatorSetup.of(doubling(), disc), zero_potential())
+    triple = triple_at(OperatorSetup(doubling(), disc), zero_potential())
     tracemalloc.start()
     try:
         ldp_monte_carlo(doubling(), zero_potential(), PSI_COS, (0.25, 0.45), [10],

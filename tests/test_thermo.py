@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import circthermo.thermo as ct_thermo
-from circthermo import (ConfigError, Discretization, constant, discretize, doubling,
-                        equilibrium_state, leading_triple, linear_map,
+from circthermo import (ConfigError, Discretization, SolverError, constant, discretize,
+                        doubling, equilibrium_state, leading_triple, linear_map,
                         log_derivative_weight, manneville_pomeau,
                         perturbed_doubling, pressure, pressure_oracle_periodic,
                         pressure_oracle_tree, translated_doubling,
@@ -22,6 +22,12 @@ from conftest import builtin_maps
 def test_pressure_doubling_is_log2():
     assert pressure(doubling(), zero_potential(), Discretization(n=256)) == \
         pytest.approx(math.log(2), abs=1e-12)
+
+
+def test_pressure_obeys_the_solver_limits_of_its_discretization():
+    # MP alpha = 0.5 needs far more than two power steps
+    with pytest.raises(SolverError, match="no eigenvalue convergence in 2 iterations"):
+        pressure(manneville_pomeau(0.5), zero_potential(), Discretization(n=256, max_iter=2))
 
 
 def test_pressure_degree3_is_log3():
@@ -188,7 +194,7 @@ def test_dimension_absent_for_generic_potential():
 
 def test_equilibrium_state_reads_map_and_potential_from_the_triple():
     pd, phi = perturbed_doubling(0.3), trig_polynomial(cos_coeffs=[0.1])
-    triple = triple_at(OperatorSetup.of(pd, Discretization(n=128)), phi)
+    triple = triple_at(OperatorSetup(pd, Discretization(n=128)), phi)
     mixed = equilibrium_state(doubling(), zero_potential(), triple=triple)
     own = equilibrium_state(pd, phi, triple=triple)
     assert (mixed.entropy, mixed.lyapunov, mixed.dimension) == \
