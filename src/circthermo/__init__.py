@@ -12,7 +12,7 @@ from .errors import (
 )
 from .maps import (
     BranchMap, HypothesisAux, HypothesisReport, ParamFamily, Potential,
-    check_hypotheses, circle_distance, constant, constant_family, doubling,
+    check_hypotheses, constant, constant_family, doubling,
     grid_potential, linear_map, log_derivative_weight, manneville_pomeau,
     perturbed_doubling, perturbed_doubling_family, translated_doubling,
     translated_doubling_family, trig_polynomial, wrap, zero_potential,

@@ -39,12 +39,6 @@ def lift_target(lift0, k, x):
     return x + (np.ceil(lift0 - x) + k)
 
 
-def circle_distance(x, y):
-    """d(x, y) = min(|x - y|, 1 - |x - y|) on R/Z."""
-    d = np.abs(wrap(x) - wrap(y))
-    return np.minimum(d, 1.0 - d)
-
-
 def monotone_root(fn, u, lo, hi, flo, fhi, tol=_NEWTON_RESIDUAL, describe=None):
     """Solve f(y) = u for increasing f on brackets [lo, hi] where
     f(lo) = flo and f(hi) = fhi; fn(y) returns the pair (f(y), slope),

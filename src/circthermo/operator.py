@@ -10,7 +10,9 @@ fast on smooth data) and a weighted Ulam scheme (cell-transfer Galerkin
 projection, positivity preserving) used as an independent cross-check.
 A Discretization names one (N, scheme, interpolation, eigensolve limits);
 an OperatorSetup computes its map-and-grid geometry once and reweights it
-for each potential, and `discretize` is the one-shot form.
+for each potential, and `discretize` is the one-shot form.  An
+OperatorBlock applies the operators of several potentials, one to each
+column of a block, straight from that geometry.
 The local stencils (linear collocation and Ulam) are stored in CSR form in
 float64; Fourier collocation and extended precision are stored dense.
 scipy.sparse is imported where the first CSR matrix is built.  Grid values
@@ -62,8 +64,9 @@ class Grid:
 @dataclass(frozen=True)
 class Discretization:
     """How a leading triple is computed, checked here once: grid size N
-    (>= 2), scheme, interpolation (Ulam takes only the default; its values
-    follow the "cell" rule) and the eigensolve limits tol and max_iter."""
+    (an integer >= 2), scheme, interpolation (Ulam takes only the default;
+    its values follow the "cell" rule) and the eigensolve limits tol
+    (finite, > 0) and max_iter (an integer >= 1)."""
     n: int = 512
     scheme: str = "collocation"
     interpolation: str = "linear"
@@ -71,7 +74,15 @@ class Discretization:
     max_iter: int = 100000
 
     def __post_init__(self):
+        for key in ("n", "max_iter"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         Grid(self.n)   # refuses N < 2
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter={self.max_iter} must be >= 1")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol={self.tol} must be finite and > 0")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.interpolation not in NODAL_RULES:
@@ -177,8 +188,9 @@ class GridFunction:
 class DiscretizedOperator:
     """Transfer matrix M on a grid, stored as CSR or as a dense array.
 
-    `apply` (v -> M v) and `apply_left` (w -> w M) work on either form;
-    `matrix` is always the dense array, built on first use from CSR.
+    `apply` (v -> M v) and `apply_left` (w -> w M) work on either form, on
+    a vector or on each column of an (N, K) block; `matrix` is always the
+    dense array, built on first use from CSR.
     """
     storage: Union[np.ndarray, sparse.csr_matrix]
     grid: Grid
@@ -207,16 +219,13 @@ class DiscretizedOperator:
 
     def apply_left(self, weights):
         if isinstance(self.storage, np.ndarray):
-            return np.asarray(weights) @ self.storage
+            return self.storage.T @ np.asarray(weights)
         if self._left is None:
             self._left = self.storage.T.tocsr()
         return self._left @ np.asarray(weights)
 
     def grid_function(self, values):
         return GridFunction(self.grid, np.asarray(values), self.interpolation)
-
-    def row_sums(self):
-        return np.asarray(self.storage.sum(axis=1)).ravel()
 
     def export_csv(self, path):
         """Dense text dump with a header naming scheme, N, and the map tag.
@@ -342,8 +351,10 @@ class OperatorSetup:
     for Fourier); Ulam cuts the arcs between the sorted preimages into
     pieces and stores their midpoints y* and F'(y*) |piece| / |cell|, in
     float64 only.  `operator(pot)` only evaluates e^{pot} at the stored
-    points and combines.  A caller that sweeps the potential holds one
-    setup for the sweep; nothing outlives the caller that holds it.
+    points and combines; an OperatorBlock applies several potentials'
+    operators from the same points without assembling any.  A caller that
+    sweeps the potential holds one setup for the sweep; nothing outlives
+    the caller that holds it.
     """
 
     def __init__(self, branch_map: BranchMap, disc: Discretization, dtype=np.float64):
@@ -416,10 +427,26 @@ class OperatorSetup:
         self._rows, self._cols = cells[arc[piece]], j[piece] % n
         self._factors = np.asarray(self.branch_map.dlift(self.points)) * (hi - lo) * n
 
+    def weights(self, pot: Potential):
+        """e^{pot} at the stored points in the working dtype.
+
+        A weight that is not finite there (an overflowing or NaN potential)
+        is refused before it reaches an eigensolver.
+        """
+        values = np.asarray(pot(self.points), dtype=self.dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = np.exp(values)
+        if not np.all(np.isfinite(weights)):
+            raise ConfigError(f"e^potential is not finite in {self.dtype}: the potential "
+                              f"reaches {np.max(values):.6g} at the preimages")
+        return weights
+
     def operator(self, pot: Potential) -> DiscretizedOperator:
         """The transfer matrix weighted by e^{pot}, from the stored geometry."""
+        return self._assemble(pot, self.weights(pot))
+
+    def _assemble(self, pot, weights) -> DiscretizedOperator:
         n = self.grid.n_cells
-        weights = np.exp(np.asarray(pot(self.points), dtype=self.dtype))
         if self._cards is not None:
             mat = np.einsum("kn,knm->nm", weights, self._cards)
         else:
@@ -431,6 +458,59 @@ class OperatorSetup:
         return DiscretizedOperator(
             mat, self.grid, self.disc.scheme, self.disc.rule, self.branch_map, pot,
             dropped_entries=self.dropped_entries)
+
+
+class OperatorBlock:
+    """The operators M_k of a setup's potentials pots[k], one per column.
+
+    `apply(V)` and `apply_left(W)` return M_k V[:, k] and M_k^T W[:, k]
+    with no N x N matrix assembled.  M = sum_j diag(e^{pot}(y_j)) C_j, so
+    on the Fourier cards a product is d GEMMs (the left one as
+    (X^T C_j)^T, summed over j inside one GEMM); on the (row, column,
+    factor) triplets of linear collocation and Ulam it is a gather and a
+    sparse sum.  `keep(mask)` drops columns, and `operator(k)` assembles
+    M_k of a kept column from the weights the block holds.
+    """
+
+    def __init__(self, setup: OperatorSetup, pots):
+        self.setup, self.pots = setup, list(pots)
+        self.grid, self.dtype = setup.grid, setup.dtype
+        self._live = np.arange(len(self.pots))
+        self._weights = np.stack([setup.weights(pot) for pot in self.pots], axis=-1)
+        if setup._cards is not None:
+            return
+        from scipy import sparse
+        nnz, n = len(setup._factors), self.grid.n_cells
+        ones, at = np.ones(nnz), np.arange(nnz)
+        self._row_sum, self._col_sum = (sparse.csr_matrix((ones, (idx, at)), shape=(n, nnz))
+                                        for idx in (setup._rows, setup._cols))
+        # the triplet values of each column, (nnz, K); linear collocation
+        # repeats each preimage weight in its two columns
+        weights = self._weights.reshape(-1, len(self.pots))
+        self._vals = np.tile(weights, (nnz // len(weights), 1))
+        self._vals *= setup._factors[:, None]
+
+    def apply(self, v):
+        cards = self.setup._cards
+        if cards is not None:
+            return (self._weights * (cards @ v)).sum(axis=0)
+        return self._row_sum @ (self._vals * v[self.setup._cols])
+
+    def apply_left(self, w):
+        cards = self.setup._cards
+        if cards is not None:
+            y = (self._weights * w).reshape(-1, w.shape[1])
+            return (y.T @ cards.reshape(y.shape[0], -1)).T
+        return self._col_sum @ (self._vals * w[self.setup._rows])
+
+    def keep(self, mask):
+        self._live, self._weights = self._live[mask], self._weights[..., mask]
+        if self.setup._cards is None:
+            self._vals = self._vals[:, mask]
+
+    def operator(self, k) -> DiscretizedOperator:
+        column = np.searchsorted(self._live, k)
+        return self.setup._assemble(self.pots[k], self._weights[..., column])
 
 
 def discretize(branch_map: BranchMap, pot: Potential, disc: Discretization,

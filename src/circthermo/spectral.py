@@ -2,12 +2,17 @@
 
 The triple (lambda, h, nu) is obtained by two-sided power iteration seeded
 at the constant function and the uniform weight vector, mirroring the limit
-h = lim lambda^{-n} L^n 1.  A float64 operator that has not converged after
-ARNOLDI_HANDOVER steps (a slowly mixing map, where tau is near 1) is handed
-to implicitly restarted Arnoldi (ARPACK), started from the current iterates
-on M and on its transpose; extended precision stays with power iteration.
-Normalization order: nu to total mass one first, then h so that its
-nu-integral is one.
+h = lim lambda^{-n} L^n 1.  One loop, `_power_block`, iterates the columns
+of an (N, K) block, each on its own operator: `leading_triple` is its
+one-column case on an assembled operator, and `eigenvalues_at` solves the
+operators of several potentials together on an OperatorBlock, which applies
+them from the setup's stored geometry.  Each column stops, and is refused,
+on its own.  A float64 column that has not converged after
+ARNOLDI_HANDOVER steps (a slowly mixing map, where tau is near 1) finishes
+alone by implicitly restarted Arnoldi (ARPACK) on its assembled operator,
+started from its current iterates on M and on its transpose; extended
+precision stays with power iteration.  Normalization order: nu to total
+mass one first, then h so that its nu-integral is one.
 
 The resolvent (I - Ltilde)^{-1} on the zero-mean subspace is one float64
 bordered solve for every dtype: numpy.linalg.solve of a dense border kept
@@ -28,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, SchemeQualityError, SolverError
 from .maps import Potential
-from .operator import DiscretizedOperator, GridFunction, OperatorSetup
+from .operator import DiscretizedOperator, GridFunction, OperatorBlock, OperatorSetup
 
 NEGATIVE_MASS_LIMIT = 1e-8
 RESOLVENT_RESIDUAL_TOL = 1e-10
@@ -83,59 +88,119 @@ def leading_triple(op: DiscretizedOperator, tol: float = 1e-12,
                    max_iter: int = 100000) -> SpectralTriple:
     """Two-sided power iteration for the dominant eigentriple.
 
-    Convergence is declared when successive Rayleigh quotients differ by
+    The one-column case of `_power_block`, on the assembled operator:
+    convergence is declared when successive Rayleigh quotients differ by
     less than tol; failure to converge raises with the last residual.  A
     float64 operator still unconverged after ARNOLDI_HANDOVER steps
     continues by Arnoldi from the current iterates, and its normalized
     triple must then meet the same residual tolerance.  Either way at most
     max_iter operator applications are made.
     """
-    if tol < 1e-14 and op.dtype == np.float64:
+    (lam,), h, nu, (clipped,), (iterations,) = _power_block(op, lambda k: op, tol, max_iter)
+    hv, nu = h[:, 0], nu[:, 0]
+    resid_right, resid_left = _residuals(op, lam, hv, nu)
+    return SpectralTriple(lam=lam, h=op.grid_function(hv), nu=nu, op=op,
+                          iterations=int(iterations), residual_right=resid_right,
+                          residual_left=resid_left, clipped_nu_mass=float(clipped))
+
+
+def eigenvalues_at(setup: OperatorSetup, pots, names) -> np.ndarray:
+    """Leading eigenvalue of the operator `setup` assembles for each of pots.
+
+    All are solved as one `_power_block` on an OperatorBlock, under the
+    limits of `setup.disc`, so each equals `triple_at`'s up to rounding.
+    names[k] ends every refusal of column k.
+    """
+    block = OperatorBlock(setup, pots)
+    return _power_block(block, block.operator, setup.disc.tol, setup.disc.max_iter, names)[0]
+
+
+def _power_block(block, assemble, tol, max_iter, names=("",)):
+    """Two-sided power iteration on the columns of an (N, K) block.
+
+    Column k iterates on its own operator M_k (`block.apply`,
+    `block.apply_left`) and keeps `leading_triple`'s rules on its own: the
+    stopping test, the collapse check, then normalization (nu to total mass
+    one first, then h so that its nu-integral is one) with the negative-mass
+    and positivity refusals.  A stopped column leaves the block
+    (`block.keep(mask)`, called only while another column stays live).  A
+    float64 column still live after ARNOLDI_HANDOVER steps finishes alone
+    by `_arnoldi_pair` on assemble(k), from its current iterates, and must
+    meet rtol.  names[k] ends every refusal of column k.  Returns lam (K,),
+    h and nu (N, K), the clipped nu masses and the iterations (K,).
+    """
+    dtype, n = block.dtype, block.grid.n_cells
+    if tol < 1e-14 and dtype == np.float64:
         raise ConfigError(f"tol={tol} below float64 attainable accuracy")
     if max_iter < 1:
         raise ConfigError(f"max_iter={max_iter} must be >= 1")
-    apply, apply_left = op.apply, op.apply_left
-    n = op.grid.n_cells
-    dtype = op.dtype
-    v = np.ones(n, dtype=dtype)
-    w = np.full(n, 1.0 / n, dtype=dtype)
-    resid_floor = 50.0 * n * float(np.finfo(dtype).eps)
-    rtol = max(tol, resid_floor)
+    size = len(names)
+    rtol = max(tol, 50.0 * n * float(np.finfo(dtype).eps))
     # ARPACK needs n >= 3 for one eigenpair
     power_steps = max_iter
     if dtype == np.float64 and n >= 3:
         power_steps = min(max_iter, ARNOLDI_HANDOVER)
-    lam_prev = None
-    lam = None
-    iterations = 0
-    arnoldi = False
-    for iterations in range(1, power_steps + 1):
-        mv = apply(v)
-        wm = apply_left(w)
-        lam = (w @ mv) / (w @ v)          # scalar in the working dtype
-        # eigenvector residuals of the *previous* iterates come for free
-        rr = float(np.max(np.abs(mv - lam * v)) / abs(lam))
-        rl = float(np.sum(np.abs(wm - lam * w)) / (abs(lam) * np.sum(np.abs(w))))
-        v = mv / lam
-        wsum = wm.sum()
-        if wsum == 0:
-            raise SolverError("left power iteration collapsed to zero")
-        w = wm / wsum
-        if (lam_prev is not None
-                and abs(float(lam) - lam_prev) < tol * max(1.0, abs(float(lam)))
-                and rr < rtol and rl < rtol):
-            break
-        lam_prev = float(lam)
-    else:
-        resid = float(np.max(np.abs(apply(v) - lam * v)) / abs(lam))
-        if power_steps == max_iter:
-            raise SolverError(
-                f"no eigenvalue convergence in {max_iter} iterations; "
-                f"last residual {resid:.3e} (gapless or mis-assembled operator?)")
-        lam, v, w, matvecs = _arnoldi_pair(op, v, w, max_iter - power_steps, resid)
-        iterations += matvecs
-        arnoldi = True
+    lams = np.empty(size, dtype=dtype)
+    h, nu = np.empty((n, size), dtype=dtype), np.empty((n, size), dtype=dtype)
+    clipped, iterations = np.zeros(size), np.zeros(size, dtype=int)
 
+    def finish(k, lam, v, w, steps):
+        lams[k], iterations[k] = lam, steps
+        h[:, k], nu[:, k], clipped[k] = _normalized(v, w, dtype, names[k])
+
+    v = np.ones((n, size), dtype=dtype)
+    w = np.full((n, size), 1.0 / n, dtype=dtype)
+    live = np.arange(size)
+    lam_prev = np.full(size, np.nan)
+    for step in range(1, power_steps + 1):
+        mv = block.apply(v)
+        wm = block.apply_left(w)
+        lam = np.vecdot(w, mv, axis=0) / np.vecdot(w, v, axis=0)   # in the working dtype
+        lam_f = np.asarray(lam, dtype=float)
+        settled = np.abs(lam_f - lam_prev) < tol * np.maximum(1.0, np.abs(lam_f))
+        lam_prev = lam_f
+        done = ()
+        if np.count_nonzero(settled):
+            # eigenvector residuals of the *previous* iterates come for free;
+            # they decide only once the eigenvalue has settled
+            scale = np.abs(lam)
+            rr = (np.abs(mv - lam * v).max(axis=0) / scale).astype(float)
+            rl = (np.abs(wm - lam * w).sum(axis=0) / (scale * np.abs(w).sum(axis=0))).astype(float)
+            done = np.flatnonzero(settled & (rr < rtol) & (rl < rtol))
+        v = mv / lam
+        wsum = wm.sum(axis=0)
+        if np.count_nonzero(wsum) < wsum.size:
+            raise SolverError("left power iteration collapsed to zero"
+                              + names[live[np.argmin(wsum != 0)]])
+        w = wm / wsum
+        if len(done):
+            for c in done:
+                finish(live[c], lam[c], v[:, c], w[:, c], step)
+            if len(done) == live.size:
+                return lams, h, nu, clipped, iterations
+            keep = np.ones(live.size, dtype=bool)
+            keep[done] = False
+            live, lam, lam_prev, v, w = live[keep], lam[keep], lam_prev[keep], v[:, keep], w[:, keep]
+            block.keep(keep)
+    resid = np.max(np.abs(block.apply(v) - lam * v), axis=0) / np.abs(lam)
+    for c, k in enumerate(live):
+        last = f"{float(resid[c]):.3e}"
+        if power_steps == max_iter:
+            raise SolverError(f"no eigenvalue convergence in {max_iter} iterations; last "
+                              f"residual {last} (gapless or mis-assembled operator?){names[k]}")
+        op = assemble(k)
+        lam_k, v_k, w_k, matvecs = _arnoldi_pair(op, v[:, c], w[:, c], max_iter - power_steps,
+                                                 f"last power residual {last}{names[k]}")
+        finish(k, lam_k, v_k, w_k, power_steps + matvecs)
+        worst = max(_residuals(op, lam_k, h[:, k], nu[:, k]))
+        if not worst <= rtol:
+            raise SolverError(f"Arnoldi eigentriple residual {worst:.3e} "
+                              f"exceeds {rtol:.3e}{names[k]}")
+    return lams, h, nu, clipped, iterations
+
+
+def _normalized(v, w, dtype, name):
+    """h and nu of one column, and the negative nu mass clipped to zero."""
     nu = np.asarray(w, dtype=dtype).copy()
     if nu.sum() < 0:
         nu = -nu
@@ -144,7 +209,7 @@ def leading_triple(op: DiscretizedOperator, tol: float = 1e-12,
     if clipped > NEGATIVE_MASS_LIMIT:
         raise SchemeQualityError(
             f"conformal weights carry negative mass {clipped:.3e} > "
-            f"{NEGATIVE_MASS_LIMIT}; discretization untrustworthy")
+            f"{NEGATIVE_MASS_LIMIT}; discretization untrustworthy{name}")
     if clipped > 0.0:
         nu = np.where(neg, 0.0, nu)
     nu = nu / nu.sum()
@@ -156,21 +221,17 @@ def leading_triple(op: DiscretizedOperator, tol: float = 1e-12,
     if np.any(hv <= 0):
         raise SchemeQualityError(
             "eigenfunction is not positive at all nodes; "
-            "refine the grid or switch scheme")
-
-    h = op.grid_function(hv)
-    resid_right = float(np.max(np.abs(apply(hv) - lam * hv)) / abs(lam))
-    resid_left = float(np.sum(np.abs(apply_left(nu) - lam * nu)) / abs(lam))
-    if arnoldi and not max(resid_right, resid_left) <= rtol:
-        raise SolverError(
-            f"Arnoldi eigentriple residual {max(resid_right, resid_left):.3e} "
-            f"exceeds {rtol:.3e}")
-    return SpectralTriple(lam=lam, h=h, nu=nu, op=op, iterations=iterations,
-                          residual_right=resid_right, residual_left=resid_left,
-                          clipped_nu_mass=clipped)
+            f"refine the grid or switch scheme{name}")
+    return hv, nu, clipped
 
 
-def _arnoldi_pair(op: DiscretizedOperator, v, w, budget: int, resid: float):
+def _residuals(op: DiscretizedOperator, lam, hv, nu):
+    """Relative right (sup norm) and left (l1) eigen-residuals of (lam, h, nu)."""
+    return (float(np.max(np.abs(op.apply(hv) - lam * hv)) / abs(lam)),
+            float(np.sum(np.abs(op.apply_left(nu) - lam * nu)) / abs(lam)))
+
+
+def _arnoldi_pair(op: DiscretizedOperator, v, w, budget: int, note: str):
     """Leading right and left eigenvectors of a float64 operator by ARPACK.
 
     Continues the power iteration: eigs(k=1) on M from v and on M^T (the
@@ -178,7 +239,8 @@ def _arnoldi_pair(op: DiscretizedOperator, v, w, budget: int, resid: float):
     on both together.  Returns the two-sided Rayleigh quotient, the
     vectors (w scaled to sum one) and the matvecs spent.  An ARPACK error
     (non-convergence included), a spent budget or a complex leading Ritz
-    value raises with `resid`, the residual of the last power iterate.
+    value raises, ending with `note` (the residual of the last power
+    iterate).
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
     n = op.grid.n_cells
@@ -189,8 +251,7 @@ def _arnoldi_pair(op: DiscretizedOperator, v, w, budget: int, resid: float):
             nonlocal spent
             spent += 1
             if spent > budget:
-                raise SolverError(f"Arnoldi eigensolve spent its {budget} matvecs; "
-                                  f"last power residual {resid:.3e}")
+                raise SolverError(f"Arnoldi eigensolve spent its {budget} matvecs; {note}")
             return apply(x)
         return matvec
 
@@ -201,11 +262,10 @@ def _arnoldi_pair(op: DiscretizedOperator, v, w, budget: int, resid: float):
         (theta_l,), vl = eigs(LinearOperator((n, n), left, dtype=np.float64),
                               k=1, v0=w)
     except ArpackError as exc:    # non-convergence, or no factorization of non-finite data
-        raise SolverError(f"Arnoldi eigensolve failed ({exc}); "
-                          f"last power residual {resid:.3e}") from exc
+        raise SolverError(f"Arnoldi eigensolve failed ({exc}); {note}") from exc
     if theta_r.imag != 0.0 or theta_l.imag != 0.0:
         raise SolverError(f"leading Ritz values {theta_r:.6g}, {theta_l:.6g} are not "
-                          f"both real; last power residual {resid:.3e}")
+                          f"both real; {note}")
     v, w = vr[:, 0].real, vl[:, 0].real
     w = w / w.sum()
     lam = (w @ right(v)) / (w @ v)

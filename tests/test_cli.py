@@ -304,6 +304,21 @@ def test_overflowing_alpha_exits_config(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,overrides", [
+    ("pressure", {"potential": {"form": "constant", "c": 800.0}}),
+    ("free-energy", {"free_energy": {"observable": {"form": "trig", "cos": [1.0]},
+                                     "t0": float("inf")}}),
+    ("free-energy", {"free_energy": {"observable": {"form": "trig", "cos": [1.0]},
+                                     "t0": 1000.0}}),
+], ids=["overflowing-potential", "infinite-t0", "huge-t0"])
+def test_non_finite_weights_exit_config_before_lapack(tmp_path, capfd, command, overrides):
+    cfg = base_config(hypotheses={"enforce": False}, output={"dir": str(tmp_path / "out")},
+                      **overrides)
+    assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    err = capfd.readouterr().err
+    assert "config error:" in err and "DLASCL" not in err and "ARPACK" not in err
+
+
 @pytest.mark.parametrize("scan", [{"start": 0.0, "stop": 1e300, "step": 0.01},
                                   {"start": 0.0, "stop": float(SCAN_ROW_GUARD), "step": 1.0}],
                          ids=["overflowing", "one-past-guard"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from circthermo import (BranchMap, ConfigError, Grid, HypothesisAux, SmoothnessError,
-                        SolverError, check_hypotheses, circle_distance, constant, doubling,
+                        SolverError, check_hypotheses, constant, doubling,
                         grid_potential, linear_map, log_derivative_weight,
                         manneville_pomeau, perturbed_doubling, translated_doubling,
                         trig_polynomial, wrap, zero_potential)
@@ -31,8 +31,9 @@ def test_preimages_mp_alpha1_half():
     ys = mp.preimages(0.5)
     assert abs(ys[0] - root) < 1e-12
     assert abs(ys[1] - 0.75) < 1e-12
-    # forward evaluation confirms both
-    assert np.max(circle_distance(mp(ys), 0.5)) < 1e-12
+    # forward evaluation confirms both, on the circle
+    d = np.abs(wrap(mp(ys)) - 0.5)
+    assert np.max(np.minimum(d, 1.0 - d)) < 1e-12
 
 
 def test_preimages_degree3_endpoint_tie():
@@ -47,7 +48,8 @@ def test_preimage_forward_identity(bmap):
     xs = rng.random(1000)
     ys = bmap.preimages(xs)
     assert ys.shape == (bmap.degree, 1000)
-    assert float(np.max(circle_distance(bmap(ys), xs[None, :]))) < 1e-12
+    d = np.abs(wrap(bmap(ys)) - wrap(xs[None, :]))   # distance on the circle
+    assert float(np.max(np.minimum(d, 1.0 - d))) < 1e-12
 
 
 @pytest.mark.parametrize("bmap", builtin_maps(), ids=lambda m: m.family_tag)

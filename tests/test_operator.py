@@ -19,7 +19,7 @@ from circthermo import (BranchMap, ConfigError, Discretization, Grid, GridFuncti
                         manneville_pomeau, perturbed_doubling,
                         pressure_oracle_tree, translated_doubling,
                         trig_polynomial, zero_potential)
-from circthermo.operator import trig_interp_matrix
+from circthermo.operator import OperatorBlock, trig_interp_matrix
 from circthermo.response import d_transfer_n_d_dynamics
 from circthermo.spectral import leading_triple
 
@@ -206,7 +206,8 @@ def test_collocation_row_sums_constant_potential(interpolation):
     for bmap in (doubling(), manneville_pomeau(1.0), translated_doubling(0.2)):
         op = discretize(bmap, constant(0.3), Discretization(n=64, interpolation=interpolation))
         target = bmap.degree * math.exp(0.3)
-        assert np.max(np.abs(op.row_sums() - target)) < 5e-13
+        row_sums = np.asarray(op.storage.sum(axis=1)).ravel()
+        assert np.max(np.abs(row_sums - target)) < 5e-13
 
 
 @pytest.mark.parametrize("bmap", builtin_maps(), ids=lambda m: m.family_tag)
@@ -467,6 +468,68 @@ def test_reused_setup_matches_fresh_build(scheme, interpolation, dtype):
     assert reused.potential is pot
 
 
+@pytest.mark.parametrize("scheme,interpolation,dtype", [
+    ("collocation", "linear", np.float64),
+    ("collocation", "fourier", np.float64),
+    ("ulam", "linear", np.float64),
+    ("collocation", "linear", np.longdouble),
+    ("collocation", "fourier", np.longdouble),
+])
+def test_block_products_match_assembled_operators(scheme, interpolation, dtype):
+    mp = manneville_pomeau(0.5)
+    setup = OperatorSetup(mp, Discretization(n=96, scheme=scheme, interpolation=interpolation),
+                          dtype)
+    pots = [log_derivative_weight(-1.0, mp) + t * trig_polynomial(cos_coeffs=[1.0])
+            for t in (-0.3, 0.0, 0.2)]
+    block = OperatorBlock(setup, pots)
+    rng = np.random.Generator(np.random.Philox(key=5))
+    v, w = (rng.random((96, 3)).astype(dtype) for _ in range(2))
+    ops = [setup.operator(pot) for pot in pots]
+    eps = float(np.finfo(dtype).eps)
+
+    def close(block_product, products):
+        for k, product in enumerate(products):
+            assert block_product.dtype == dtype
+            err = np.max(np.abs(block_product[:, k] - product)) / np.max(np.abs(product))
+            assert err <= 64 * eps, (k, err)
+
+    close(block.apply(v), [op.apply(v[:, k]) for k, op in enumerate(ops)])
+    close(block.apply_left(w), [op.apply_left(w[:, k]) for k, op in enumerate(ops)])
+    block.keep(np.array([True, False, True]))
+    close(block.apply(v[:, [0, 2]]), [ops[0].apply(v[:, 0]), ops[2].apply(v[:, 2])])
+    assert block.operator(1).potential is pots[1]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0}, {"tol": -1e-12},
+    {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": True}, {"n": 64.0}, {"n": True},
+], ids=["tol-nan", "tol-inf", "tol-zero", "tol-negative", "max_iter-zero", "max_iter-float",
+        "max_iter-bool", "n-float", "n-bool"])
+def test_discretization_refuses_limits_it_cannot_use(kwargs):
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        Discretization(**kwargs)
+
+
+def test_discretization_takes_numpy_integers():
+    disc = Discretization(n=np.int64(64), max_iter=np.int32(7))
+    assert disc.grid.n_cells == 64 and disc.max_iter == 7
+
+
+@pytest.mark.parametrize("scheme,interpolation", [("collocation", "fourier"),
+                                                  ("collocation", "linear"),
+                                                  ("ulam", "linear")])
+@pytest.mark.parametrize("pot,reaches", [(constant(800.0), "800"),
+                                         (constant(float("nan")), "nan")],
+                         ids=["overflow", "nan"])
+def test_non_finite_weights_are_refused_before_any_solve(scheme, interpolation, pot, reaches):
+    setup = OperatorSetup(doubling(), Discretization(n=64, scheme=scheme,
+                                                     interpolation=interpolation))
+    with pytest.raises(ConfigError, match=f"not finite in float64.*reaches {reaches}"):
+        setup.operator(pot)
+    with pytest.raises(ConfigError, match=f"reaches {reaches}"):
+        OperatorBlock(setup, [zero_potential(), pot])
+
+
 def test_free_energy_builds_cardinal_matrix_once(monkeypatch):
     calls = []
 
@@ -480,11 +543,13 @@ def test_free_energy_builds_cardinal_matrix_once(monkeypatch):
     curve = free_energy(doubling(), zero_potential(), psi, t0=0.2, n_t=41,
                         disc=disc)
     assert len(calls) == 1
-    # a sweep point equals the pressure difference of freshly built operators
+    # each node is the pressure difference of freshly built operators, to
+    # rounding: the block applies the cards without assembling them
     p0 = math.log(leading_triple(discretize(doubling(), zero_potential(), disc)).lam)
-    t = float(curve.nodes[3])
-    pt = math.log(leading_triple(discretize(doubling(), zero_potential() + t * psi, disc)).lam)
-    assert curve.node_values[3] == pt - p0
+    for t, value in zip(curve.nodes, curve.node_values):
+        pt = math.log(leading_triple(discretize(doubling(), zero_potential() + float(t) * psi,
+                                                disc)).lam)
+        assert abs(value - (pt - p0)) <= 1e-14
 
 
 def test_ulam_wrap_handling_translated_family():

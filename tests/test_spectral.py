@@ -16,7 +16,7 @@ from circthermo import (ConfigError, Discretization, Grid, SchemeQualityError, c
                         log_derivative_weight, manneville_pomeau,
                         perturbed_doubling, resolvent_solve, trig_polynomial,
                         zero_potential)
-from circthermo.operator import DiscretizedOperator
+from circthermo.operator import DiscretizedOperator, OperatorSetup
 
 
 @pytest.mark.parametrize("scheme,interpolation", [("collocation", "linear"),
@@ -500,9 +500,27 @@ def test_complex_leading_ritz_value_raises():
         leading_triple(op)
 
 
+@pytest.mark.parametrize("scheme,interpolation", [("collocation", "fourier"),
+                                                  ("collocation", "linear"),
+                                                  ("ulam", "linear")])
+def test_block_eigenvalues_match_single_triples(scheme, interpolation):
+    bmap = perturbed_doubling(0.1)
+    setup = OperatorSetup(bmap, Discretization(n=256, scheme=scheme,
+                                               interpolation=interpolation))
+    psi = trig_polynomial(cos_coeffs=[1.0], sin_coeffs=[0.3])
+    pots = [zero_potential() + t * psi for t in np.linspace(-0.2, 0.2, 9)]
+    lams = spectral.eigenvalues_at(setup, pots, [""] * len(pots))
+    single = [leading_triple(setup.operator(pot)).lam for pot in pots]
+    assert np.max(np.abs(lams / single - 1.0)) <= 1e-14
+
+
 def test_overflowing_weights_raise_solver_error():
-    # e^{1e300} is inf, so the power iterates are NaN when Arnoldi takes over
-    with np.errstate(over="ignore", invalid="ignore"):
-        op = discretize(doubling(), constant(1e300), Discretization(n=64))
+    # a setup refuses e^{1e300} = inf before any eigensolve
+    with pytest.raises(ConfigError, match="reaches 1e\\+300"):
+        discretize(doubling(), constant(1e300), Discretization(n=64))
+    # an operator that holds non-finite weights all the same has NaN power
+    # iterates when Arnoldi takes over
+    op = discretize(doubling(), zero_potential(), Discretization(n=64))
+    op.storage.data[:] = np.nan
     with pytest.raises(SolverError, match="residual nan"):
         leading_triple(op)

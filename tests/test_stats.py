@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from circthermo import (ConfigError, Discretization, HypothesisError,
-                        HypothesisAux, SchemeQualityError, clt_parameters,
+                        HypothesisAux, SchemeQualityError, SolverError, clt_parameters,
                         constant, constant_family, correlation,
                         d_correlation_d_dynamics, deviation_probability,
                         doubling, free_energy, ldp_monte_carlo, leading_triple,
@@ -16,7 +16,7 @@ from circthermo import (ConfigError, Discretization, HypothesisError,
                         rate_continuity_scan,
                         rate_function, translated_doubling_family,
                         trig_polynomial, zero_potential)
-from circthermo import stats
+from circthermo import spectral, stats
 from circthermo.operator import OperatorSetup
 from circthermo.spectral import gap_estimate, triple_at
 from circthermo.stats import FOURIER_MODES, MC_BLOCK, legendre_sup
@@ -245,23 +245,96 @@ def test_free_energy_matches_direct_pressures_off_the_nodes():
     assert err <= 1e-12, err
 
 
+def _counted_columns(monkeypatch):
+    """The t of every block column free_energy solves, one list per block."""
+    blocks = []
+    original = stats.eigenvalues_at
+
+    def counted(setup, pots, names):
+        # phi + t cos 2 pi x at x = 0 is t
+        blocks.append([float(pot(np.zeros(1))[0]) for pot in pots])
+        return original(setup, pots, names)
+
+    monkeypatch.setattr(stats, "eigenvalues_at", counted)
+    return blocks
+
+
 def test_free_energy_solves_each_node_once(monkeypatch):
-    ts = []
-    original = stats.triple_at
-
-    def counted(setup, pot, **kwargs):
-        ts.append(float(pot(np.zeros(1))[0]))        # phi + t cos 2 pi x at x = 0 is t
-        return original(setup, pot, **kwargs)
-
-    monkeypatch.setattr(stats, "triple_at", counted)
+    blocks = _counted_columns(monkeypatch)
     curve = free_energy(doubling(), zero_potential(), PSI_COS, t0=0.2, disc=DISC_F)
-    # 9 nodes, then the 8 that 17 adds: no pressure is solved twice
+    # the first two levels as one block of 17: no pressure is solved twice
+    ts = [t for block in blocks for t in block]
+    assert len(blocks) == 1
     assert len(ts) == len(set(ts)) == len(curve.nodes) == 17
     np.testing.assert_array_equal(sorted(ts), curve.nodes)
     assert curve.nodes[8] == 0.0 and curve.node_values[8] == 0.0
     tail = abs(curve.coeffs[-2]) + abs(curve.coeffs[-1])
     assert curve.tail == tail
     assert 0.0 < tail <= stats.FREE_ENERGY_TAIL_TOL * max(1.0, np.max(np.abs(curve.node_values)))
+
+
+def test_free_energy_keeping_nine_nodes_solves_seventeen(monkeypatch):
+    blocks = _counted_columns(monkeypatch)
+    t0 = 0.4 ** 5
+    disc = Discretization(n=512, interpolation="fourier")
+    curve = free_energy(doubling(), zero_potential(), PSI_COS, t0=t0, disc=disc)
+    assert len(curve.nodes) == 9
+    assert [len(block) for block in blocks] == [17]
+    np.testing.assert_array_equal(sorted(blocks[0])[::2], curve.nodes)
+    # the kept nodes carry the pressures of the 17-node block
+    direct = _direct_free_energy(disc, curve.nodes)
+    assert np.max(np.abs(curve.node_values - direct)) <= 1e-14
+
+
+def test_free_energy_later_levels_are_one_block_each(monkeypatch):
+    blocks = _counted_columns(monkeypatch)
+    curve = free_energy(doubling(), zero_potential(), PSI_COS, t0=1.2,
+                        disc=Discretization(n=512))
+    assert len(curve.nodes) == 33
+    assert [len(block) for block in blocks] == [17, 16]
+    ts = [t for block in blocks for t in block]
+    assert len(ts) == len(set(ts)) == len(curve.nodes)
+
+
+def test_free_energy_refusal_names_the_node():
+    with pytest.raises(SchemeQualityError, match=r"negative mass.*\(node t=-?0\.05\)"):
+        free_energy(perturbed_doubling(0.5), trig_polynomial(cos_coeffs=[0.2]),
+                    trig_polynomial(cos_coeffs=[0.3]), t0=0.05,
+                    disc=Discretization(n=256, interpolation="fourier"))
+
+
+def test_free_energy_obeys_max_iter():
+    with pytest.raises(SolverError, match=r"no eigenvalue convergence in 2 iterations.*node t="):
+        free_energy(doubling(), zero_potential(), PSI_COS, t0=0.2,
+                    disc=Discretization(n=128, interpolation="fourier", max_iter=2))
+
+
+@pytest.mark.parametrize("t0", [math.inf, math.nan, 1000.0])
+def test_free_energy_refuses_a_t0_not_finite_or_overflowing(t0):
+    with pytest.raises(ConfigError, match="t0|not finite"):
+        free_energy(doubling(), zero_potential(), PSI_COS, t0=t0, disc=DISC_F)
+
+
+def test_free_energy_stragglers_finish_by_arnoldi_like_single_triples(monkeypatch):
+    # MP alpha = 0.5 at -log f': tau near 1, so every column is handed over
+    mp = manneville_pomeau(0.5)
+    phi = log_derivative_weight(-1.0, mp)
+    psi = trig_polynomial(cos_coeffs=[0.1])
+    disc = Discretization(n=1024)
+    handed = []
+    original = spectral._arnoldi_pair
+
+    def counted(op, *args):
+        handed.append(op.potential)
+        return original(op, *args)
+
+    monkeypatch.setattr(spectral, "_arnoldi_pair", counted)
+    curve = free_energy(mp, phi, psi, t0=0.05, disc=disc)
+    assert len(handed) == len(curve.nodes)
+    setup = OperatorSetup(mp, disc)
+    pressure = [math.log(leading_triple(setup.operator(phi + float(t) * psi)).lam)
+                for t in np.concatenate(([0.0], curve.nodes))]
+    assert np.max(np.abs(curve.node_values - (np.array(pressure[1:]) - pressure[0]))) <= 1e-14
 
 
 def test_free_energy_unresolved_raises_naming_the_tail(monkeypatch):
