@@ -22,7 +22,7 @@ from .operator import (
     apply_transfer_point, apply_transfer_tree, build_operator, discretize,
 )
 from .spectral import (
-    SpectralTriple, gap_estimate, leading_triple, resolvent_solve, triple_at,
+    SpectralTriple, gap_estimate, leading_triple, resolvent_solve,
 )
 from .thermo import (
     ThermoReport, equilibrium_state, pressure, pressure_oracle_periodic,

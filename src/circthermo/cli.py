@@ -32,12 +32,12 @@ from . import maps, stats
 from .errors import (ConfigError, HypothesisError, ResourceLimitError,
                      SchemeQualityError, SmoothnessError, SolverError)
 from .maps import HypothesisAux, ParamFamily, check_hypotheses
-from .operator import NODAL_RULES, SCHEMES, Discretization, OperatorSetup
+from .operator import NODAL_RULES, SCHEMES, Discretization, OperatorSetup, discretize
 from .response import (ResponseReport, central_difference, d_conformal_expectation,
                        d_density_d_potential, d_equilibrium_expectation,
                        d_lambda_d_potential, d_maxentropy_expectation,
                        d_pressure_d_dynamics, d_pressure_d_potential)
-from .spectral import gap_estimate, triple_at
+from .spectral import gap_estimate, leading_triple
 from .thermo import equilibrium_state, pressure
 
 EXIT_OK = 0
@@ -91,10 +91,13 @@ def _value(value, path, kind):
         return value
     if kind not in _KIND_NAMES:
         return kind(value, path)
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        # json reads NaN and Infinity, and an integer of any size
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        return float(value)
     if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
         return value
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
     raise ConfigError(f"{path}: expected {_KIND_NAMES[kind]}, got {value!r}")
 
 
@@ -480,7 +483,7 @@ def _cmd_check_hypotheses(config, block, branch_map, pot, hyp):
 
 
 def _triple(config, branch_map, pot):
-    return triple_at(OperatorSetup(branch_map, config.discretization), pot)
+    return leading_triple(discretize(branch_map, pot, config.discretization))
 
 
 def _cmd_pressure(config, block, branch_map, pot, hyp):
@@ -539,8 +542,8 @@ def _cmd_response(config, block, branch_map, pot, hyp):
         direction = build_potential(block["direction"], branch_map)
         # one setup serves the base triple and its two FD twins at +-eps
         setup = OperatorSetup(branch_map, disc)
-        triple = triple_at(setup, pot)
-        twins = {e: triple_at(setup, pot + e * direction) for e in (eps, -eps)}
+        triple = leading_triple(setup.operator(pot))
+        twins = {e: leading_triple(setup.operator(pot + e * direction)) for e in (eps, -eps)}
         value = analytic(branch_map, pot, direction, g, disc, triple)
         fd = central_difference(lambda e: twin(twins[e], g), eps)
         if kind == "density-potential":

@@ -124,7 +124,7 @@ class BranchMap:
 
         self._lift0 = float(np.asarray(lift(np.array([0.0])))[0])
         lift1 = float(np.asarray(lift(np.array([1.0])))[0])
-        if abs(lift1 - self._lift0 - self.degree) > 1e-9:
+        if not abs(lift1 - self._lift0 - self.degree) <= 1e-9:   # NaN fails too
             raise ConfigError(
                 f"lift must increase by degree over [0, 1]: "
                 f"F(1)-F(0) = {lift1 - self._lift0}, degree = {self.degree}")
@@ -154,14 +154,11 @@ class BranchMap:
     def _lift_and_slope(self, y):
         return self.lift(y), lambda i: self.dlift(y[i])
 
-    def _invert_lift(self, u, lo, hi, flo, fhi):
-        """Solve F(y) = u on brackets [lo, hi] where F(lo) = flo and F(hi) = fhi."""
-        return monotone_root(self._lift_and_slope, u, lo, hi, flo, fhi, describe=self._branch_of)
-
     def _compute_branch_bounds(self):
         ks = np.arange(1, self.degree)
-        interior = self._invert_lift(self._lift0 + ks, 0.0, 1.0,
-                                     self._lift0, self._lift0 + self.degree)
+        interior = monotone_root(self._lift_and_slope, self._lift0 + ks, 0.0, 1.0,
+                                 self._lift0, self._lift0 + self.degree,
+                                 describe=self._branch_of)
         return np.concatenate(([0.0], interior, [1.0]))
 
     def invert_branch(self, k, x):
@@ -169,9 +166,7 @@ class BranchMap:
 
         The root lies in branch k's domain [b_k, b_{k+1}] and solves
         F(y) = lift_target(F(0), k, x) = x + (m + k), with the integer m
-        chosen so that F(0) <= x + m < F(0) + 1.  It calls monotone_root
-        directly rather than through _invert_lift, so the (d, N) target array
-        is freed as soon as the solver has taken the unconverged points out.
+        chosen so that F(0) <= x + m < F(0) + 1.
         """
         x, k = wrap(np.asarray(x, dtype=float)), np.asarray(k)
         b, flo = self.branch_bounds, self._lift0 + k

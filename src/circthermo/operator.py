@@ -8,11 +8,12 @@ Two discretizations are provided on a uniform circle grid: collocation
 (evaluate at nodes through exact preimages and an interpolation stencil,
 fast on smooth data) and a weighted Ulam scheme (cell-transfer Galerkin
 projection, positivity preserving) used as an independent cross-check.
-A Discretization names one (N, scheme, interpolation, eigensolve limits);
-an OperatorSetup computes its map-and-grid geometry once and reweights it
-for each potential, and `discretize` is the one-shot form.  An
-OperatorBlock applies the operators of several potentials, one to each
-column of a block, straight from that geometry.
+A Discretization names one (N, scheme, interpolation, eigensolve limits),
+and every operator carries the one it was made from; an OperatorSetup
+computes its map-and-grid geometry once and reweights it for each
+potential, and `discretize` is the one-shot form.  An OperatorBlock
+applies the operators of several potentials, one to each column of a
+block, straight from that geometry.
 The local stencils (linear collocation and Ulam) are stored in CSR form in
 float64; Fourier collocation and extended precision are stored dense.
 scipy.sparse is imported where the first CSR matrix is built.  Grid values
@@ -186,21 +187,25 @@ class GridFunction:
 
 @dataclass
 class DiscretizedOperator:
-    """Transfer matrix M on a grid, stored as CSR or as a dense array.
+    """Transfer matrix M on the grid of `disc`, stored as CSR or as a dense array.
 
-    `apply` (v -> M v) and `apply_left` (w -> w M) work on either form, on
-    a vector or on each column of an (N, K) block; `matrix` is always the
-    dense array, built on first use from CSR.
+    `disc` is the Discretization the matrix was made from: its grid, its
+    scheme and rule, and the limits every eigensolve of M obeys.  `apply`
+    (v -> M v) and `apply_left` (w -> w M) work on either form, on a vector
+    or on each column of an (N, K) block; `matrix` is always the dense
+    array, built on first use from CSR.
     """
     storage: Union[np.ndarray, sparse.csr_matrix]
-    grid: Grid
-    scheme: str
-    interpolation: str
+    disc: Discretization
     branch_map: BranchMap
     potential: Potential
     dropped_entries: int = 0
     _dense: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     _left: Optional[sparse.csr_matrix] = field(default=None, init=False, repr=False)
+
+    @property
+    def grid(self) -> Grid:
+        return self.disc.grid
 
     @property
     def dtype(self):
@@ -225,7 +230,7 @@ class DiscretizedOperator:
         return self._left @ np.asarray(weights)
 
     def grid_function(self, values):
-        return GridFunction(self.grid, np.asarray(values), self.interpolation)
+        return GridFunction(self.grid, np.asarray(values), self.disc.rule)
 
     def export_csv(self, path):
         """Dense text dump with a header naming scheme, N, and the map tag.
@@ -234,9 +239,9 @@ class DiscretizedOperator:
         is neither built nor cached.
         """
         n = self.grid.n_cells
-        header = (f"# circthermo operator scheme={self.scheme} N={n} "
+        header = (f"# circthermo operator scheme={self.disc.scheme} N={n} "
                   f"map={self.branch_map.family_tag} "
-                  f"interpolation={self.interpolation} "
+                  f"interpolation={self.disc.rule} "
                   f"potential={self.potential.describe()}")
         line = ",".join(["%.17g"] * n) + "\n"
         with open(path, "w") as fh:
@@ -441,6 +446,17 @@ class OperatorSetup:
                               f"reaches {np.max(values):.6g} at the preimages")
         return weights
 
+    def _triplet_values(self, weights):
+        """The (nnz, K) triplet values of K potentials' weights at the points.
+
+        weights has the points' shape, plus a trailing axis of K when K > 1;
+        linear collocation repeats each preimage weight in its two columns.
+        """
+        weights = weights.reshape(self.points.size, -1)
+        values = np.tile(weights, (len(self._factors) // len(weights), 1))
+        values *= self._factors[:, None]
+        return values
+
     def operator(self, pot: Potential) -> DiscretizedOperator:
         """The transfer matrix weighted by e^{pot}, from the stored geometry."""
         return self._assemble(pot, self.weights(pot))
@@ -450,14 +466,10 @@ class OperatorSetup:
         if self._cards is not None:
             mat = np.einsum("kn,knm->nm", weights, self._cards)
         else:
-            # linear collocation repeats each preimage weight in its two columns
-            repeat = len(self._factors) // weights.size
-            mat = _from_triplets(self._rows, self._cols,
-                                 np.tile(weights.ravel(), repeat) * self._factors,
-                                 n, self.dtype)
-        return DiscretizedOperator(
-            mat, self.grid, self.disc.scheme, self.disc.rule, self.branch_map, pot,
-            dropped_entries=self.dropped_entries)
+            vals = self._triplet_values(weights)[:, 0]
+            mat = _from_triplets(self._rows, self._cols, vals, n, self.dtype)
+        return DiscretizedOperator(mat, self.disc, self.branch_map, pot,
+                                   dropped_entries=self.dropped_entries)
 
 
 class OperatorBlock:
@@ -469,12 +481,13 @@ class OperatorBlock:
     (X^T C_j)^T, summed over j inside one GEMM); on the (row, column,
     factor) triplets of linear collocation and Ulam it is a gather and a
     sparse sum.  `keep(mask)` drops columns, and `operator(k)` assembles
-    M_k of a kept column from the weights the block holds.
+    M_k of a kept column from the weights the block holds.  The block
+    carries its setup's `disc`, as an operator does.
     """
 
     def __init__(self, setup: OperatorSetup, pots):
         self.setup, self.pots = setup, list(pots)
-        self.grid, self.dtype = setup.grid, setup.dtype
+        self.disc, self.grid, self.dtype = setup.disc, setup.grid, setup.dtype
         self._live = np.arange(len(self.pots))
         self._weights = np.stack([setup.weights(pot) for pot in self.pots], axis=-1)
         if setup._cards is not None:
@@ -484,11 +497,7 @@ class OperatorBlock:
         ones, at = np.ones(nnz), np.arange(nnz)
         self._row_sum, self._col_sum = (sparse.csr_matrix((ones, (idx, at)), shape=(n, nnz))
                                         for idx in (setup._rows, setup._cols))
-        # the triplet values of each column, (nnz, K); linear collocation
-        # repeats each preimage weight in its two columns
-        weights = self._weights.reshape(-1, len(self.pots))
-        self._vals = np.tile(weights, (nnz // len(weights), 1))
-        self._vals *= setup._factors[:, None]
+        self._vals = setup._triplet_values(self._weights)
 
     def apply(self, v):
         cards = self.setup._cards

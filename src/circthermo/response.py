@@ -43,9 +43,8 @@ import numpy as np
 
 from .errors import SmoothnessError
 from .maps import BranchMap, ParamFamily, Potential, zero_potential
-from .operator import (Discretization, GridFunction, OperatorSetup, leaf_sum,
-                       preimage_tree)
-from .spectral import SpectralTriple, resolvent_solve, triple_at
+from .operator import Discretization, GridFunction, discretize, leaf_sum, preimage_tree
+from .spectral import SpectralTriple, leading_triple, resolvent_solve
 
 FD_DEFAULT_STEP = 1e-4
 
@@ -75,7 +74,7 @@ def d_lambda_d_potential(branch_map: BranchMap, pot0: Potential, direction,
                          triple: Optional[SpectralTriple] = None) -> float:
     """Derivative of the leading eigenvalue: lam * int h H d nu."""
     if triple is None:
-        triple = triple_at(OperatorSetup(branch_map, disc), pot0)
+        triple = leading_triple(discretize(branch_map, pot0, disc))
     hvec = triple.sample(direction)
     return float(triple.lam * triple.integrate_nu(triple.h.values * hvec))
 
@@ -85,7 +84,7 @@ def d_pressure_d_potential(branch_map: BranchMap, pot0: Potential, direction,
                            triple: Optional[SpectralTriple] = None) -> float:
     """Derivative of the pressure: int H d mu (= d lambda / lambda)."""
     if triple is None:
-        triple = triple_at(OperatorSetup(branch_map, disc), pot0)
+        triple = leading_triple(discretize(branch_map, pot0, disc))
     return float(triple.integrate_mu(triple.sample(direction)))
 
 
@@ -106,7 +105,7 @@ def d_density_d_potential(branch_map: BranchMap, pot0: Potential, direction,
                           triple: Optional[SpectralTriple] = None) -> GridFunction:
     """Derivative of the normalized eigenfunction h in direction H."""
     if triple is None:
-        triple = triple_at(OperatorSetup(branch_map, disc), pot0)
+        triple = leading_triple(discretize(branch_map, pot0, disc))
     hvec = triple.sample(direction)
     shape = _density_shape_term(triple, hvec)
     scale = _normalization_scalar(triple, hvec)
@@ -118,7 +117,7 @@ def d_conformal_expectation(branch_map: BranchMap, pot0: Potential, g, direction
                             triple: Optional[SpectralTriple] = None) -> float:
     """Derivative of phi -> int g d nu_phi in direction H."""
     if triple is None:
-        triple = triple_at(OperatorSetup(branch_map, disc), pot0)
+        triple = leading_triple(discretize(branch_map, pot0, disc))
     gv = triple.sample(g)
     hvec = triple.sample(direction)
     gmean = float(triple.integrate_nu(gv))
@@ -132,7 +131,7 @@ def d_equilibrium_expectation(branch_map: BranchMap, pot0: Potential, g, directi
                               triple: Optional[SpectralTriple] = None) -> float:
     """Derivative of phi -> int g d mu_phi in direction H."""
     if triple is None:
-        triple = triple_at(OperatorSetup(branch_map, disc), pot0)
+        triple = leading_triple(discretize(branch_map, pot0, disc))
     gv = triple.sample(g)
     hvec = triple.sample(direction)
     gmu = float(triple.integrate_mu(gv))
@@ -198,12 +197,12 @@ def d_pressure_d_dynamics(family: ParamFamily, pot: Potential, s0: float,
         raise SmoothnessError("pressure-in-f derivative needs a C^1 potential")
     branch_map = family.at(s0)
     h_field = family.direction(s0)
-    triple = triple_at(OperatorSetup(branch_map, disc), pot)
+    triple = leading_triple(discretize(branch_map, pot, disc))
     field = d_transfer_d_dynamics(branch_map, pot, triple.h, h_field, triple.h.sites)
     analytic = float(triple.integrate_nu(field)) / triple.lam
 
     def pressure_at(s):
-        t = triple_at(OperatorSetup(family.at(s), disc), pot)
+        t = leading_triple(discretize(family.at(s), pot, disc))
         return math.log(t.lam)
 
     fd = central_difference(lambda e: pressure_at(s0 + e), fd_step)
@@ -223,14 +222,14 @@ def d_maxentropy_expectation(family: ParamFamily, g, s0: float,
     """
     pot0 = zero_potential()
     branch_map = family.at(s0)
-    triple = triple_at(OperatorSetup(branch_map, disc), pot0)
+    triple = leading_triple(discretize(branch_map, pot0, disc))
     u = resolvent_solve(triple, triple.project_zero_mean(triple.sample(g)))
     field = d_transfer_d_dynamics(branch_map, pot0, triple.op.grid_function(u),
                                   family.direction(s0), triple.h.sites) / triple.lam
     analytic = float(triple.integrate_mu(field))
 
     def expectation(s):
-        t = triple_at(OperatorSetup(family.at(s), disc), pot0)
+        t = leading_triple(discretize(family.at(s), pot0, disc))
         return float(t.integrate_mu(t.sample(g)))
 
     fd = central_difference(lambda e: expectation(s0 + e), fd_step)

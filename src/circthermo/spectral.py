@@ -3,11 +3,13 @@
 The triple (lambda, h, nu) is obtained by two-sided power iteration seeded
 at the constant function and the uniform weight vector, mirroring the limit
 h = lim lambda^{-n} L^n 1.  One loop, `_power_block`, iterates the columns
-of an (N, K) block, each on its own operator: `leading_triple` is its
-one-column case on an assembled operator, and `eigenvalues_at` solves the
-operators of several potentials together on an OperatorBlock, which applies
-them from the setup's stored geometry.  Each column stops, and is refused,
-on its own.  A float64 column that has not converged after
+of an (N, K) block, each on its own operator, under the limits of the
+Discretization that the operator or block carries: `leading_triple(op)`,
+the one way a triple is built, is its one-column case on an assembled
+operator, and `eigenvalues_at` solves the operators of several potentials
+together on an OperatorBlock, which applies them from the setup's stored
+geometry.  Each column stops, and is refused, on its own.  A float64
+column that has not converged after
 ARNOLDI_HANDOVER steps (a slowly mixing map, where tau is near 1) finishes
 alone by implicitly restarted Arnoldi (ARPACK) on its assembled operator,
 started from its current iterates on M and on its transpose; extended
@@ -32,7 +34,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, SchemeQualityError, SolverError
-from .maps import Potential
 from .operator import DiscretizedOperator, GridFunction, OperatorBlock, OperatorSetup
 
 NEGATIVE_MASS_LIMIT = 1e-8
@@ -84,19 +85,20 @@ class SpectralTriple:
         return self.op.apply(values) / self.lam
 
 
-def leading_triple(op: DiscretizedOperator, tol: float = 1e-12,
-                   max_iter: int = 100000) -> SpectralTriple:
+def leading_triple(op: DiscretizedOperator) -> SpectralTriple:
     """Two-sided power iteration for the dominant eigentriple.
 
-    The one-column case of `_power_block`, on the assembled operator:
-    convergence is declared when successive Rayleigh quotients differ by
-    less than tol; failure to converge raises with the last residual.  A
-    float64 operator still unconverged after ARNOLDI_HANDOVER steps
-    continues by Arnoldi from the current iterates, and its normalized
-    triple must then meet the same residual tolerance.  Either way at most
-    max_iter operator applications are made.
+    The one-column case of `_power_block`, on the assembled operator and
+    under the limits of `op.disc`: convergence is declared when successive
+    Rayleigh quotients differ by less than tol; failure to converge raises
+    with the last residual.  A float64 operator still unconverged after
+    ARNOLDI_HANDOVER steps continues by Arnoldi from the current iterates,
+    and its normalized triple must then meet the same residual tolerance.
+    Either way at most max_iter operator applications are made.  For a
+    potential sweep, build each op with one setup's `operator(pot)`, so
+    that each point only reweights.
     """
-    (lam,), h, nu, (clipped,), (iterations,) = _power_block(op, lambda k: op, tol, max_iter)
+    (lam,), h, nu, (clipped,), (iterations,) = _power_block(op, lambda k: op)
     hv, nu = h[:, 0], nu[:, 0]
     resid_right, resid_left = _residuals(op, lam, hv, nu)
     return SpectralTriple(lam=lam, h=op.grid_function(hv), nu=nu, op=op,
@@ -108,32 +110,33 @@ def eigenvalues_at(setup: OperatorSetup, pots, names) -> np.ndarray:
     """Leading eigenvalue of the operator `setup` assembles for each of pots.
 
     All are solved as one `_power_block` on an OperatorBlock, under the
-    limits of `setup.disc`, so each equals `triple_at`'s up to rounding.
-    names[k] ends every refusal of column k.
+    limits of `setup.disc`, so each equals the lam of
+    `leading_triple(setup.operator(pot))` up to rounding.  names[k] ends
+    every refusal of column k.
     """
     block = OperatorBlock(setup, pots)
-    return _power_block(block, block.operator, setup.disc.tol, setup.disc.max_iter, names)[0]
+    return _power_block(block, block.operator, names)[0]
 
 
-def _power_block(block, assemble, tol, max_iter, names=("",)):
+def _power_block(block, assemble, names=("",)):
     """Two-sided power iteration on the columns of an (N, K) block.
 
     Column k iterates on its own operator M_k (`block.apply`,
-    `block.apply_left`) and keeps `leading_triple`'s rules on its own: the
-    stopping test, the collapse check, then normalization (nu to total mass
-    one first, then h so that its nu-integral is one) with the negative-mass
-    and positivity refusals.  A stopped column leaves the block
-    (`block.keep(mask)`, called only while another column stays live).  A
-    float64 column still live after ARNOLDI_HANDOVER steps finishes alone
-    by `_arnoldi_pair` on assemble(k), from its current iterates, and must
-    meet rtol.  names[k] ends every refusal of column k.  Returns lam (K,),
-    h and nu (N, K), the clipped nu masses and the iterations (K,).
+    `block.apply_left`) under the limits of `block.disc`, and keeps
+    `leading_triple`'s rules on its own: the stopping test, the collapse
+    check, then normalization (nu to total mass one first, then h so that
+    its nu-integral is one) with the negative-mass and positivity refusals.
+    A stopped column leaves the block (`block.keep(mask)`, called only
+    while another column stays live).  A float64 column still live after
+    ARNOLDI_HANDOVER steps finishes alone by `_arnoldi_pair` on
+    assemble(k), from its current iterates, and must meet rtol.  names[k]
+    ends every refusal of column k.  Returns lam (K,), h and nu (N, K), the
+    clipped nu masses and the iterations (K,).
     """
     dtype, n = block.dtype, block.grid.n_cells
+    tol, max_iter = block.disc.tol, block.disc.max_iter
     if tol < 1e-14 and dtype == np.float64:
         raise ConfigError(f"tol={tol} below float64 attainable accuracy")
-    if max_iter < 1:
-        raise ConfigError(f"max_iter={max_iter} must be >= 1")
     size = len(names)
     rtol = max(tol, 50.0 * n * float(np.finfo(dtype).eps))
     # ARPACK needs n >= 3 for one eigenpair
@@ -270,18 +273,6 @@ def _arnoldi_pair(op: DiscretizedOperator, v, w, budget: int, note: str):
     w = w / w.sum()
     lam = (w @ right(v)) / (w @ v)
     return lam, v, w, spent
-
-
-def triple_at(setup: OperatorSetup, pot: Potential) -> SpectralTriple:
-    """Leading triple of the operator that `setup` assembles for `pot`.
-
-    The one way a triple is built from a potential: pass a fresh
-    `OperatorSetup(branch_map, disc)` for a single potential, or hold one
-    setup across a potential sweep so that each point only reweights.  The
-    eigensolve runs under the limits of `setup.disc` (tol and max_iter).
-    """
-    return leading_triple(setup.operator(pot), tol=setup.disc.tol,
-                          max_iter=setup.disc.max_iter)
 
 
 def gap_estimate(op: DiscretizedOperator, triple: SpectralTriple) -> float:

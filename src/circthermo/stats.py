@@ -29,9 +29,9 @@ from numpy.polynomial.chebyshev import chebder, chebfit, chebval
 from .errors import ConfigError, HypothesisError, SchemeQualityError, SolverError
 from .maps import (BranchMap, HypothesisAux, ParamFamily, Potential, check_hypotheses,
                    monotone_root, zero_potential)
-from .operator import Discretization, OperatorSetup
+from .operator import Discretization, OperatorSetup, discretize
 from .response import FD_DEFAULT_STEP, ResponseReport, central_difference
-from .spectral import SpectralTriple, eigenvalues_at, resolvent_solve, triple_at
+from .spectral import SpectralTriple, eigenvalues_at, leading_triple, resolvent_solve
 
 COBOUNDARY_TOL = 1e-8
 
@@ -57,7 +57,7 @@ def correlation(branch_map: BranchMap, pot: Potential, obs_a, obs_b,
     by least squares on log |C(n)| over the terms above the noise floor.
     """
     if triple is None:
-        triple = triple_at(OperatorSetup(branch_map, disc), pot)
+        triple = leading_triple(discretize(branch_map, pot, disc))
     av = triple.sample(obs_a)
     bv = triple.sample(obs_b)
     z = triple.project_zero_mean(bv * triple.h.values)
@@ -98,7 +98,7 @@ def clt_parameters(branch_map: BranchMap, pot: Potential, psi,
     within the coboundary tolerance of zero is clamped to exactly zero.
     """
     if triple is None:
-        triple = triple_at(OperatorSetup(branch_map, disc), pot)
+        triple = leading_triple(discretize(branch_map, pot, disc))
     pv = triple.sample(psi)
     mean = float(triple.integrate_mu(pv))
     z = triple.project_zero_mean(pv * triple.h.values)
@@ -405,7 +405,7 @@ def ldp_monte_carlo(branch_map: BranchMap, pot: Potential, psi,
         raise ConfigError("fewer samples than batches")
 
     if triple is None:
-        triple = triple_at(OperatorSetup(branch_map, disc), pot)
+        triple = leading_triple(discretize(branch_map, pot, disc))
     branch_map = triple.op.branch_map
     mu = triple.mu_weights
     n_cells = triple.op.grid.n_cells
@@ -539,7 +539,7 @@ def deviation_probability(branch_map: BranchMap, pot: Potential, psi,
     """
     a, b, n_sorted = _deviation_interval(interval, n_list, rate)
     tilt = float(legendre_sup(rate.curve, min(max(rate.argmin, a), b))[1])
-    triple = triple_at(OperatorSetup(branch_map, disc), pot)
+    triple = leading_triple(discretize(branch_map, pot, disc))
     grid = triple.op.grid
     pv = np.asarray(triple.sample(psi), dtype=float)
     mid = triple.h.sites + 0.5 * grid.cell_width

@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import ConfigError, ResourceLimitError
 from .maps import BranchMap, Potential, monotone_root
-from .operator import (Discretization, OperatorSetup, TREE_BLOCK, TREE_LEAF_GUARD,
-                       apply_transfer_tree)
-from .spectral import SpectralTriple, triple_at
+from .operator import (Discretization, TREE_BLOCK, TREE_LEAF_GUARD, apply_transfer_tree,
+                       discretize)
+from .spectral import SpectralTriple, leading_triple
 
 
 @dataclass
@@ -43,7 +43,7 @@ def pressure(branch_map: BranchMap, pot: Potential,
     library use assumes the standing hypotheses or an explicit override).
     """
     if triple is None:
-        triple = triple_at(OperatorSetup(branch_map, disc), pot)
+        triple = leading_triple(discretize(branch_map, pot, disc))
     return math.log(triple.lam)
 
 
@@ -119,7 +119,7 @@ def equilibrium_state(branch_map: BranchMap, pot: Potential,
     its own map and potential (`triple.op`), which are the ones used.
     """
     if triple is None:
-        triple = triple_at(OperatorSetup(branch_map, disc), pot)
+        triple = leading_triple(discretize(branch_map, pot, disc))
     branch_map, pot = triple.op.branch_map, triple.op.potential
     p = math.log(triple.lam)
     mu = np.asarray(triple.mu_weights, dtype=float)
@@ -134,8 +134,8 @@ def equilibrium_state(branch_map: BranchMap, pot: Potential,
         "map_params": dict(branch_map.family_params),
         "potential": pot.describe(),
         "n": triple.op.grid.n_cells,
-        "scheme": triple.op.scheme,
-        "interpolation": triple.op.interpolation,
+        "scheme": triple.op.disc.scheme,
+        "interpolation": triple.op.disc.rule,
         "eigen_iterations": triple.iterations,
         "residual_right": triple.residual_right,
         "residual_left": triple.residual_left,

@@ -85,7 +85,7 @@ def test_criterion_03_oracle_triangulation():
 def test_criterion_04_linear_response_vs_fd():
     t_start = time.monotonic()
     dtype = np.longdouble if np.finfo(np.longdouble).eps < 1e-18 else np.float64
-    disc = Discretization(n=64, scheme="collocation", interpolation="fourier")
+    disc = Discretization(n=64, scheme="collocation", interpolation="fourier", tol=1e-13)
     m = doubling()
     phi0 = trig_polynomial(cos_coeffs=[0.1])
     g = trig_polynomial(cos_coeffs=[0.4, 0.0, 0.1], sin_coeffs=[0.0, 0.25])
@@ -93,7 +93,7 @@ def test_criterion_04_linear_response_vs_fd():
     xs = np.arange(4096) / 4096
 
     def triple_at(pot):
-        return leading_triple(discretize(m, pot, disc, dtype=dtype), tol=1e-13)
+        return leading_triple(discretize(m, pot, disc, dtype=dtype))
 
     tr0 = triple_at(phi0)
     ops = ("lambda", "pressure", "density", "conformal", "equilibrium")

@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circthermo import cli, doubling, zero_potential
+from circthermo import Discretization, cli, doubling, zero_potential
 from circthermo.cli import (EXIT_CONFIG, EXIT_HYPOTHESES, EXIT_RESOURCE, EXIT_SOLVER,
                             SCAN_ROW_GUARD, main, parse_config, run)
 from circthermo.spectral import ARNOLDI_HANDOVER
 from circthermo.errors import ConfigError
-from circthermo.operator import DiscretizedOperator, Grid
+from circthermo.operator import DiscretizedOperator
 
 
 def base_config(**overrides):
@@ -499,6 +499,31 @@ def test_malformed_value_exits_config_naming_the_key(tmp_path, capsys, command, 
     assert f"config error: {path}:" in capsys.readouterr().err
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command,path,overrides,shown", [
+    ("pressure", "map.s", {"map": {"family": "translated-doubling", "s": _NAN}}, "nan"),
+    ("check-hypotheses", "hypotheses.delta", {"hypotheses": {"delta": _INF}}, "inf"),
+    ("response", "response.fd_step",
+     {"response": {"derivative": "pressure-potential", "direction": _TRIG, "fd_step": _INF}},
+     "inf"),
+    ("free-energy", "free_energy.t0", {"free_energy": {"observable": _TRIG, "t0": _INF}}, "inf"),
+    ("pressure", "tolerances.eig_tol", {"tolerances": {"eig_tol": _INF}}, "inf"),
+    ("pressure", "potential.c", {"potential": {"form": "constant", "c": _INF}}, "inf"),
+    ("pressure", "potential.cos[0]", {"potential": {"form": "trig", "cos": [_NAN]}}, "nan"),
+    ("pressure", "potential.c", {"potential": {"form": "constant", "c": -_INF}}, "-inf"),
+], ids=["s-nan", "delta-inf", "fd_step-inf", "t0-inf", "eig_tol-inf", "c-inf", "cos-nan",
+        "c-minus-inf"])
+def test_non_finite_number_exits_config_naming_the_key(tmp_path, capsys, command, path,
+                                                       overrides, shown):
+    # json reads NaN and Infinity; every number of a config must be finite
+    cfg = base_config(output={"dir": str(tmp_path / "out")}, **overrides)
+    assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert (f"config error: {path}: expected a finite number, got {shown}\n"
+            in capsys.readouterr().err)
+
+
 def _readme_section(heading):
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     return text.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
@@ -667,8 +692,8 @@ def _reference_csv_lines(rows):
 def test_csv_writers_match_per_value_formatting(tmp_path):
     special = [-0.0, 5e-324, 1e-300, 123456789.0, np.nan, np.inf, -np.inf, 0.1, -2.5e17]
     mat = np.array([special[i:] + special[:i] for i in range(len(special))])
-    op = DiscretizedOperator(mat, Grid(len(special)), "collocation", "fourier", doubling(),
-                             zero_potential())
+    op = DiscretizedOperator(mat, Discretization(n=len(special), interpolation="fourier"),
+                             doubling(), zero_potential())
     op.export_csv(tmp_path / "operator.csv")
     header, body = (tmp_path / "operator.csv").read_text().split("\n", 1)
     assert header.startswith("# circthermo operator")

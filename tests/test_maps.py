@@ -390,6 +390,13 @@ def test_manneville_pomeau_rejects_overflowing_alpha():
         manneville_pomeau(float("nan"))
 
 
+@pytest.mark.parametrize("s", [float("nan"), float("inf")])
+def test_non_finite_lift_fails_the_degree_check(s):
+    # a NaN increment F(1) - F(0) must not pass for the degree
+    with pytest.raises(ConfigError, match="increase by degree"):
+        translated_doubling(s)
+
+
 @pytest.mark.parametrize("fmap", [linear_map(3), manneville_pomeau(0.5),
                                   perturbed_doubling(0.1), translated_doubling(0.3)],
                          ids=lambda m: m.family_tag)

@@ -19,6 +19,7 @@ from circthermo import (BranchMap, ConfigError, Discretization, Grid, GridFuncti
                         manneville_pomeau, perturbed_doubling,
                         pressure_oracle_tree, translated_doubling,
                         trig_polynomial, zero_potential)
+from circthermo.maps import monotone_root
 from circthermo.operator import OperatorBlock, trig_interp_matrix
 from circthermo.response import d_transfer_n_d_dynamics
 from circthermo.spectral import leading_triple
@@ -313,7 +314,7 @@ def test_cell_rule_sits_at_midpoints_and_interpolates_between_them():
     for rule in ("linear", "fourier"):
         assert np.array_equal(GridFunction(Grid(8), vals, rule).sites, Grid(8).nodes)
     ulam = discretize(doubling(), zero_potential(), Discretization(n=16, scheme="ulam"))
-    assert ulam.interpolation == ulam.grid_function(np.ones(16)).interpolation == "cell"
+    assert ulam.disc.rule == ulam.grid_function(np.ones(16)).interpolation == "cell"
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -502,9 +503,10 @@ def test_block_products_match_assembled_operators(scheme, interpolation, dtype):
 
 @pytest.mark.parametrize("kwargs", [
     {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0}, {"tol": -1e-12},
-    {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": True}, {"n": 64.0}, {"n": True},
-], ids=["tol-nan", "tol-inf", "tol-zero", "tol-negative", "max_iter-zero", "max_iter-float",
-        "max_iter-bool", "n-float", "n-bool"])
+    {"max_iter": 0}, {"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": True}, {"n": 64.0},
+    {"n": True},
+], ids=["tol-nan", "tol-inf", "tol-zero", "tol-negative", "max_iter-zero", "max_iter-negative",
+        "max_iter-float", "max_iter-bool", "n-float", "n-bool"])
 def test_discretization_refuses_limits_it_cannot_use(kwargs):
     with pytest.raises(ConfigError, match=next(iter(kwargs))):
         Discretization(**kwargs)
@@ -568,7 +570,8 @@ def _ulam_pieces_by_cell_loop(bmap, n):
 
     def invert(u):
         k = np.minimum(np.floor(u - c0), d - 1).astype(int)
-        return bmap._invert_lift(u, b[k], b[k + 1], c0 + k, c0 + k + 1)
+        return monotone_root(lambda y: (bmap.lift(y), lambda i: bmap.dlift(y[i])),
+                             u, b[k], b[k + 1], c0 + k, c0 + k + 1)
 
     rows, cols, mids, widths, dropped = [], [], [], [], 0
     x_left = np.arange(n) / n

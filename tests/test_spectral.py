@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import scipy.sparse.linalg
 from scipy import sparse
 
 import circthermo.spectral as spectral
-from circthermo import (ConfigError, Discretization, Grid, SchemeQualityError, constant,
+from circthermo import (ConfigError, Discretization, SchemeQualityError, constant,
                         SolverError, discretize,
                         doubling, gap_estimate, leading_triple, linear_map,
                         log_derivative_weight, manneville_pomeau,
@@ -253,16 +254,27 @@ def test_negative_mass_aborts_with_scheme_error():
 
 def test_no_convergence_raises_with_residual():
     op = discretize(manneville_pomeau(1.0), trig_polynomial(cos_coeffs=[0.01]),
-                    Discretization(n=64))
+                    Discretization(n=64, tol=1e-13, max_iter=2))
     with pytest.raises(SolverError, match="residual"):
-        leading_triple(op, tol=1e-13, max_iter=2)
+        leading_triple(op)
 
 
-@pytest.mark.parametrize("max_iter", [0, -1])
-def test_nonpositive_max_iter_refused(max_iter):
-    op = discretize(doubling(), zero_potential(), Discretization(n=32))
-    with pytest.raises(ConfigError, match="max_iter"):
-        leading_triple(op, max_iter=max_iter)
+def test_one_shot_triple_obeys_the_iteration_cap():
+    # slow mixing: unconverged after 2 steps, however the operator was built
+    mp = manneville_pomeau(0.5)
+    op = discretize(mp, log_derivative_weight(-1.0, mp), Discretization(n=256, max_iter=2))
+    with pytest.raises(SolverError, match="no eigenvalue convergence in 2 iterations"):
+        leading_triple(op)
+
+
+def test_one_shot_and_setup_triples_obey_the_same_tolerance():
+    bmap, pot = doubling(), trig_polynomial(cos_coeffs=[0.1])
+    disc = Discretization(n=64, tol=1e-6)
+    one_shot = leading_triple(discretize(bmap, pot, disc))
+    swept = leading_triple(OperatorSetup(bmap, disc).operator(pot))
+    tight = leading_triple(discretize(bmap, pot, Discretization(n=64)))
+    assert one_shot.iterations == swept.iterations < tight.iterations
+    assert np.asarray(one_shot.lam).tobytes() == np.asarray(swept.lam).tobytes()
 
 
 @pytest.fixture(scope="module", params=["collocation", "ulam"])
@@ -377,11 +389,11 @@ def test_patched_solvers_are_the_ones_called(monkeypatch):
 
 # --- Arnoldi handover -------------------------------------------------------
 
-def _power_only(monkeypatch, op, **kwargs):
+def _power_only(monkeypatch, op):
     """The triple from two-sided power iteration alone, with no handover."""
     with monkeypatch.context() as m:
         m.setattr(spectral, "ARNOLDI_HANDOVER", 10 ** 9)
-        return leading_triple(op, **kwargs)
+        return leading_triple(op)
 
 
 @pytest.fixture(scope="module", params=["collocation", "ulam"])
@@ -468,11 +480,16 @@ def test_longdouble_keeps_power_iteration(monkeypatch):
 
 
 def test_handover_budget_raises_with_residual(mp_physical_362):
-    need = leading_triple(mp_physical_362).iterations
+    op = mp_physical_362
+
+    def capped(max_iter):
+        return replace(op, disc=replace(op.disc, max_iter=max_iter))
+
+    need = leading_triple(op).iterations
     for max_iter in (spectral.ARNOLDI_HANDOVER + 1, need - 1):
         with pytest.raises(SolverError, match="residual"):
-            leading_triple(mp_physical_362, max_iter=max_iter)
-    assert leading_triple(mp_physical_362, max_iter=need).iterations == need
+            leading_triple(capped(max_iter))
+    assert leading_triple(capped(need)).iterations == need
 
 
 def test_handover_residual_gate(mp_physical_362, monkeypatch):
@@ -494,8 +511,7 @@ def test_complex_leading_ritz_value_raises():
     mat[0, 1], mat[1, 0] = -2.0, 2.0
     mat[2:, 2:] = 0.5 * np.eye(n - 2)
     mat[2:, :2] = 0.1
-    op = DiscretizedOperator(mat, Grid(n), "collocation", "linear", doubling(),
-                             zero_potential())
+    op = DiscretizedOperator(mat, Discretization(n=n), doubling(), zero_potential())
     with pytest.raises(SolverError, match="not both real; last power residual"):
         leading_triple(op)
 

@@ -18,7 +18,7 @@ from circthermo import (ConfigError, Discretization, HypothesisError,
                         trig_polynomial, zero_potential)
 from circthermo import spectral, stats
 from circthermo.operator import OperatorSetup
-from circthermo.spectral import gap_estimate, triple_at
+from circthermo.spectral import gap_estimate
 from circthermo.stats import FOURIER_MODES, MC_BLOCK, legendre_sup
 
 from conftest import cos1
@@ -232,7 +232,7 @@ def test_legendre_involution_recovers_free_energy():
 def _direct_free_energy(disc, ts):
     """E(t) = P(t psi) - P(0) for doubling, one fresh eigensolve per t."""
     setup = OperatorSetup(doubling(), disc)
-    p = [math.log(triple_at(setup, zero_potential() + float(t) * PSI_COS).lam)
+    p = [math.log(leading_triple(setup.operator(zero_potential() + float(t) * PSI_COS)).lam)
          for t in np.concatenate(([0.0], ts))]
     return np.array(p[1:]) - p[0]
 
@@ -403,7 +403,7 @@ def test_ldp_ci_scales_with_sample_count():
 def test_ldp_monte_carlo_iterates_the_map_of_its_triple():
     rate, disc = _doubling_rate_setup(n=128)
     pd = perturbed_doubling(0.3)
-    triple = triple_at(OperatorSetup(pd, disc), zero_potential())
+    triple = leading_triple(discretize(pd, zero_potential(), disc))
     args = (zero_potential(), cos1, (0.25, 0.45), [10], 20000, 5, rate)
     mixed = ldp_monte_carlo(doubling(), *args, triple=triple)
     own = ldp_monte_carlo(pd, *args, triple=triple)
@@ -521,7 +521,7 @@ def _per_n_deviation_rates(branch_map, pot, psi, interval, n_list, tilt,
                            disc=Discretization(n=256, interpolation="fourier")):
     """Each n iterates its own FOURIER_MODES + 1 twists, with one common scale."""
     a, b = interval
-    triple = triple_at(OperatorSetup(branch_map, disc), pot)
+    triple = leading_triple(discretize(branch_map, pot, disc))
     grid = triple.op.grid
     pv = np.asarray(psi(grid.nodes), dtype=float)
     pmid = np.asarray(psi(grid.nodes + 0.5 * grid.cell_width), dtype=float)
@@ -635,7 +635,7 @@ def _unblocked_monte_carlo(branch_map, psi, interval, n_list, n_samples, seed, t
 ])
 def test_blocked_monte_carlo_matches_one_pass(n_samples, interval):
     rate, disc = _doubling_rate_setup(n=256)
-    triple = triple_at(OperatorSetup(doubling(), disc), zero_potential())
+    triple = leading_triple(discretize(doubling(), zero_potential(), disc))
     exp = ldp_monte_carlo(doubling(), zero_potential(), PSI_COS, interval, [5, 10, 20],
                           n_samples, 17, rate, triple=triple)
     hits, ci95 = _unblocked_monte_carlo(doubling(), PSI_COS, interval, [5, 10, 20],
@@ -646,7 +646,7 @@ def test_blocked_monte_carlo_matches_one_pass(n_samples, interval):
 
 def test_monte_carlo_block_size_moves_no_hit(monkeypatch):
     rate, disc = _doubling_rate_setup(n=256)
-    triple = triple_at(OperatorSetup(doubling(), disc), zero_potential())
+    triple = leading_triple(discretize(doubling(), zero_potential(), disc))
     runs = []
     for block in (2 ** 12, 2 ** 13, 2 ** 14):
         monkeypatch.setattr(stats, "MC_BLOCK", block)
@@ -664,7 +664,7 @@ def test_monte_carlo_block_arrays_stay_below_the_mmap_threshold():
 
 def test_monte_carlo_memory_stays_within_blocks():
     rate, disc = _doubling_rate_setup(n=256)
-    triple = triple_at(OperatorSetup(doubling(), disc), zero_potential())
+    triple = leading_triple(discretize(doubling(), zero_potential(), disc))
     tracemalloc.start()
     try:
         ldp_monte_carlo(doubling(), zero_potential(), PSI_COS, (0.25, 0.45), [10],

@@ -13,8 +13,6 @@ from circthermo import (ConfigError, Discretization, SolverError, constant, disc
                         perturbed_doubling, pressure, pressure_oracle_periodic,
                         pressure_oracle_tree, translated_doubling,
                         trig_polynomial, zero_potential)
-from circthermo.operator import OperatorSetup
-from circthermo.spectral import triple_at
 
 from conftest import builtin_maps
 
@@ -194,7 +192,7 @@ def test_dimension_absent_for_generic_potential():
 
 def test_equilibrium_state_reads_map_and_potential_from_the_triple():
     pd, phi = perturbed_doubling(0.3), trig_polynomial(cos_coeffs=[0.1])
-    triple = triple_at(OperatorSetup(pd, Discretization(n=128)), phi)
+    triple = leading_triple(discretize(pd, phi, Discretization(n=128)))
     mixed = equilibrium_state(doubling(), zero_potential(), triple=triple)
     own = equilibrium_state(pd, phi, triple=triple)
     assert (mixed.entropy, mixed.lyapunov, mixed.dimension) == \
