@@ -259,6 +259,14 @@ def test_no_convergence_raises_with_residual():
         leading_triple(op)
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_nonpositive_max_iter_refused(max_iter):
+    # the cap reaches leading_triple only through the operator's Discretization
+    op = discretize(doubling(), zero_potential(), Discretization(n=32))
+    with pytest.raises(ConfigError, match="max_iter"):
+        leading_triple(replace(op, disc=replace(op.disc, max_iter=max_iter)))
+
+
 def test_one_shot_triple_obeys_the_iteration_cap():
     # slow mixing: unconverged after 2 steps, however the operator was built
     mp = manneville_pomeau(0.5)
